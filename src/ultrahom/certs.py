@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import GraphError, IsoError
-from .graphs import GraphKind, GraphSession
+from .errors import GraphError
+from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
 from .oracles import OracleBase, oracle_from_description
 from .partial_iso import (PartialIso, cycle_free, orbit_rep_profile, validate)
 from .words import FreeWord, chase, evaluate, parse_word
@@ -27,6 +27,14 @@ HENSON_CLAIM = "henson_conjugation"      # h^m f h^{2l} f^-1 h^-m  extends targe
 OMEGA_CLAIM = "omega_conjugation"        # (h^m f) h (h^m f)^-1    extends target
 NKOMEGA_CLAIM = "nkomega_words"          # w1(h) h^k w2(h)^-1      extends target
 N2_CLAIM = "n2_word"                     # w(h)                    extends target
+
+# graph families each claim form can be made over
+CLAIM_FAMILIES = {
+    HENSON_CLAIM: (RANDOM, HENSON),
+    OMEGA_CLAIM: (OMEGA_KN,),
+    NKOMEGA_CLAIM: (NK_OMEGA,),
+    N2_CLAIM: (NK_OMEGA,),
+}
 
 
 @dataclass
@@ -57,19 +65,31 @@ class WitnessCertificate:
 
     @staticmethod
     def from_json(text: str) -> "WitnessCertificate":
-        d = json.loads(text)
-        if d.get("schema") != SCHEMA_VERSION:
-            raise GraphError(f"unsupported certificate schema {d.get('schema')}")
-        return WitnessCertificate(
-            family=GraphKind.from_dict(d["family"]),
-            claim=d["claim"],
-            transcript=[(tuple(U), tuple(V), tuple(F), w) for U, V, F, w in d["transcript"]],
-            oracle=d["oracle"],
-            q=[tuple(t) for t in d["q"]],
-            p=[tuple(t) for t in d["p"]],
-            h=[tuple(t) for t in d["h"]],
-            data=d.get("data", {}),
-        )
+        """Parse one record; any record that is not a certificate raises GraphError.
+
+        Field types are left to ``verify``, which checks the shape first.
+        """
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise GraphError(f"not JSON: {e}") from None
+        if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
+            schema = d.get("schema") if isinstance(d, dict) else None
+            raise GraphError(f"unsupported certificate schema {schema}")
+        try:
+            return WitnessCertificate(
+                family=GraphKind.from_dict(d["family"]),
+                claim=d["claim"],
+                transcript=[(tuple(U), tuple(V), tuple(F), w)
+                            for U, V, F, w in d["transcript"]],
+                oracle=d["oracle"],
+                q=[tuple(t) for t in d["q"]],
+                p=[tuple(t) for t in d["p"]],
+                h=[tuple(t) for t in d["h"]],
+                data=d.get("data", {}),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise GraphError(f"malformed certificate: {type(e).__name__}: {e}") from None
 
 
 @dataclass
@@ -87,7 +107,115 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _product_chaser(cert: WitnessCertificate, h: PartialIso, f: OracleBase):
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _ints(seq) -> bool:
+    if not isinstance(seq, (list, tuple)):
+        return False
+    for v in seq:
+        if type(v) is not int:
+            return False
+    return True
+
+
+def _pairs(seq) -> bool:
+    if not isinstance(seq, (list, tuple)):
+        return False
+    try:
+        for x, y in seq:
+            if type(x) is not int or type(y) is not int:
+                return False
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return False
+    return True
+
+
+def _entries(seq) -> bool:
+    """Transcript entries (U, V, F, id): three lists of integer vertices and an integer id."""
+    if not isinstance(seq, (list, tuple)):
+        return False
+    try:
+        for U, V, F, w in seq:
+            if type(w) is not int or not (_ints(U) and _ints(V) and _ints(F)):
+                return False
+    except (TypeError, ValueError):  # an entry that is not a 4-sequence
+        return False
+    return True
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+# per claim: data keys the verifier reads, each with its check
+_DATA_KEYS = {
+    HENSON_CLAIM: (("m", _is_int), ("l", _is_int)),
+    OMEGA_CLAIM: (("m", _is_int),),
+    NKOMEGA_CLAIM: (("k", _is_int), ("w1", _is_str), ("w2", _is_str)),
+    N2_CLAIM: (("word", _is_str),),
+}
+# per claim: data keys holding words, parsed with the other inputs
+_WORD_KEYS = {NKOMEGA_CLAIM: ("w1", "w2"), N2_CLAIM: ("word",)}
+_OPTIONAL_DATA = {"sigma": _ints, "product_pairs": _pairs}
+_ORACLE_KEYS = {
+    "lazy_fresh": (("pairs", _pairs, True),),
+    "frozen": (("pairs", _pairs, True),),
+    "omega_shift": (("step", _is_int, True), ("pos_perm", _ints, False)),
+    "nk_policy": (("sigma", _ints, True), ("band_rows", _is_int, False),
+                  ("band_pairs", _pairs, False), ("fixed_tail", _ints, False)),
+}
+
+
+def shape_problem(cert: WitnessCertificate) -> str | None:
+    """The first way the certificate departs from the schema's shape, or None.
+
+    Checks types, pair arity, the claim against the family, and the data
+    keys each claim needs, in one pass linear in the certificate's size,
+    so that the clauses after it can read every field without raising.
+    Words are only checked to be strings here; ``verify`` parses them
+    with the other inputs.
+    """
+    if cert.schema != SCHEMA_VERSION:
+        return f"unsupported schema {cert.schema!r}"
+    fam = cert.family
+    if not isinstance(fam, GraphKind) or not (fam.n is None or _is_int(fam.n)):
+        return "family is not a graph kind"
+    if not isinstance(cert.claim, str) or cert.claim not in CLAIM_FAMILIES:
+        return f"unknown claim form {cert.claim!r}"
+    if fam.tag not in CLAIM_FAMILIES[cert.claim]:
+        return f"claim {cert.claim} cannot be made over family {fam.tag}"
+    if not _entries(cert.transcript):
+        return "transcript entries must be (U, V, F, id) with integer vertices"
+    for name in ("q", "p", "h"):
+        if not _pairs(getattr(cert, name)):
+            return f"{name} must be a list of integer pairs"
+    oracle = cert.oracle
+    if not isinstance(oracle, dict) or not isinstance(oracle.get("kind"), str):
+        return "oracle must be an object with a string kind"
+    for key, ok, required in _ORACLE_KEYS.get(oracle["kind"], ()):
+        if key in oracle:
+            if not ok(oracle[key]):
+                return f"oracle field {key} has the wrong type"
+        elif required:
+            return f"oracle {oracle['kind']} lacks {key}"
+    data = cert.data
+    if not isinstance(data, dict):
+        return "data must be an object"
+    for key, ok in _DATA_KEYS[cert.claim]:
+        if key not in data:
+            return f"claim {cert.claim} needs data {key}"
+        if not ok(data[key]):
+            return f"data {key} has the wrong type"
+    for key, ok in _OPTIONAL_DATA.items():
+        if key in data and not ok(data[key]):
+            return f"data {key} has the wrong type"
+    return None
+
+
+def _product_chaser(cert: WitnessCertificate, h: PartialIso, f: OracleBase,
+                    words: dict[str, FreeWord]):
     """Pointwise evaluator for the certificate's claimed product."""
     if cert.claim == HENSON_CLAIM:
         m, l = cert.data["m"], cert.data["l"]
@@ -112,8 +240,7 @@ def _product_chaser(cert: WitnessCertificate, h: PartialIso, f: OracleBase):
 
         return run
     if cert.claim == NKOMEGA_CLAIM:
-        w1 = parse_word(cert.data["w1"])
-        w2 = parse_word(cert.data["w2"])
+        w1, w2 = words["w1"], words["w2"]
         k = cert.data["k"]
         w2_h = evaluate(w2, h, f)
 
@@ -124,7 +251,7 @@ def _product_chaser(cert: WitnessCertificate, h: PartialIso, f: OracleBase):
 
         return run
     if cert.claim == N2_CLAIM:
-        w = parse_word(cert.data["word"])
+        w = words["word"]
 
         def run(x):
             return chase(w, x, h, f)
@@ -141,6 +268,10 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
         clauses.append((name, ok, note))
         return ok
 
+    problem = shape_problem(cert)
+    if not record("certificate-shape", problem is None, problem or ""):
+        return VerificationReport(False, clauses)
+
     try:
         session = (GraphSession.replay(cert.family, cert.transcript)
                    if cert.family.is_lazy else GraphSession(cert.family))
@@ -154,13 +285,14 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
         p = validate(session, cert.p)
         h = validate(session, cert.h)
         f = oracle_from_description(session, cert.oracle)
+        words = {key: parse_word(cert.data[key]) for key in _WORD_KEYS.get(cert.claim, ())}
         record("inputs-validate", True)
-    except (GraphError, IsoError) as e:
+    except ValueError as e:  # GraphError, IsoError, or a word that does not parse
         record("inputs-validate", False, str(e))
         return VerificationReport(False, clauses)
 
-    record("h-extends-q", h.extends(q),
-           "" if h.extends(q) else "h does not extend q")
+    extends = h.extends(q)
+    record("h-extends-q", extends, "" if extends else "h does not extend q")
 
     if cert.claim == HENSON_CLAIM:
         record("h-cycle-free", cycle_free(h))
@@ -176,8 +308,8 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
                len(comps.incomplete_components()) == len(sigma)
                and not comps.complete_components(),
                f"{len(comps.incomplete_components())} chains for |sigma|={len(sigma)}")
-        record("h-orbit-reps", all(k == 1 for k in profile.values()),
-               str(profile) if not all(k == 1 for k in profile.values()) else "")
+        one_each = all(k == 1 for k in profile.values())
+        record("h-orbit-reps", one_each, "" if one_each else str(profile))
         imap = p.index_map()
         whole = all(
             set(session.component_vertices(c)) <= p.dom() for c in imap
@@ -190,7 +322,7 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
         record("target-index-fixing",
                not (p.dom() & p.ran()) and all(i == j for i, j in imap.items()))
 
-    run = _product_chaser(cert, h, f)
+    run = _product_chaser(cert, h, f, words)
     bad = None
     for x, y in p.pairs():
         got = run(x)
@@ -201,12 +333,10 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
            "" if bad is None else f"at {bad[0]}: expected {bad[1]}, got {bad[2]}")
 
     if cert.claim == NKOMEGA_CLAIM and "product_pairs" in cert.data:
-        w1 = parse_word(cert.data["w1"])
-        w2 = parse_word(cert.data["w2"])
         from .partial_iso import compose, invert, power
 
-        full = compose(evaluate(w1, h, f), power(h, cert.data["k"]),
-                       invert(evaluate(w2, h, f)))
+        full = compose(evaluate(words["w1"], h, f), power(h, cert.data["k"]),
+                       invert(evaluate(words["w2"], h, f)))
         engine_pairs = [tuple(t) for t in cert.data["product_pairs"]]
         record("product-pair-sets-match", list(full.pairs()) == sorted(engine_pairs),
                "" if list(full.pairs()) == sorted(engine_pairs) else "pair sets differ")

@@ -176,7 +176,13 @@ def cmd_verify(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            cert = WitnessCertificate.from_json(line)
+            try:
+                cert = WitnessCertificate.from_json(line)
+            except GraphError as e:
+                failures += 1
+                print(f"certificate {lineno} (unparsed): REJECTED")
+                print(f"  FAIL certificate-shape: {e}")
+                continue
             report = verify(cert)
             status = "VERIFIED" if report.ok else "REJECTED"
             print(f"certificate {lineno} ({cert.claim}): {status}")

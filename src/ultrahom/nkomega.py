@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate
 from .errors import GraphError, HypothesisError, internal_check
-from .graphs import GraphSession
 from .oracles import NKOracle
-from .partial_iso import (PartialIso, compose, extend, index_perm_of, invert,
-                          orbit_rep_profile, power, validate)
+from .partial_iso import (FreshWindow, IsoBuilder, PartialIso, compose, extend,
+                          index_perm_of, invert, orbit_rep_profile, power, validate)
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
-from .words import (FreeWord, b_count, chase, check_word_condition, concat,
-                    empty_word, evaluate, largest_defined_prefix, reduce_word,
+from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
+                    concat, empty_word, evaluate, landing_orbit, reduce_word,
                     swap_a_sign, word_index_image)
 
 
@@ -110,87 +109,88 @@ def easy_one_point(q: PartialIso, x: int, y: int) -> PartialIso:
     return extend(q, x, y)
 
 
-def _restriction_index_perm(s: GraphSession, q: PartialIso, dropped: set[int],
-                            n: int) -> IndexPerm | None:
-    """Total index permutation of q minus the pairs rooted in ``dropped``.
+def _restriction_index_perm(b: IsoBuilder, dropped: set[int]) -> IndexPerm | None:
+    """Total index permutation of b minus the pairs rooted in ``dropped``.
 
-    Restrictions of a valid map stay valid, so no re-validation is needed.
+    Restrictions of a valid map stay valid and induce a restriction of
+    its index map, so the result is b's own index permutation as long as
+    every component index keeps a pair leaving it, and None otherwise.
     """
-    imap: dict[int, int] = {}
-    for u, v in q.pairs():
-        if u in dropped:
-            continue
-        imap[s.component_of(u)] = s.component_of(v)
-    if set(imap) != set(range(1, n + 1)):
+    lost: dict[int, int] = {}
+    for u in dropped:
+        if u in b.dom():
+            c = b.session.component_of(u)
+            lost[c] = lost.get(c, 0) + 1
+    if any(b.pairs_from[c] == k for c, k in lost.items()):
         return None
-    return IndexPerm(tuple(imap[i] for i in range(1, n + 1)))
+    return b.index_perm()
 
 
-def _class_extend(ctx: AFSigmaContext, q: PartialIso, x: int, y: int) -> PartialIso:
+def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     """One-point extension staying in the orbit-representative class.
 
     Mirror-closed variant: the class is closed under inversion, so sigma
-    may sit on either side of q (the strict public op pins it to the
-    domain side).
+    may sit on either side of the map (the strict public op pins it to
+    the domain side).
     """
-    sq = index_perm_of(q, ctx.n)
+    sq = b.index_perm()
     if sq is None:
         raise HypothesisError("index-perm-total")
-    sig = ctx.sigma_set()
-    if not sig <= q.support():
+    if not all(b.in_support(v) for v in ctx.sigma):
         raise HypothesisError("sigma-in-support")
-    if x in q.dom():
+    if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in dom(q)")
-    if y in q.dom() or y in q.ran():
+    if b.in_support(y):
         raise HypothesisError("y-fresh", f"{y} already in the support of q")
     if x == y:
         raise HypothesisError("x-ne-y")
     if ctx.session.component_of(y) != sq(ctx.session.component_of(x)):
         raise HypothesisError("component-match")
-    return extend(q, x, y)
+    b.add(x, y)
 
 
 def class_one_point(ctx: AFSigmaContext, q: PartialIso, x: int, y: int) -> PartialIso:
     """q u {(x, y)} certified to stay extendable with sigma as orbit reps."""
     if not ctx.sigma_set() <= q.dom():
         raise HypothesisError("sigma-in-dom", "sigma must lie in dom(q)")
-    return _class_extend(ctx, q, x, y)
+    b = IsoBuilder(q)
+    _class_extend(ctx, b, x, y)
+    return b.freeze()
 
 
-def amalgamate(ctx: AFSigmaContext, q: PartialIso, x: int, y: int) -> PartialIso:
+def amalgamate(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, x: int, y: int):
     """Join two chains of q at (x, y) without orphaning a representative.
 
     x must end one incomplete component, y begin a different one, at
     most one of the two carrying a representative, and dropping either
-    component must leave the induced index permutation intact.
+    component must leave the induced index permutation intact.  Returns
+    the joined map; an ``IsoBuilder`` is joined in place and returned.
     """
-    s = ctx.session
-    comps = q.components()
-    A = comps.find(x)
-    B = comps.find(y)
+    b = q if isinstance(q, IsoBuilder) else IsoBuilder(q)
+    A = b.component(x)
+    B = b.component(y)
     if A.complete or B.complete:
         raise HypothesisError("incomplete-components")
     if A == B:
         raise HypothesisError("distinct-components", "x and y share a component")
-    if x in q.dom():
+    if x in b.dom():
         raise HypothesisError("x-ends-chain", f"{x} is not the end of its chain")
-    if y in q.ran():
+    if y in b.ran():
         raise HypothesisError("y-heads-chain", f"{y} is not the head of its chain")
     sig = ctx.sigma_set()
     if sig & set(A.vertices) and sig & set(B.vertices):
         raise HypothesisError("would-orphan-representative",
                               "both components carry a representative")
-    n = ctx.n
-    rest_a = _restriction_index_perm(s, q, set(A.vertices), n)
-    rest_b = _restriction_index_perm(s, q, set(B.vertices), n)
+    rest_a = _restriction_index_perm(b, set(A.vertices))
+    rest_b = _restriction_index_perm(b, set(B.vertices))
     if rest_a is None or rest_b is None or rest_a != rest_b:
         raise HypothesisError("index-perm-redundant",
                               "dropping either component must leave the same total "
                               "index permutation")
-    out = extend(q, x, y)
-    internal_check(len(out.components().components) == len(comps.components) - 1,
-                   "merge-count")
-    return out
+    count = b.count
+    b.add(x, y)
+    internal_check(b.count == count - 1, "merge-count")
+    return b if b is q else b.freeze()
 
 
 def extend_orbit_reps(ctx: AFSigmaContext, q: PartialIso, depth: int) -> PartialIso:
@@ -208,62 +208,62 @@ def extend_orbit_reps(ctx: AFSigmaContext, q: PartialIso, depth: int) -> Partial
     if not sig <= q.dom():
         raise HypothesisError("sigma-in-dom")
     q0 = q
+    b = IsoBuilder(q)
 
     def fresh(comp: int, *extra) -> int:
-        avoid = q.support() | sig
+        avoid = set(sig)
         for e in extra:
             avoid |= set(e)
-        return s.fresh_in_component(comp, avoid)
+        return b.fresh(comp, avoid)
 
     for x in sorted(q0.ran() - q0.dom()):
         a = s.component_of(x)
-        q = _class_extend(ctx, q, x, fresh(sq(a)))
+        _class_extend(ctx, b, x, fresh(sq(a)))
     for x in sorted(q0.ran() - q0.dom()):
-        internal_check(q.apply(x) not in q0.dom(), "boundary-escapes")
+        internal_check(b.apply(x) not in q0.dom(), "boundary-escapes")
 
     def sigma_chain_tail_in_orbit(target_comp: int) -> tuple[int, int]:
         """(tail vertex, steps m >= 1) of a representative chain reaching target_comp."""
-        for c in q.components().components:
+        for c in b.components().components:
             if c.complete or not sig & set(c.vertices):
                 continue
-            b = s.component_of(c.tail)
+            tail_comp = s.component_of(c.tail)
             for m in range(1, sq.order() + 1):
-                if sq.power(m)(b) == target_comp:
+                if sq.power(m)(tail_comp) == target_comp:
                     return c.tail, m
         raise HypothesisError("sigma-reachability",
                               f"no representative chain reaches component {target_comp}")
 
     def join_to_sigma_chain(x: int):
         """Grow a representative chain through fresh points onto x (x heads a chain)."""
-        nonlocal q
         a = s.component_of(x)
         tail, m = sigma_chain_tail_in_orbit(a)
         cur = tail
         for i in range(1, m):
             nxt = fresh(sq.power(i)(s.component_of(tail)), [x])
-            q = _class_extend(ctx, q, cur, nxt)
+            _class_extend(ctx, b, cur, nxt)
             cur = nxt
-        q = extend(q, cur, x)  # lands on the chain head; merge is the construction's point
+        b.add(cur, x)  # lands on the chain head; merge is the construction's point
 
-    for c in list(q.components().components):
+    for c in list(b.components().components):
         if c.complete or sig & set(c.vertices):
             continue
         join_to_sigma_chain(c.head)
 
     for v in range(depth):
-        while not (v in q.dom() and v in q.ran()):
-            if v in q.ran() and v not in q.dom():
-                q = _class_extend(ctx, q, v, fresh(sq(s.component_of(v))))
-            elif v in q.dom() and v not in q.ran():
+        while not (v in b.dom() and v in b.ran()):
+            if v in b.ran() and v not in b.dom():
+                _class_extend(ctx, b, v, fresh(sq(s.component_of(v))))
+            elif v in b.dom() and v not in b.ran():
                 a = s.component_of(v)
-                q = extend(q, fresh(sq.inverse()(a)), v)
+                b.add(fresh(sq.inverse()(a)), v)
             else:
                 join_to_sigma_chain(v)
 
-    profile = orbit_rep_profile(q, sig)
+    profile = orbit_rep_profile(b, sig)
     internal_check(all(k == 1 for k in profile.values()), "one-rep-per-component")
-    internal_check(q.extends(q0), "extends-input")
-    return q
+    internal_check(b.extends(q0), "extends-input")
+    return b.freeze()
 
 
 def piccard_partner(a: IndexPerm) -> IndexPerm | None:
@@ -438,133 +438,106 @@ def _exponents_word(exps: list[int]) -> FreeWord:
     return reduce_word(sylls)
 
 
-def _f_closure(f: NKOracle, base: set[int], radius: int) -> set[int]:
-    """base u (base)f u ... u (base)f^{+-radius}."""
-    out = set(base)
-    cur_f, cur_b = set(base), set(base)
-    for _ in range(radius):
-        cur_f = {f.image(v) for v in cur_f}
-        cur_b = {f.preimage(v) for v in cur_b}
-        out |= cur_f | cur_b
-    return out
-
-
-def _absorb_into_dom(ctx: AFSigmaContext, q: PartialIso, pts, avoid=()) -> PartialIso:
-    """Pull the given points into dom(q) by fresh one-point extensions."""
+def _absorb_into_dom(ctx: AFSigmaContext, b: IsoBuilder, pts, avoid=()) -> None:
+    """Pull the given points into dom(b) by fresh one-point extensions."""
     s = ctx.session
-    sq = index_perm_of(q, ctx.n)
+    sq = b.index_perm()
     pts = sorted(set(pts))
+    blocked = set(avoid) | set(pts)
     for x in pts:
-        if x in q.dom():
+        if x in b.dom():
             continue
-        target = sq(s.component_of(x))
-        y = s.fresh_in_component(target, q.support() | set(avoid) | set(pts))
-        q = _class_extend(ctx, q, x, y)
-    return q
+        _class_extend(ctx, b, x, b.fresh(sq(s.component_of(x)), blocked))
 
 
-def _prefix_vals(w: FreeWord, q: PartialIso, f, pts) -> dict[int, tuple[FreeWord, int]]:
-    """Largest defined prefix and its image, per point."""
-    out = {}
-    for u in pts:
-        pre = largest_defined_prefix(w, q, f, u)
-        out[u] = (pre, chase(pre, u, q, f))
-    return out
+def _orbit_avoids(b: IsoBuilder, z: int, phi) -> bool:
+    return not any(v in phi for v in landing_orbit(b, z))
 
 
-def _orbit_avoids(q: PartialIso, z: int, phi: set[int]) -> bool:
-    from .words import landing_orbit
-
-    return not phi & set(landing_orbit(q, z))
-
-
-def _base_step(ctx: AFSigmaContext, qj: PartialIso, lam: FreeWord,
+def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
                established: list[int], x: int, phi: frozenset[int],
                delta: set[int], depth: int):
     """Absorb one more target point into the word bookkeeping.
 
     Extends the word by an escape block, a long run of the first letter
     landing in the support of f's index permutation, one f-letter and
-    one more first letter; then extends qj point by point until the
+    one more first letter; then extends b point by point until the
     target's defined prefix reaches the word's second-to-last letter,
     keeping the previously established points' landings untouched.
+    Returns the new word and the established points.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
-    sq = index_perm_of(qj, n)
+    sq = b.index_perm()
     sf = f.index_perm()
     internal_check(depth <= 1, "role-switch-once",
                    "a second role switch should be impossible")
 
-    end = chase(lam, x, qj, f)
-    nu = _exponents_word(escape_exponents(f, qj, end)) if end is not None else empty_word()
+    end = chase(lam, x, b, f)
+    nu = _exponents_word(escape_exponents(f, b, end)) if end is not None else empty_word()
     lam_nu = concat(lam, nu)
-    internal_check(chase(concat(lam_nu, reduce_word([("a", 1)])), x, qj, f) is None,
+    internal_check(chase(concat(lam_nu, reduce_word([("a", 1)])), x, b, f) is None,
                    "x-dies-before-alpha")
 
     if n == 2 and sf.is_identity():
         m = len(lam_nu) + 1
     else:
-        b = word_index_image(lam_nu, sq, sf)(s.component_of(x))
+        c = word_index_image(lam_nu, sq, sf)(s.component_of(x))
         m = None
         for cand in range(len(lam_nu) + 1, len(lam_nu) + 1 + sq.order()):
-            if sq.power(cand)(b) in sf.support():
+            if sq.power(cand)(c) in sf.support():
                 m = cand
                 break
         internal_check(m is not None, "support-reachable",
                        "the index orbit never meets supp(f-index)")
     lam1 = concat(lam_nu, reduce_word([("a", m), ("b", 1), ("a", 1)]))
     rho_len = len(lam1) - 1
-    B = b_count(lam1)
 
-    pv = _prefix_vals(lam1, qj, f, established + [x])
-    x_val = pv[x][1]
-    partners = [u for u in established if pv[u][1] == x_val]
+    walks = WordWalks(lam1, b, f, established + [x])
+    x_val = walks.value(x)
+    partners = [u for u in established if walks.value(u) == x_val]
     internal_check(len(partners) <= 1, "partner-unique")
     y = partners[0] if partners else None
-    if y is not None and len(pv[y][0]) > len(pv[x][0]):
+    if y is not None and walks.consumed(y) > walks.consumed(x):
         swapped = [u for u in established if u != y] + [x]
-        return _base_step(ctx, qj, lam1, swapped, y, phi, delta, depth + 1)
+        return _base_step(ctx, b, lam1, swapped, y, phi, delta, depth + 1)
 
-    entry_prefix = {u: pv[u][0] for u in established}
-    rk = qj
+    entry_prefix = {u: walks.consumed(u) for u in established}
+    window = FreshWindow(f, b_count(lam1))
     k = 0
     while True:
-        cur = _prefix_vals(lam1, rk, f, established + [x])
-        x_pre, x_val = cur[x]
-        internal_check(k <= len(x_pre) <= rho_len, "inner-i")
-        internal_check(not rk.ran() & delta, "inner-ii")
+        x_len, x_val = walks.consumed(x), walks.value(x)
+        internal_check(k <= x_len <= rho_len, "inner-i")
+        internal_check(not b.ran() & delta, "inner-ii")
         for u in established:
             if u != y:
-                internal_check(cur[u][0].syllables == entry_prefix[u].syllables,
-                               "inner-iii")
-        vals = [cur[u][1] for u in established]
+                internal_check(walks.consumed(u) == entry_prefix[u], "inner-iii")
+        vals = [walks.value(u) for u in established]
         internal_check(len(set(vals)) == len(vals), "inner-iv")
-        for u in established:
-            internal_check(_orbit_avoids(rk, cur[u][1], set(phi)), "inner-v")
-        internal_check(x_val not in rk.dom(), "inner-vi")
-        internal_check(all(x_val != cur[u][1] for u in established if u != y),
+        for v in vals:
+            internal_check(_orbit_avoids(b, v, phi), "inner-v")
+        internal_check(x_val not in b.dom(), "inner-vi")
+        internal_check(all(x_val != walks.value(u) for u in established if u != y),
                        "inner-vi-distinct")
-        if len(x_pre) == rho_len:
-            internal_check(x_val not in rk.dom() | rk.ran(), "rho-value-free")
+        if x_len == rho_len:
+            internal_check(not b.in_support(x_val), "rho-value-free")
             if y is not None:
-                internal_check(x_val != cur[y][1], "collision-resolved")
+                internal_check(x_val != walks.value(y), "collision-resolved")
             break
         z = x_val
-        base = delta | {cur[u][1] for u in established} | rk.dom() | rk.ran() | {z}
-        z2 = s.fresh_in_component(sq(s.component_of(z)), _f_closure(f, base, B))
-        rk = _class_extend(ctx, rk, z, z2)
+        z2 = window.fresh(b, sq(s.component_of(z)), delta | walks.values())
+        _class_extend(ctx, b, z, z2)
+        walks.on_add(z, z2)
         k += 1
         internal_check(k <= rho_len + 1, "inner-terminates")
 
     out_est = established + [x]
-    fin = _prefix_vals(lam1, rk, f, out_est)
-    internal_check(not rk.ran() & delta, "post-I")
-    vals = [fin[u][1] for u in out_est]
+    internal_check(not b.ran() & delta, "post-I")
+    vals = [walks.value(u) for u in out_est]
     internal_check(len(set(vals)) == len(vals), "post-II")
     for u in out_est:
-        internal_check(_orbit_avoids(rk, fin[u][1], set(phi)), "post-III")
-        internal_check(len(fin[u][0]) < len(lam1), "post-IV")
-    return rk, lam1, out_est
+        internal_check(_orbit_avoids(b, walks.value(u), phi), "post-III")
+        internal_check(walks.consumed(u) < len(lam1), "post-IV")
+    return lam1, out_est
 
 
 def build_base_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
@@ -587,31 +560,35 @@ def build_base_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
             raise HypothesisError("fix-finite",
                                   "fix(f) is infinite; route to the n=2 special witness")
         specials = f.fixed_band_points()
-    q = _absorb_into_dom(ctx, q, set(gamma) | ctx.sigma_set() | specials, avoid=delta)
-    phi = frozenset(q.dom())
+    b = IsoBuilder(q)
+    _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set() | specials, avoid=delta)
+    phi = frozenset(b.dom())
 
     lam = reduce_word([("a", 1)])
     established: list[int] = []
     for x in gamma:
-        q, lam, established = _base_step(ctx, q, lam, established, x, phi, delta, 0)
+        lam, established = _base_step(ctx, b, lam, established, x, phi, delta, 0)
 
-    sq = index_perm_of(q, n)
+    sq = b.index_perm()
     target = word_index_image(lam, sq, f.index_perm()).inverse()
     suffix = word_to(n, sq, f.index_perm(), target)
     w = reduce_word(list(lam.syllables) + suffix)
     internal_check(w.starts_with("a") and not w.has_negative("a"), "word-shape")
+    q = b.freeze()
     rep = check_word_condition(q, gamma, (), phi, delta, w, f)
     internal_check(rep.holds, "base-word-condition", str(rep))
     return q, w, phi
 
 
 def extend_word_domain(ctx: AFSigmaContext, q: PartialIso, gamma, theta,
-                       phi, delta, w: FreeWord, x: int) -> PartialIso:
+                       phi, delta, w: FreeWord, x: int,
+                       window: FreshWindow | None = None) -> PartialIso:
     """Extend q so that x joins dom(w(q)) while the word condition survives.
 
     One fresh pair per first-letter death point of x's walk; the other
     target points' landings are pinned by the exclusion windows around
-    every choice.
+    every choice.  ``window`` (radius b_count(w)) may carry its marks
+    over from an earlier call whose result q extends.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
@@ -628,49 +605,48 @@ def extend_word_domain(ctx: AFSigmaContext, q: PartialIso, gamma, theta,
     if not set(gamma) <= q.dom() or not phi <= q.dom():
         raise HypothesisError("gamma-phi-in-dom")
 
-    sq = index_perm_of(q, n)
+    b = IsoBuilder(q)
+    sq = b.index_perm()
     B = b_count(w)
     W = len(w)
-    letters = w.letters()
     others = [u for u in gamma if u != x]
-    entry = _prefix_vals(w, q, f, others)
-    qj = q
+    walks = WordWalks(w, b, f, gamma)
+    if window is None:
+        window = FreshWindow(f, B)
+    if window.radius != B:
+        raise HypothesisError("window-radius", f"the window must have radius b_count(w) = {B}")
+    entry = {u: walks.consumed(u) for u in others}
     guard = 0
-    pre = largest_defined_prefix(w, qj, f, x)
-    internal_check(2 <= len(pre) + 1 <= W, "death-position")
+    internal_check(2 <= walks.consumed(x) + 1 <= W, "death-position")
     while True:
-        pre = largest_defined_prefix(w, qj, f, x)
-        k = len(pre)
+        k = walks.consumed(x)
         if k == W:
             break
-        letter, sign = letters[k]
-        internal_check(letter == "a" and sign > 0, "death-at-alpha")
-        y = chase(pre, x, qj, f)
-        internal_check(y is not None and y not in qj.dom(), "death-point-free")
-        all_vals = {v for _, v in _prefix_vals(w, qj, f, gamma).values()}
-        base = qj.dom() | qj.ran() | {y} | delta | all_vals
-        z = s.fresh_in_component(sq(s.component_of(y)), _f_closure(f, base, B))
-        qj = _class_extend(ctx, qj, y, z)
+        internal_check(walks.next_letter(x) == ("a", 1), "death-at-alpha")
+        y = walks.value(x)
+        internal_check(y not in b.dom(), "death-point-free")
+        z = window.fresh(b, sq(s.component_of(y)), delta | walks.values())
+        _class_extend(ctx, b, y, z)
+        walks.on_add(y, z)
         guard += 1
         internal_check(guard <= W + 1, "fill-terminates")
 
-        internal_check(not qj.ran() & delta, "fill-i")
-        cur = _prefix_vals(w, qj, f, others)
+        internal_check(not b.ran() & delta, "fill-i")
         for u in others:
-            internal_check(cur[u][0].syllables == entry[u][0].syllables
-                           and cur[u][1] not in qj.dom(), "fill-ii")
-        newpre = largest_defined_prefix(w, qj, f, x)
-        newval = chase(newpre, x, qj, f)
-        internal_check(len(newpre) > k, "fill-progress")
-        if len(newpre) < W:
-            radius = B - b_count(newpre)
+            internal_check(walks.consumed(u) == entry[u]
+                           and walks.value(u) not in b.dom(), "fill-ii")
+        newval = walks.value(x)
+        internal_check(walks.consumed(x) > k, "fill-progress")
+        if walks.consumed(x) < W:
+            radius = B - b_count(walks.prefix(x))
             for i in range(-radius, radius + 1):
-                internal_check(f.iterate(newval, i) not in qj.dom(), "fill-iii")
-        internal_check(all(newval != cur[u][1] for u in others), "fill-iv")
+                internal_check(f.iterate(newval, i) not in b.dom(), "fill-iii")
+        internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
         for u in others:
-            internal_check(_orbit_avoids(qj, cur[u][1], phi), "fill-v")
-        internal_check(_orbit_avoids(qj, newval, phi), "fill-v-x")
+            internal_check(_orbit_avoids(b, walks.value(u), phi), "fill-v")
+        internal_check(_orbit_avoids(b, newval, phi), "fill-v-x")
 
+    qj = b.freeze()
     rep = check_word_condition(qj, gamma, theta | {x}, phi, delta, w, f)
     internal_check(rep.holds, "word-condition-exit", str(rep))
     return qj
@@ -683,9 +659,10 @@ def build_covering_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
     if set(gamma) & set(delta):
         raise HypothesisError("gamma-delta-disjoint")
     h, w, phi = build_base_word(ctx, q, gamma, delta)
+    window = FreshWindow(ctx.f, b_count(w))
     done: list[int] = []
     for x in gamma:
-        h = extend_word_domain(ctx, h, gamma, done, phi, delta, w, x)
+        h = extend_word_domain(ctx, h, gamma, done, phi, delta, w, x, window)
         done.append(x)
     rep = check_word_condition(h, gamma, gamma, phi, delta, w, ctx.f)
     internal_check(rep.holds, "covering-word-condition", str(rep))
@@ -716,18 +693,21 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     q_in = q
     piso = p.iso
     d_pts = sorted(piso.dom())
-    q = _absorb_into_dom(ctx, q, piso.support())
+    b = IsoBuilder(q)
+    _absorb_into_dom(ctx, b, piso.support())
+    q = b.freeze()
     k = sq.order()
 
     q1, w1, _ = build_covering_word(ctx, q, d_pts, ())
     vals1 = {x: chase(w1, x, q1, f) for x in d_pts}
     internal_check(all(v is not None for v in vals1.values()), "w1-defined")
+    b = IsoBuilder(q1)
     for x in d_pts:
         v = vals1[x]
-        if v not in q1.ran():
-            xnew = s.fresh_in_component(sq.inverse()(s.component_of(v)),
-                                        q1.support() | set(vals1.values()))
-            q1 = _class_extend(ctx, q1, xnew, v)
+        if v not in b.ran():
+            xnew = b.fresh(sq.inverse()(s.component_of(v)), set(vals1.values()))
+            _class_extend(ctx, b, xnew, v)
+    q1 = b.freeze()
     internal_check({x: chase(w1, x, q1, f) for x in d_pts} == vals1, "w1-stable")
     val1set = set(vals1.values())
     internal_check(val1set <= q1.ran() - q1.dom(), "w1-values-boundary")
@@ -744,22 +724,18 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     internal_check({x: chase(w1, x, q2, f) for x in d_pts} == vals1, "w1-still-stable")
 
     # redundancy chains: one spare cycle-walk per index orbit
-    blocked = q2.support() | val1set | val2set
-    h = q2
+    h = IsoBuilder(q2)
     chosen: set[int] = set()
     for cyc in sorted(sq.cycles(include_fixed=True)):
         verts = []
-        for comp in cyc:
-            v = s.fresh_in_component(comp, blocked | chosen)
+        for comp in cyc + (cyc[0],):
+            v = h.fresh(comp, val2set | chosen)
             chosen.add(v)
             verts.append(v)
-        extra = s.fresh_in_component(cyc[0], blocked | chosen)
-        chosen.add(extra)
-        verts.append(extra)
         for xk, yk in zip(verts, verts[1:]):
-            h = _class_extend(ctx, h, xk, yk)
-    for c in h.components().incomplete_components():
-        internal_check(_restriction_index_perm(s, h, set(c.vertices), n) is not None,
+            _class_extend(ctx, h, xk, yk)
+    for chain in h.chains():
+        internal_check(_restriction_index_perm(h, set(chain)) is not None,
                        "spare-chain-redundancy")
 
     for j in range(k - 1):
@@ -769,22 +745,19 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
             internal_check(v is not None and v not in h.dom(), "ladder-free")
             ys.append(v)
         internal_check(len(set(ys)) == len(ys), "ladder-distinct")
-        taken: set[int] = set()
         for yv in ys:
-            z = s.fresh_in_component(sq(s.component_of(yv)),
-                                     h.support() | set(ys) | taken | val2set)
-            taken.add(z)
-            h = _class_extend(ctx, h, yv, z)
+            _class_extend(ctx, h, yv, h.fresh(sq(s.component_of(yv)), val2set))
 
     for x in d_pts:
         Y = h.chase(chase(w1, x, h, f), k - 1)
         Z = vals2[piso.apply(x)]
         internal_check(Y is not None and Y not in h.dom(), "closing-source-free")
         internal_check(Z not in h.ran(), "closing-target-free")
-        if Z in h.support():
-            h = amalgamate(ctx, h, Y, Z)
+        if h.in_support(Z):
+            amalgamate(ctx, h, Y, Z)
         else:
-            h = _class_extend(ctx, h, Y, Z)
+            _class_extend(ctx, h, Y, Z)
+    h = h.freeze()
 
     product = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
     internal_check(product.extends(piso), "product-extends-target")
@@ -828,7 +801,9 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
         raise HypothesisError("sigma-in-dom")
     q_in = q
     piso = p.iso
-    q = _absorb_into_dom(ctx, q, piso.support())
+    piso_support = piso.support()
+    h = IsoBuilder(q)
+    _absorb_into_dom(ctx, h, piso_support)
 
     ell2 = min(f.fixed_components())
     ell1 = 3 - ell2
@@ -847,58 +822,52 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
                     return mm
         raise HypothesisError("escape-power", "no power of f clears the blocked set")
 
-    m1 = escape_exp(dp1, q.support())
-    q1 = q
+    # stage 1: park the domain side on fixed points of f
+    m1 = escape_exp(dp1, h.support())
     for v in dp1:
-        vv = f.iterate(v, m1)
-        y = f.fixed_tail_point(ell2, q1.support() | set(piso.support()))
-        q1 = _class_extend(ctx, q1, vv, y)
+        y = f.fixed_tail_point(ell2, h.support() | piso_support)
+        _class_extend(ctx, h, f.iterate(v, m1), y)
     for v in dp2:
         vv = f.iterate(v, m1)
-        if vv not in q1.dom():
-            y = s.fresh_in_component(ell1, q1.support() | set(piso.support()))
-            q1 = _class_extend(ctx, q1, vv, y)
-    pts2 = [q1.apply(f.iterate(v, m1)) for v in dp2]
-    m2 = escape_exp(pts2, q1.support())
-    a_vals = {x: f.iterate(q1.apply(f.iterate(x, m1)), m2) for x in dp2}
-    a_vals.update({x: q1.apply(f.iterate(x, m1)) for x in dp1})  # fixed points
-    internal_check(not set(a_vals.values()) & q1.dom(), "stage1-clear-of-dom")
+        if vv not in h.dom():
+            _class_extend(ctx, h, vv, h.fresh(ell1, piso_support))
+    pts2 = [h.apply(f.iterate(v, m1)) for v in dp2]
+    m2 = escape_exp(pts2, h.support())
+    a_vals = {x: f.iterate(h.apply(f.iterate(x, m1)), m2) for x in dp2}
+    a_vals.update({x: h.apply(f.iterate(x, m1)) for x in dp1})  # fixed points
+    a_set = set(a_vals.values())
+    internal_check(not a_set & h.dom(), "stage1-clear-of-dom")
 
-    m3 = escape_exp(rp1, q1.support() | set(a_vals.values()))
-    q2 = q1
+    # stage 2: the range side, mirrored
+    m3 = escape_exp(rp1, h.support() | a_set)
     for v in rp1:
-        vv = f.iterate(v, m3)
-        x2 = f.fixed_tail_point(ell2, q2.support() | set(a_vals.values())
-                                | set(piso.support()))
-        q2 = extend(q2, x2, vv)
+        x2 = f.fixed_tail_point(ell2, h.support() | a_set | piso_support)
+        h.add(x2, f.iterate(v, m3))
     for v in rp2:
         vv = f.iterate(v, m3)
-        if vv not in q2.ran():
-            x2 = s.fresh_in_component(ell1, q2.support() | set(a_vals.values())
-                                      | set(piso.support()))
-            q2 = extend(q2, x2, vv)
-    pts4 = [q2.unapply(f.iterate(v, m3)) for v in rp2]
-    m4 = escape_exp(pts4, q2.support() | set(a_vals.values()))
-    b_vals = {x: f.iterate(q2.unapply(f.iterate(piso.apply(x), m3)), m4)
+        if vv not in h.ran():
+            h.add(h.fresh(ell1, a_set | piso_support), vv)
+    pts4 = [h.unapply(f.iterate(v, m3)) for v in rp2]
+    m4 = escape_exp(pts4, h.support() | a_set)
+    b_vals = {x: f.iterate(h.unapply(f.iterate(piso.apply(x), m3)), m4)
               for x in dp1 + dp2}
-    internal_check(not set(b_vals.values()) & q2.ran(), "stage2-clear-of-ran")
-    internal_check(not set(a_vals.values()) & q2.dom(), "stage1-still-clear")
+    b_set = set(b_vals.values())
+    internal_check(not b_set & h.ran(), "stage2-clear-of-ran")
+    internal_check(not a_set & h.dom(), "stage1-still-clear")
 
-    h = q2
+    # stage 3: glue the halves through fresh middle points
     y_pts = {}
     for x in sorted(piso.dom()):
-        src = a_vals[x]
-        yv = s.fresh_in_component(s.component_of(x),
-                                  h.support() | set(a_vals.values())
-                                  | set(b_vals.values()) | set(y_pts.values()))
-        h = _class_extend(ctx, h, src, yv)
+        yv = h.fresh(s.component_of(x), a_set | b_set)
+        _class_extend(ctx, h, a_vals[x], yv)
         y_pts[x] = yv
     for x in sorted(piso.dom()):
         Z = b_vals[x]
-        if Z in h.support():
-            h = amalgamate(ctx, h, y_pts[x], Z)
+        if h.in_support(Z):
+            amalgamate(ctx, h, y_pts[x], Z)
         else:
-            h = _class_extend(ctx, h, y_pts[x], Z)
+            _class_extend(ctx, h, y_pts[x], Z)
+    h = h.freeze()
 
     raw = [("b", m1), ("a", 1), ("b", m2), ("a", 2), ("b", -m4), ("a", 1), ("b", -m3)]
     word = reduce_word([syl for syl in raw if syl[1] != 0])

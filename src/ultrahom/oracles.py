@@ -113,12 +113,6 @@ class LazyOracle(OracleBase):
                        "fresh witness collided with avoid set")
         return x
 
-    def realize_images(self, vs) -> set[int]:
-        return {self.image(v) for v in vs}
-
-    def realize_preimages(self, vs) -> set[int]:
-        return {self.preimage(v) for v in vs}
-
     def description(self) -> dict:
         return {"kind": "lazy_fresh", "pairs": [list(p) for p in self.cache.pairs()]}
 
@@ -159,9 +153,6 @@ class OmegaShiftOracle(OracleBase):
 
     def index_preimage(self, c: int) -> int:
         return c - self.step
-
-    def moves_component(self, c: int) -> bool:
-        return True
 
     def description(self) -> dict:
         return {"kind": "omega_shift", "step": self.step, "pos_perm": list(self.pos_perm)}
@@ -259,13 +250,6 @@ class NKOracle(OracleBase):
         return out
 
     # -- orbit structure -----------------------------------------------------
-
-    def is_fixed(self, v: int) -> bool:
-        return self.try_image(v) == v
-
-    def moved_by_power(self, v: int, i: int) -> bool:
-        """v in supp(f^i)."""
-        return self.iterate(v, i) != v
 
     def fixed_components(self) -> set[int]:
         """Components whose tail is pointwise fixed (fix(f) infinite there)."""

@@ -67,10 +67,9 @@ class IndexPerm:
         return IndexPerm(tuple(img))
 
     def power(self, k: int) -> "IndexPerm":
-        base = self if k >= 0 else self.inverse()
         out = IndexPerm.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k % self.order()):
+            out = out * self
         return out
 
     def is_identity(self) -> bool:

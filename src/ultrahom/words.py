@@ -52,8 +52,12 @@ class FreeWord:
         return out
 
     def prefix(self, k: int) -> "FreeWord":
-        """First k letters (syllables split as needed)."""
-        return reduce_word(self.letters()[:k])
+        """First k >= 0 letters (syllables split as needed)."""
+        for i, (_, exp) in enumerate(self.syllables):
+            if k < abs(exp):
+                return _prefix(self.syllables, i, k)
+            k -= abs(exp)
+        return self
 
     def starts_with(self, letter: str) -> bool:
         return bool(self.syllables) and self.syllables[0][0] == letter \
@@ -133,21 +137,42 @@ def b_count(w: FreeWord) -> int:
     return sum(abs(e) for l, e in w.syllables if l == "b")
 
 
-def _step(letter: str, sign: int, v: int, p: PartialIso, f) -> int | None:
-    if letter == "a":
-        return p.apply(v) if sign > 0 else p.unapply(v)
-    return f.try_image(v) if sign > 0 else f.try_preimage(v)
+def _steps(syllables, p, f) -> list:
+    """The word compiled against p and f: one step function per letter.
+
+    'a' letters step through p's maps (which a growing map updates in
+    place), 'b' letters through the oracle's image and preimage.
+    """
+    out = []
+    for letter, exp in syllables:
+        if letter == "a":
+            step = p._fwd.get if exp > 0 else p._bwd.get
+        else:
+            step = f.try_image if exp > 0 else f.try_preimage
+        out += [step] * abs(exp)
+    return out
+
+
+def _walk(steps: list, v: int, k: int = 0) -> tuple[int, int]:
+    """Apply steps k, k+1, ... to v until one is undefined.
+
+    Returns (letters applied in all, last defined value); the first is
+    len(steps) when the whole word is defined.
+    """
+    for k in range(k, len(steps)):
+        u = steps[k](v)
+        if u is None:
+            return k, v
+        v = u
+    return len(steps), v
 
 
 def chase(w: FreeWord | Sequence[Syllable], x: int, p: PartialIso, f) -> int | None:
     """Image of x under the word's realization, or None when undefined."""
-    letters = w.letters() if isinstance(w, FreeWord) else reduce_word(w).letters()
-    v = x
-    for letter, sign in letters:
-        v = _step(letter, sign, v, p, f)
-        if v is None:
-            return None
-    return v
+    sylls = w.syllables if isinstance(w, FreeWord) else reduce_word(w).syllables
+    steps = _steps(sylls, p, f)
+    k, v = _walk(steps, x)
+    return v if k == len(steps) else None
 
 
 def evaluate(w, p: PartialIso, f) -> PartialIso:
@@ -160,57 +185,106 @@ def evaluate(w, p: PartialIso, f) -> PartialIso:
     all b requires f to be finitely enumerable.
     """
     if isinstance(w, FreeWord):
-        letters = w.letters()
+        sylls = w.syllables
     else:
-        letters = []
-        for letter, exp in w:
-            if exp == 0:
-                raise GraphError("zero exponent in raw syllables")
-            sign = 1 if exp > 0 else -1
-            letters.extend((letter, sign) for _ in range(abs(exp)))
-    if not letters:
+        sylls = tuple(w)
+        if any(exp == 0 for _, exp in sylls):
+            raise GraphError("zero exponent in raw syllables")
+    if not sylls:
         return identity_on(p.session, p.support())
 
-    first_a = next((i for i, (l, _) in enumerate(letters) if l == "a"), None)
+    first_a = next((i for i, (l, _) in enumerate(sylls) if l == "a"), None)
     if first_a is None:
         pairs_fn = getattr(f, "finite_pairs", None)
         if pairs_fn is None:
             raise GraphError("all-b word over a total oracle has no finite realization")
         candidates = {x for x, _ in pairs_fn()} | {y for _, y in pairs_fn()}
     else:
-        # pull the a-anchored seed set back through the leading b-letters
-        candidates = p.dom() if letters[first_a][1] > 0 else p.ran()
-        for letter, sign in reversed(letters[:first_a]):
-            back = set()
-            for v in candidates:
-                u = f.try_preimage(v) if sign > 0 else f.try_image(v)
-                if u is not None:
-                    back.add(u)
-            candidates = back
+        # pull the a-anchored seed set back through the leading b-syllables
+        candidates = p.dom() if sylls[first_a][1] > 0 else p.ran()
+        for _, exp in reversed(sylls[:first_a]):
+            back_step = f.try_preimage if exp > 0 else f.try_image
+            for _ in range(abs(exp)):
+                back = set()
+                for v in candidates:
+                    u = back_step(v)
+                    if u is not None:
+                        back.add(u)
+                candidates = back
 
     fwd = {}
+    steps = _steps(sylls, p, f)
+    end = len(steps)
     for x in sorted(candidates):
-        v = x
-        for letter, sign in letters:
-            v = _step(letter, sign, v, p, f)
-            if v is None:
-                break
-        if v is not None:
+        k, v = _walk(steps, x)
+        if k == end:
             fwd[x] = v
     # a word realization is automatically injective and adjacency-preserving
     return PartialIso(p.session, fwd, {y: x for x, y in fwd.items()})
 
 
+def _prefix(syllables, i: int, off: int) -> FreeWord:
+    """The word made of the first i syllables and ``off`` letters of the next."""
+    head = tuple(syllables[:i])
+    if off:
+        letter, exp = syllables[i]
+        head += ((letter, off if exp > 0 else -off),)
+    return FreeWord(head)
+
+
 def largest_defined_prefix(w: FreeWord, p: PartialIso, f, x: int) -> FreeWord:
     """The longest prefix of w (in letters) whose realization is defined at x."""
-    v = x
-    consumed = 0
-    for letter, sign in w.letters():
-        v = _step(letter, sign, v, p, f)
-        if v is None:
-            break
-        consumed += 1
-    return w.prefix(consumed)
+    k, _ = _walk(_steps(w.syllables, p, f), x)
+    return w.prefix(k)
+
+
+class WordWalks:
+    """Walks of one word from several start points, kept current as the map grows.
+
+    p is a growing map (an ``IsoBuilder``); call ``on_add(y, z)`` after each
+    pair it gains.  Each point's walk is (letters consumed, value): its
+    largest defined prefix and the image there.  Adding (y, z) can only
+    advance walks that stopped on an 'a' at y or on an 'a^-1' at z, so
+    only those resume; 'b' letters do not depend on the map.
+    """
+
+    def __init__(self, w: FreeWord, p, f, points: Iterable[int]):
+        self.w = w
+        self._steps = _steps(w.syllables, p, f)
+        self._letters = w.letters()
+        self._at: dict[int, tuple[int, int]] = {}
+        # walks stopped on 'a' (slot 0) or 'a^-1' (slot 1), by the value they wait at
+        self._waiting: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+        for u in points:
+            self._resume(u, 0, u)
+
+    def _resume(self, u: int, k: int, v: int) -> None:
+        k, v = self._at[u] = _walk(self._steps, v, k)
+        if k < len(self._letters) and self._letters[k][0] == "a":
+            self._waiting[self._letters[k][1] < 0].setdefault(v, []).append(u)
+
+    def on_add(self, y: int, z: int) -> None:
+        for u in self._waiting[0].pop(y, []) + self._waiting[1].pop(z, []):
+            self._resume(u, *self._at[u])
+
+    def consumed(self, u: int) -> int:
+        """Length in letters of u's largest defined prefix."""
+        return self._at[u][0]
+
+    def value(self, u: int) -> int:
+        """Image of u under its largest defined prefix."""
+        return self._at[u][1]
+
+    def values(self) -> set[int]:
+        return {v for _, v in self._at.values()}
+
+    def prefix(self, u: int) -> FreeWord:
+        return self.w.prefix(self._at[u][0])
+
+    def next_letter(self, u: int) -> Syllable | None:
+        """The first letter of u's walk that is undefined, as (letter, sign); None once complete."""
+        k = self._at[u][0]
+        return self._letters[k] if k < len(self._letters) else None
 
 
 def word_index_image(w: FreeWord, p_index: IndexPerm, f_index: IndexPerm) -> IndexPerm:
@@ -243,7 +317,7 @@ def landing_orbit(p: PartialIso, z: int, longest: int | None = None) -> list[int
     p^0 is read as the empty product here, so z itself is always included.
     """
     if longest is None:
-        longest = max((len(c) for c in p.components().components), default=0)
+        longest = p.longest_component()
     seen = [z]
     v = z
     for m in range(longest + 1):
@@ -304,28 +378,26 @@ def check_word_condition(p: PartialIso, gamma: Iterable[int], theta: Iterable[in
     if overlap:
         failed[2] = f"ran(p) meets delta at {min(overlap)}"
 
-    in_dom = {x for x in gamma if chase(w, x, p, f) is not None}
+    steps = _steps(w.syllables, p, f)
+    walks = {x: _walk(steps, x) for x in gamma}
+    in_dom = {x for x in gamma if walks[x][0] == len(steps)}
     if in_dom != set(theta):
         failed[3] = f"dom(w(p)) cap gamma = {sorted(in_dom)} != theta {theta}"
 
-    bad4 = [x for x in theta
-            if chase(w, x, p, f) is not None and chase(w, x, p, f) in p.dom()]
+    bad4 = [x for x in theta if x in in_dom and p.apply(walks[x][1]) is not None]
     if bad4:
         failed[4] = f"image of {bad4[0]} lands in dom(p)"
 
-    landings = {x: (largest_defined_prefix(w, x=x, p=p, f=f)) for x in gamma}
-    values = {x: chase(landings[x], x, p, f) for x in gamma}
+    # each point's largest-prefix image: the value its walk stopped at
+    values = {x: walks[x][1] for x in gamma}
     for i, x in enumerate(gamma):
         for y in gamma[i + 1:]:
-            if values[x] is not None and values[x] == values[y]:
+            if values[x] == values[y]:
                 failed.setdefault(5, f"points {x} and {y} collide at {values[x]}")
 
-    longest = max((len(c) for c in p.components().components), default=0)
+    longest = p.longest_component()
     for x in gamma:
-        z = values[x]
-        if z is None:
-            continue
-        hits = phi & set(landing_orbit(p, z, longest))
+        hits = phi & set(landing_orbit(p, values[x], longest))
         if hits:
             failed.setdefault(6, f"point {x} reaches phi at {min(hits)}")
             break

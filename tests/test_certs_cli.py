@@ -158,3 +158,74 @@ def test_cli_campaign(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "2/2" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 2
+
+
+def _omega_record(**changes):
+    """An omega-kn certificate as a JSON object, with some fields replaced."""
+    from ultrahom.campaigns import run_trial
+
+    data = json.loads(run_trial("omega-kn", 3, 1, 0).to_json())
+    for key, value in changes.items():
+        data[key] = value
+    return data
+
+
+def _shape_note(data):
+    report = verify(WitnessCertificate.from_json(json.dumps(data)))
+    assert not report.ok
+    (name, ok, note), = report.failing()
+    assert name == "certificate-shape"
+    return note
+
+
+def test_shape_rejects_missing_data_key():
+    data = _omega_record()
+    assert verify(WitnessCertificate.from_json(json.dumps(data))).ok
+    del data["data"]["m"]
+    assert "needs data m" in _shape_note(data)
+
+
+def test_shape_rejects_string_exponent():
+    data = _omega_record()
+    data["data"]["m"] = "2"
+    assert "data m" in _shape_note(data)
+
+
+def test_shape_rejects_one_element_pair():
+    data = _omega_record()
+    data["h"][0] = data["h"][0][:1]
+    assert "h must be a list of integer pairs" in _shape_note(data)
+
+
+def test_shape_rejects_unhashable_claim():
+    assert "unknown claim form" in _shape_note(_omega_record(claim=["omega_conjugation"]))
+
+
+def test_shape_rejects_claim_over_wrong_family():
+    data = _omega_record(claim="nkomega_words")
+    data["data"].update({"k": 1, "w1": "a", "w2": "a"})
+    assert "cannot be made over family" in _shape_note(data)
+
+
+def test_unparseable_word_is_rejected():
+    from ultrahom.campaigns import run_trial
+
+    cert = run_trial("n2", 2, 1, 0)
+    for bad, clause in ((["a"], "certificate-shape"), ("a^x", "inputs-validate"),
+                        ("a^0", "inputs-validate"), ("c", "inputs-validate")):
+        cert.data["word"] = bad
+        (name, ok, note), = verify(cert).failing()
+        assert name == clause
+
+
+def test_cli_verify_rejects_non_json_line(tmp_path, capsys):
+    good = _omega_record()
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(json.dumps(good) + "\nnot json at all\n" + json.dumps({"schema": 1}) + "\n")
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("certificate 1") and out[0].endswith("VERIFIED")
+    assert out[1] == "certificate 2 (unparsed): REJECTED"
+    assert out[2].startswith("  FAIL certificate-shape: not JSON")
+    assert out[3] == "certificate 3 (unparsed): REJECTED"
+    assert out[4].startswith("  FAIL certificate-shape: malformed certificate")

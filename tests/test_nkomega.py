@@ -15,10 +15,10 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, amalgamate,
                               extend_orbit_reps, extend_word_domain,
                               piccard_partner, split_index_fixing)
 from ultrahom.oracles import NKOracle
-from ultrahom.partial_iso import (compose, from_pairs, index_perm_of,
+from ultrahom.partial_iso import (FreshWindow, compose, from_pairs, index_perm_of,
                                   orbit_rep_profile)
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
-from ultrahom.words import chase, check_word_condition, parse_word
+from ultrahom.words import b_count, chase, check_word_condition, parse_word
 
 
 def simple_ctx(n=3, sf_cycles=((1, 2, 3),), sigma_comps=(1, 3)):
@@ -225,6 +225,10 @@ def test_base_and_fill_word():
     assert rep2.holds
     with pytest.raises(HypothesisError, match="x-new"):
         extend_word_domain(ctx, h2, gamma, gamma, phi, delta, w, gamma[0])
+    # a window carried between calls must have the word's radius
+    with pytest.raises(HypothesisError, match="window-radius"):
+        extend_word_domain(ctx, h, gamma, (), phi, delta, w, gamma[0],
+                           FreshWindow(f, b_count(w) + 1))
 
 
 def test_covering_word_multi_gamma():

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from conftest import brute_components, brute_compose, chase_pairs, random_injection_in_clique
+from ultrahom.campaigns import nkomega_instance, nkomega_oracle
 from ultrahom.errors import IsoError
 from ultrahom.graphs import GraphKind, GraphSession
-from ultrahom.partial_iso import (compose, cycle_free, empty, from_pairs,
+from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, compose,
+                                  cycle_free, empty, extend, from_pairs,
                                   identity_on, index_perm_of, invert,
                                   orbit_rep_profile, power, union_extend,
                                   validate)
@@ -182,3 +184,127 @@ def test_orbit_rep_profile(nk2):
         profile = orbit_rep_profile(from_pairs(nk2, pairs), sigma)
         for verts, _ in brute_components(pairs):
             assert profile[verts[0]] == len(sigma & set(verts))
+
+
+# -- IsoBuilder against from-scratch results -------------------------------------
+
+def _f_closure(f, base, radius):
+    """base u (base)f u ... u (base)f^{+-radius}: the closure the window test replaces."""
+    out = set(base)
+    cur_f, cur_b = set(base), set(base)
+    for _ in range(radius):
+        cur_f = {f.image(v) for v in cur_f}
+        cur_b = {f.preimage(v) for v in cur_b}
+        out |= cur_f | cur_b
+    return out
+
+
+def _random_growth(s, rng, steps, spread=14):
+    """Random candidate pairs over a component session; many of them invalid."""
+    n = s.kind.n
+    for _ in range(steps):
+        yield (s.vertex(rng.randint(1, n), rng.randrange(spread)),
+               s.vertex(rng.randint(1, n), rng.randrange(spread)))
+
+
+def _assert_builder_matches(b, s):
+    frozen = b.freeze()
+    view = ComponentView.of(frozen)
+    assert b.longest_component() == max((len(c) for c in view.components), default=0)
+    assert b.count == len(view.components)
+    assert b.index_perm() == index_perm_of(frozen, s.kind.n)
+    assert sorted(b.chains()) == sorted(c.vertices for c in view.incomplete_components())
+    for c in view.components:
+        assert b.component(c.vertices[-1]) == view.find(c.vertices[-1])
+    support = frozen.support()
+    for c in range(1, s.kind.n + 1):
+        assert b.fresh(c) == s.fresh_in_component(c, support)
+
+
+def test_builder_add_matches_extend_and_structure():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        s = GraphSession(GraphKind.nk_omega(n))
+        b = IsoBuilder(empty(s))
+        ref = empty(s)
+        for x, y in _random_growth(s, rng, 40):
+            tails, heads = sorted(ref.ran() - ref.dom()), sorted(ref.dom() - ref.ran())
+            if tails and heads and rng.random() < 0.5:
+                x, y = rng.choice(tails), rng.choice(heads)  # joins chains or closes one
+            try:
+                ref = extend(ref, x, y)
+            except IsoError as e:
+                with pytest.raises(IsoError) as got:
+                    b.add(x, y)
+                assert (got.value.reason, got.value.pairs) == (e.reason, e.pairs)
+                continue
+            b.add(x, y)
+            assert b.freeze() == ref
+            assert list(b.freeze()._fwd.items()) == list(ref._fwd.items())
+            _assert_builder_matches(b, s)
+
+
+def test_builder_from_instances_keeps_structure():
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        f = nkomega_oracle(n, rng)
+        _, q, _ = nkomega_instance(f, rng)
+        s = f.session
+        b = IsoBuilder(q)
+        _assert_builder_matches(b, s)
+        for x, y in _random_growth(s, rng, 40, spread=30):
+            if x in b.dom() or b.in_support(y) or x == y:
+                continue
+            try:
+                extend(b.freeze(), x, y)
+            except IsoError:
+                continue
+            b.add(x, y)
+            _assert_builder_matches(b, s)
+
+
+def test_builder_add_matches_extend_on_lazy_graphs(h3):
+    rng = random.Random(3)
+    vs = [h3.alice_witness((), ())]
+    for _ in range(9):
+        vs.append(h3.alice_witness(rng.sample(vs, min(len(vs), rng.randint(0, 1))), ()))
+    b = IsoBuilder(empty(h3))
+    ref = empty(h3)
+    for _ in range(40):
+        x, y = rng.choice(vs), rng.choice(vs)
+        try:
+            ref = extend(ref, x, y)
+        except IsoError as e:
+            with pytest.raises(IsoError) as got:
+                b.add(x, y)
+            assert (got.value.reason, got.value.pairs) == (e.reason, e.pairs)
+            continue
+        b.add(x, y)
+        assert b.freeze() == ref
+
+
+def test_fresh_window_matches_f_closure():
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        f = nkomega_oracle(n, rng)
+        _, q, _ = nkomega_instance(f, rng)
+        s = f.session
+        b = IsoBuilder(q)
+        radius = rng.randint(0, 4)
+        window = FreshWindow(f, radius)
+        for _ in range(25):
+            near = {s.vertex(rng.randint(1, n), rng.randrange(40))
+                    for _ in range(rng.randint(0, 3))}
+            c = rng.randint(1, n)
+            want = s.fresh_in_component(c, _f_closure(f, b.support() | near, radius))
+            assert window.fresh(b, c, near) == want
+            # grow the map the way the engines do: a window-fresh point onto a tail
+            tails = sorted(set(b.ran()) - set(b.dom()))
+            x = rng.choice(tails)
+            z = window.fresh(b, b.index_perm()(s.component_of(x)), near)
+            b.add(x, z)
+            if rng.random() < 0.2:  # the window carries over to a builder of the grown map
+                b = IsoBuilder(b.freeze())

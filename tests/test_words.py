@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import random_injection_in_clique
 from ultrahom.certs import brute_force_word_eval
-from ultrahom.errors import GraphError, HypothesisError
+from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import FrozenOracle, NKOracle
-from ultrahom.partial_iso import from_pairs, identity_on, compose
+from ultrahom.partial_iso import IsoBuilder, from_pairs, identity_on, compose
 from ultrahom.perms import IndexPerm
-from ultrahom.words import (FreeWord, b_count, chase, check_word_condition,
+from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                             concat, empty_word, evaluate, invert_word,
                             largest_defined_prefix, parse_word, reduce_word,
                             swap_a_sign, word_index_image)
@@ -176,3 +176,76 @@ def test_check_word_condition_clause6(nk2):
     rep = check_word_condition(q, (v(1, 0),), (v(1, 0),), (v(1, 1),), (),
                                parse_word("a"), f)
     assert 6 in rep.failed_clauses
+
+
+def test_prefix_matches_letter_slicing():
+    rng = random.Random(14)
+    for _ in range(300):
+        w = reduce_word([(rng.choice("ab"), rng.choice([-3, -2, -1, 1, 2, 3]))
+                         for _ in range(rng.randint(0, 6))])
+        for k in range(len(w) + 1):
+            assert w.prefix(k) == reduce_word(w.letters()[:k])
+
+
+def _walk_oracle(word, p, f, x):
+    """Letter by letter reference: the largest defined prefix length and its image."""
+    v, k = x, 0
+    for letter, sign in word.letters():
+        if letter == "a":
+            u = p.apply(v) if sign > 0 else p.unapply(v)
+        else:
+            u = f.try_image(v) if sign > 0 else f.try_preimage(v)
+        if u is None:
+            break
+        v, k = u, k + 1
+    return k, v
+
+
+def test_word_walks_follow_a_growing_map():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        s = GraphSession(GraphKind.nk_omega(n))
+        sf = IndexPerm(tuple(rng.sample(range(1, n + 1), n)))
+        f = NKOracle(s, sf) if seed % 2 else \
+            FrozenOracle(s, random_injection_in_clique(s, rng, 4, spread=8))
+        raw = [(rng.choice("ab"), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 7))]
+        w = reduce_word(raw)
+        spread = 8
+        points = sorted({s.vertex(rng.randint(1, n), rng.randrange(spread))
+                         for _ in range(4)})
+        b = IsoBuilder(from_pairs(s, []))
+        walks = WordWalks(w, b, f, points)
+        for _ in range(30):
+            x = s.vertex(rng.randint(1, n), rng.randrange(spread))
+            y = s.vertex(rng.randint(1, n), rng.randrange(spread))
+            try:
+                b.add(x, y)
+            except IsoError:
+                continue
+            walks.on_add(x, y)
+            p = b.freeze()
+            for u in points:
+                pre = largest_defined_prefix(w, p, f, u)
+                assert walks.prefix(u) == pre
+                assert walks.consumed(u) == len(pre) == _walk_oracle(w, p, f, u)[0]
+                assert walks.value(u) == chase(pre, u, p, f) == _walk_oracle(w, p, f, u)[1]
+                if len(pre) < len(w):
+                    assert walks.next_letter(u) == w.letters()[len(pre)]
+                else:
+                    assert walks.next_letter(u) is None
+                    assert chase(w, u, p, f) == walks.value(u)
+
+
+def test_chase_and_prefix_agree_with_letter_walks(nk2):
+    rng = random.Random(15)
+    for _ in range(300):
+        raw = [(rng.choice("ab"), rng.choice([-3, -1, 1, 2])) for _ in range(rng.randint(0, 6))]
+        w = reduce_word(raw)
+        p = from_pairs(nk2, random_injection_in_clique(nk2, rng, rng.randint(0, 5), spread=8))
+        f = FrozenOracle(nk2, random_injection_in_clique(nk2, rng, rng.randint(0, 5), spread=8))
+        x = nk2.vertex(1, rng.randrange(8))
+        k, v = _walk_oracle(w, p, f, x)
+        assert len(largest_defined_prefix(w, p, f, x)) == k
+        assert chase(w, x, p, f) == (v if k == len(w) else None)
+        assert chase(raw, x, p, f) == chase(w, x, p, f)
