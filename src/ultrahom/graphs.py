@@ -10,8 +10,8 @@ families have closed-form adjacency and need no growth.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GraphError
@@ -96,10 +96,15 @@ class GraphSession:
     Component families: vertex ids encode (component, position) through a
     pairing function and adjacency is computed from the encoding; there
     is nothing to grow.
+
+    On lazy graphs every adjacency question reads the neighbour sets in
+    ``_adj``: a pair test is one set lookup and a neighbourhood inside S
+    is one set intersection.
     """
 
     def __init__(self, kind: GraphKind):
         self.kind = kind
+        self._lazy = kind.is_lazy
         self._adj: dict[int, set[int]] = {}
         self._transcript: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]] = []
         self._frozen = False
@@ -107,16 +112,17 @@ class GraphSession:
     # -- vertex bookkeeping -------------------------------------------------
 
     def realized(self) -> list[int]:
-        if not self.kind.is_lazy:
+        if not self._lazy:
             raise GraphError("component graphs do not track realized vertices")
         return sorted(self._adj)
 
     def is_realized(self, v: int) -> bool:
-        if self.kind.is_lazy:
+        if self._lazy:
             return v in self._adj
         return v >= 0
 
     def _require(self, vs: Iterable[int]) -> None:
+        """Raise GraphError naming the first vertex of ``vs`` not realized."""
         for v in vs:
             if not self.is_realized(v):
                 raise GraphError(f"unknown vertex {v}")
@@ -186,13 +192,61 @@ class GraphSession:
     def adjacent(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        if self.kind.is_component:
-            return self.component_of(u) == self.component_of(v)
-        self._require((u, v))
-        return v in self._adj[u]
+        if self._lazy:
+            adj = self._adj
+            nu = adj.get(u)
+            if nu is None or v not in adj:
+                raise GraphError(f"unknown vertex {u if nu is None else v}")
+            return v in nu
+        return self.component_of(u) == self.component_of(v)
 
     def neighbors_within(self, x: int, S: Iterable[int]) -> set[int]:
+        """The neighbours of x inside S; on lazy graphs one set intersection."""
+        if self._lazy:
+            if isinstance(S, AbstractSet):
+                members = S
+            else:
+                S = list(S)  # keeps the order the loop below names an unknown vertex in
+                members = set(S)
+            adj = self._adj
+            nx = adj.get(x)
+            if nx is not None and adj.keys() >= members:
+                return nx & members
         return {v for v in S if self.adjacent(x, v)}
+
+    def first_edge(self, A: Iterable[int], B: Iterable[int]) -> tuple[int, int] | None:
+        """The first adjacent (a, b) with a in A and b in B, A then B in order; None if none.
+
+        Raises GraphError if any vertex of A or B is unknown.
+        """
+        A, B = list(A), list(B)
+        self._require(A + B)
+        members = set(B)
+        for a in A:
+            hits = self.neighbors_within(a, members)
+            if hits:
+                return a, next(b for b in B if b in hits)
+        return None
+
+    def adjacency_conflict(self, fwd: dict[int, int], bwd: dict[int, int],
+                           x: int, y: int) -> tuple[int, int] | None:
+        """The first pair (x2, y2) of the map fwd, in its order, that (x, y) breaks.
+
+        Lazy graphs only.  fwd and bwd are mutually inverse, x lies outside
+        dom and y outside ran.  (x, y) agrees with every (x2, y2) exactly when
+        the images of N(x) cap dom are N(y) cap ran, which costs
+        O(min(degree, |map|)), not O(|map|).  None when nothing conflicts.
+        """
+        if not self._lazy:
+            raise GraphError("neighbour sets exist only for the random / K_n-free families")
+        self._require((x, y))
+        adj = self._adj
+        mapped = {fwd[u] for u in adj[x] & fwd.keys()}
+        seen = adj[y] & bwd.keys()
+        if mapped == seen:
+            return None
+        off = mapped ^ seen
+        return next(pair for pair in fwd.items() if pair[1] in off)
 
     def kn_free_check(self, S: Iterable[int], k: int) -> bool:
         """True iff no k-subset of S induces a complete graph.
@@ -204,17 +258,23 @@ class GraphSession:
             raise GraphError(f"clique size must be >= 2, got {k}")
         verts = sorted(set(S))
         self._require(verts)
+        members = set(verts)
+        within = {v: self.neighbors_within(v, members) for v in verts}
 
-        def grow(last: int, cands: list[int], depth: int) -> bool:
+        def grow(cands: list[int], depth: int) -> bool:
             if depth == k:
                 return True
+            need = k - depth - 1
             for i, v in enumerate(cands):
-                nxt = [w for w in cands[i + 1:] if self.adjacent(v, w)]
-                if len(nxt) >= k - depth - 1 and grow(v, nxt, depth + 1):
+                nv = within[v]
+                if len(nv) < need:
+                    continue
+                nxt = [w for w in cands[i + 1:] if w in nv]
+                if len(nxt) >= need and grow(nxt, depth + 1):
                     return True
             return False
 
-        return not grow(-1, verts, 0)
+        return not grow(verts, 0)
 
     # -- extension-property witnesses -----------------------------------------
 
@@ -228,21 +288,23 @@ class GraphSession:
         """
         if self._frozen:
             raise GraphError("session snapshot is read-only")
-        if not self.kind.is_lazy:
+        if not self._lazy:
             raise GraphError("witnesses exist only for the random / K_n-free families")
-        U = sorted(set(U))
-        V = sorted(set(V))
-        forbidden = sorted(set(forbidden))
-        if set(U) & set(V):
-            raise GraphError(f"U and V overlap: {sorted(set(U) & set(V))}")
-        self._require(U + V + forbidden)
+        U, V, forbidden = set(U), set(V), set(forbidden)
+        if U & V:
+            raise GraphError(f"U and V overlap: {sorted(U & V)}")
+        adj = self._adj
+        known = adj.keys()
+        for part in (U, V, forbidden):
+            if not known >= part:
+                raise GraphError(f"unknown vertex {min(part - known)}")
         if self.kind.tag == HENSON and not self.kn_free_check(U, self.kind.n - 1):
             raise GraphError("forbidden clique in U")
-        w = len(self._adj)
-        self._adj[w] = set(U)
+        w = len(adj)
+        adj[w] = U
         for u in U:
-            self._adj[u].add(w)
-        self._transcript.append((tuple(U), tuple(V), tuple(forbidden), w))
+            adj[u].add(w)
+        self._transcript.append((tuple(sorted(U)), tuple(sorted(V)), tuple(sorted(forbidden)), w))
         return w
 
     def check_witness_contract(self, entry_index: int = -1) -> bool:
@@ -251,7 +313,7 @@ class GraphSession:
         mentioned = set(U) | set(V) | set(forb)
         if w in mentioned:
             return False
-        return {v for v in mentioned if self.adjacent(w, v)} == set(U)
+        return self.neighbors_within(w, mentioned) == set(U)
 
     # -- transcripts ------------------------------------------------------------
 

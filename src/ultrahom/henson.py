@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certs import HENSON_CLAIM, WitnessCertificate
-from .errors import HypothesisError, internal_check
+from .errors import HypothesisError, IsoError, internal_check
 from .graphs import GraphSession
 from .oracles import LazyOracle
 from .partial_iso import (PartialIso, cycle_free, empty, extend, power, validate)
@@ -29,12 +29,9 @@ class SeparatedIso:
         if dom & ran:
             raise HypothesisError("separated-disjoint",
                                   f"domain meets range at {min(dom & ran)}")
-        s = self.iso.session
-        for x in dom:
-            for y in ran:
-                if s.adjacent(x, y):
-                    raise HypothesisError("separated-no-edges",
-                                          f"edge between {x} and {y}")
+        edge = self.iso.session.first_edge(dom, ran)
+        if edge is not None:
+            raise HypothesisError("separated-no-edges", f"edge between {edge[0]} and {edge[1]}")
 
 
 def neigh_extend(q: PartialIso, x: int, y: int) -> PartialIso:
@@ -42,16 +39,16 @@ def neigh_extend(q: PartialIso, x: int, y: int) -> PartialIso:
 
     Hypothesis: x not in dom(q) and N(y) cap ran(q) = (N(x))q.
     """
-    s = q.session
-    if x in q.dom():
+    if q.apply(x) is not None:
         raise HypothesisError("x-free", f"{x} already in the domain")
-    matched = {q.apply(u) for u in s.neighbors_within(x, q.dom())}
-    seen = s.neighbors_within(y, q.ran())
-    if matched != seen:
-        off = min(matched.symmetric_difference(seen))
+    try:
+        return extend(q, x, y)
+    except IsoError as e:
+        if e.reason != "adjacency-mismatch":
+            raise
+        off = e.pairs[1][1]  # the earliest pair's image: in N(y) or in (N(x))q, not both
         raise HypothesisError("neighbourhood-match",
-                              f"range vertex {off} unmatched between N(y) and (N(x))q")
-    return extend(q, x, y)
+                              f"range vertex {off} unmatched between N(y) and (N(x))q") from None
 
 
 def one_point_extend(q: PartialIso, x: int, avoid=()) -> tuple[PartialIso, int]:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import GraphError, internal_check
 from .graphs import GraphSession, NK_OMEGA, OMEGA_KN, _unzigzag, _zigzag
-from .partial_iso import PartialIso, extend, empty as empty_iso, validate
+from .partial_iso import IsoBuilder, PartialIso, empty as empty_iso, validate
+from .partial_iso import extend  # noqa: F401  (perfbench's tracer test patches this binding)
 from .perms import IndexPerm
 
 
@@ -83,26 +84,28 @@ class LazyOracle(OracleBase):
         if not session.kind.is_lazy:
             raise GraphError("lazy oracles exist only for random / K_n-free sessions")
         self.session = session
-        self.cache = base if base is not None else empty_iso(session)
+        self.cache = IsoBuilder(base if base is not None else empty_iso(session))
 
     def try_image(self, v: int) -> int:
-        got = self.cache.apply(v)
+        cache = self.cache
+        got = cache.apply(v)
         if got is not None:
             return got
         s = self.session
-        matched = {self.cache.apply(u) for u in s.neighbors_within(v, self.cache.dom())}
-        y = s.alice_witness(matched, self.cache.ran() - matched, forbidden=(v,))
-        self.cache = extend(self.cache, v, y)
+        matched = {cache.apply(u) for u in s.neighbors_within(v, cache.dom())}
+        y = s.alice_witness(matched, cache.ran() - matched, forbidden=(v,))
+        cache.add(v, y)
         return y
 
     def try_preimage(self, v: int) -> int:
-        got = self.cache.unapply(v)
+        cache = self.cache
+        got = cache.unapply(v)
         if got is not None:
             return got
         s = self.session
-        matched = {self.cache.unapply(u) for u in s.neighbors_within(v, self.cache.ran())}
-        x = s.alice_witness(matched, self.cache.dom() - matched, forbidden=(v,))
-        self.cache = extend(self.cache, x, v)
+        matched = {cache.unapply(u) for u in s.neighbors_within(v, cache.ran())}
+        x = s.alice_witness(matched, cache.dom() - matched, forbidden=(v,))
+        cache.add(x, v)
         return x
 
     def fresh_support_point(self, avoid=()) -> int:
@@ -178,6 +181,11 @@ class NKOracle(OracleBase):
         n = session.kind.n
         if sigma.n != n:
             raise GraphError("sigma size does not match the session")
+        if band_rows < 0:
+            raise GraphError(f"band_rows must be a natural number, got {band_rows}")
+        band_pairs = list(band_pairs)
+        if len(band_pairs) != n * band_rows:  # checked before the band is built
+            raise GraphError("band pairs must biject the band onto itself")
         self.session = session
         self.sigma = sigma
         self.band_rows = band_rows

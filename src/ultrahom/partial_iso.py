@@ -118,7 +118,6 @@ def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> Partial
         return _validate_component(session, pairs)
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-    items: list[tuple[int, int]] = []
     for x, y in pairs:
         session._require((x, y))
         prev = fwd.get(x)
@@ -128,13 +127,18 @@ def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> Partial
             continue
         if y in bwd:
             raise IsoError("not-injective", [(bwd[y], y), (x, y)], "two preimages for one point")
-        for x2, y2 in items:
-            if session.adjacent(x, x2) != session.adjacent(y, y2):
-                _raise_adjacency(session, (x, y), (x2, y2))
+        _check_lazy_pair(session, fwd, bwd, x, y)
         fwd[x] = y
         bwd[y] = x
-        items.append((x, y))
     return PartialIso(session, fwd, bwd)
+
+
+def _check_lazy_pair(session: GraphSession, fwd: dict[int, int], bwd: dict[int, int],
+                     x: int, y: int) -> None:
+    """Raise IsoError naming the earliest pair of the lazy-graph map that (x, y) breaks."""
+    conflict = session.adjacency_conflict(fwd, bwd, x, y)
+    if conflict is not None:
+        raise IsoError("adjacency-mismatch", [(x, y), conflict])
 
 
 def _validate_component(session: GraphSession, pairs) -> PartialIso:
@@ -171,19 +175,17 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
     return PartialIso(session, fwd, bwd)
 
 
-def _raise_adjacency(session, p1, p2):
-    if session.kind.is_component:
-        c1, c2 = session.component_of(p1[0]), session.component_of(p2[0])
-        d1, d2 = session.component_of(p1[1]), session.component_of(p2[1])
-        if c1 == c2 and d1 != d2:
-            raise IsoError("component-split", [p1, p2],
-                           f"component {c1} mapped into both {d1} and {d2};"
-                           " induced index map ill-defined")
-        if c1 != c2 and d1 == d2:
-            raise IsoError("component-collision", [p1, p2],
-                           f"components {c1} and {c2} both mapped into {d1};"
-                           " induced index map not injective")
-    raise IsoError("adjacency-mismatch", [p1, p2])
+def _raise_component_conflict(session, p1, p2):
+    """Name the component-graph conflict between two pairs that disagree on adjacency."""
+    c1, c2 = session.component_of(p1[0]), session.component_of(p2[0])
+    d1, d2 = session.component_of(p1[1]), session.component_of(p2[1])
+    if c1 == c2 and d1 != d2:
+        raise IsoError("component-split", [p1, p2],
+                       f"component {c1} mapped into both {d1} and {d2};"
+                       " induced index map ill-defined")
+    raise IsoError("component-collision", [p1, p2],
+                   f"components {c1} and {c2} both mapped into {d1};"
+                   " induced index map not injective")
 
 
 def empty(session: GraphSession) -> PartialIso:
@@ -212,12 +214,9 @@ def extend(f: PartialIso, x: int, y: int) -> PartialIso:
         cx, cy = comp(x), comp(y)
         for x2, y2 in f._fwd.items():
             if (comp(x2) == cx) != (comp(y2) == cy):
-                _raise_adjacency(s, (x, y), (x2, y2))
+                _raise_component_conflict(s, (x, y), (x2, y2))
     else:
-        s._require((x, y))
-        for x2, y2 in f._fwd.items():
-            if s.adjacent(x, x2) != s.adjacent(y, y2):
-                _raise_adjacency(s, (x, y), (x2, y2))
+        _check_lazy_pair(s, f._fwd, f._bwd, x, y)
     fwd = dict(f._fwd)
     bwd = dict(f._bwd)
     fwd[x] = y
@@ -504,12 +503,9 @@ class IsoBuilder(_MapReads):
                 clash.append(self._first_into[cy])
             if clash:
                 _, x2, y2 = min(clash)
-                _raise_adjacency(s, (x, y), (x2, y2))
+                _raise_component_conflict(s, (x, y), (x2, y2))
         else:
-            s._require((x, y))
-            for x2, y2 in fwd.items():
-                if s.adjacent(x, x2) != s.adjacent(y, y2):
-                    _raise_adjacency(s, (x, y), (x2, y2))
+            _check_lazy_pair(s, fwd, bwd, x, y)
         self._record(x, y)
 
     def _record(self, x: int, y: int) -> None:

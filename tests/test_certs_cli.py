@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrahom.campaigns import campaign, henson_trial, write_certs, read_certs
+from ultrahom.campaigns import campaign, henson_trial, run_trial, write_certs, read_certs
 from ultrahom.certs import (WitnessCertificate, brute_force_word_eval, verify)
 from ultrahom.cli import main
 from ultrahom.graphs import GraphKind, GraphSession
@@ -229,3 +229,40 @@ def test_cli_verify_rejects_non_json_line(tmp_path, capsys):
     assert out[2].startswith("  FAIL certificate-shape: not JSON")
     assert out[3] == "certificate 3 (unparsed): REJECTED"
     assert out[4].startswith("  FAIL certificate-shape: malformed certificate")
+
+
+def _nk_policy_record(band_rows):
+    """The seed-1 n K_omega (n=3) trial 0 certificate with its oracle's band_rows replaced."""
+    d = json.loads(run_trial("nkomega", 3, 1, 0).to_json())
+    assert d["oracle"]["kind"] == "nk_policy"
+    d["oracle"]["band_rows"] = band_rows
+    return WitnessCertificate.from_json(json.dumps(d))
+
+
+def test_negative_band_rows_is_rejected():
+    report = verify(_nk_policy_record(-1))
+    assert not report.ok
+    assert [name for name, ok, _ in report.clauses if not ok] == ["inputs-validate"]
+    assert "band_rows" in report.failing()[0][2]
+
+
+def test_large_band_rows_is_rejected_before_the_band_is_built(monkeypatch):
+    cert = _nk_policy_record(10 ** 12)  # the band would hold 3 * 10^12 vertices
+
+    def no_band(self, component, position):  # fails the test at the first band vertex
+        raise AssertionError(f"vertex ({component}, {position}) built before the band check")
+
+    monkeypatch.setattr(GraphSession, "vertex", no_band)
+    report = verify(cert)
+    assert not report.ok
+    assert report.failing() == [("inputs-validate", False,
+                                 "band pairs must biject the band onto itself")]
+
+
+def test_target_with_an_edge_across_is_not_separated():
+    cert = henson_trial(3, random.Random(3))
+    U, _, _, w = next(e for e in cert.transcript if e[0])
+    tampered = WitnessCertificate.from_json(cert.to_json())
+    tampered.p = [(U[0], w)]  # an edge from the domain into the range
+    report = verify(tampered)
+    assert ("target-separated", False, "target class violated") in report.clauses

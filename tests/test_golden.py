@@ -12,12 +12,23 @@ from ultrahom.campaigns import run_trial
 # (family, n, trials), all with campaign seed 1
 GOLDEN_SET = (("nkomega", 3, 6), ("nkomega", 4, 2), ("n2", 2, 10), ("omega-kn", 3, 10))
 GOLDEN_SHA256 = "e232d6ddd841434ef97fd7849b1745256c258e0ba1332d50347e2fbc7c642981"
+# the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, schema v1 transcripts
+HENSON_GOLDEN_SET = (("henson", 3, 20), ("henson", 4, 5))
+HENSON_GOLDEN_SHA256 = "40c10ecd2db17db7fc5fe7901f5723463eeb0c640678f3875e555b87218760c5"
 
 
-def test_seed_1_certificates_are_byte_identical():
+def _digest(golden_set) -> str:
     digest = hashlib.sha256()
-    for family, n, trials in GOLDEN_SET:
+    for family, n, trials in golden_set:
         for index in range(trials):
             digest.update(run_trial(family, n, 1, index).to_json().encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == GOLDEN_SHA256
+    return digest.hexdigest()
+
+
+def test_seed_1_certificates_are_byte_identical():
+    assert _digest(GOLDEN_SET) == GOLDEN_SHA256
+
+
+def test_seed_1_henson_certificates_are_byte_identical():
+    assert _digest(HENSON_GOLDEN_SET) == HENSON_GOLDEN_SHA256
