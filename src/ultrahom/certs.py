@@ -21,7 +21,9 @@ from .oracles import OracleBase, oracle_from_description
 from .partial_iso import (PartialIso, cycle_free, orbit_rep_profile, validate)
 from .words import FreeWord, chase, evaluate, parse_word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# items per transcript entry, by schema: (U, V, F, id) in 1, (U, id) in 2
+_ENTRY_ITEMS = {1: 4, 2: 2}
 
 HENSON_CLAIM = "henson_conjugation"      # h^m f h^{2l} f^-1 h^-m  extends target
 OMEGA_CLAIM = "omega_conjugation"        # (h^m f) h (h^m f)^-1    extends target
@@ -54,7 +56,7 @@ class WitnessCertificate:
             "schema": self.schema,
             "family": self.family.to_dict(),
             "claim": self.claim,
-            "transcript": [[list(U), list(V), list(F), w] for U, V, F, w in self.transcript],
+            "transcript": [[*map(list, entry[:-1]), entry[-1]] for entry in self.transcript],
             "oracle": self.oracle,
             "q": [list(t) for t in self.q],
             "p": [list(t) for t in self.p],
@@ -73,22 +75,23 @@ class WitnessCertificate:
             d = json.loads(text)
         except json.JSONDecodeError as e:
             raise GraphError(f"not JSON: {e}") from None
-        if not isinstance(d, dict) or d.get("schema") != SCHEMA_VERSION:
+        if not isinstance(d, dict) or not _is_int(d.get("schema")) \
+                or d["schema"] not in _ENTRY_ITEMS:
             schema = d.get("schema") if isinstance(d, dict) else None
             raise GraphError(f"unsupported certificate schema {schema}")
         try:
             return WitnessCertificate(
                 family=GraphKind.from_dict(d["family"]),
                 claim=d["claim"],
-                transcript=[(tuple(U), tuple(V), tuple(F), w)
-                            for U, V, F, w in d["transcript"]],
+                transcript=[(*map(tuple, entry[:-1]), entry[-1]) for entry in d["transcript"]],
                 oracle=d["oracle"],
                 q=[tuple(t) for t in d["q"]],
                 p=[tuple(t) for t in d["p"]],
                 h=[tuple(t) for t in d["h"]],
                 data=d.get("data", {}),
+                schema=d["schema"],
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise GraphError(f"malformed certificate: {type(e).__name__}: {e}") from None
 
 
@@ -132,16 +135,17 @@ def _pairs(seq) -> bool:
     return True
 
 
-def _entries(seq) -> bool:
-    """Transcript entries (U, V, F, id): three lists of integer vertices and an integer id."""
+def _entries(seq, items: int) -> bool:
+    """Transcript entries of ``items`` items: lists of integer vertices, then an integer id."""
     if not isinstance(seq, (list, tuple)):
         return False
-    try:
-        for U, V, F, w in seq:
-            if type(w) is not int or not (_ints(U) and _ints(V) and _ints(F)):
+    for entry in seq:
+        if not isinstance(entry, (list, tuple)) or len(entry) != items \
+                or type(entry[-1]) is not int:
+            return False
+        for part in entry[:-1]:
+            if not _ints(part):
                 return False
-    except (TypeError, ValueError):  # an entry that is not a 4-sequence
-        return False
     return True
 
 
@@ -177,7 +181,8 @@ def shape_problem(cert: WitnessCertificate) -> str | None:
     Words are only checked to be strings here; ``verify`` parses them
     with the other inputs.
     """
-    if cert.schema != SCHEMA_VERSION:
+    items = _ENTRY_ITEMS.get(cert.schema) if _is_int(cert.schema) else None
+    if items is None:
         return f"unsupported schema {cert.schema!r}"
     fam = cert.family
     if not isinstance(fam, GraphKind) or not (fam.n is None or _is_int(fam.n)):
@@ -186,8 +191,9 @@ def shape_problem(cert: WitnessCertificate) -> str | None:
         return f"unknown claim form {cert.claim!r}"
     if fam.tag not in CLAIM_FAMILIES[cert.claim]:
         return f"claim {cert.claim} cannot be made over family {fam.tag}"
-    if not _entries(cert.transcript):
-        return "transcript entries must be (U, V, F, id) with integer vertices"
+    if not _entries(cert.transcript, items):
+        form = "(U, id)" if items == 2 else "(U, V, F, id)"
+        return f"transcript entries of schema {cert.schema} must be {form} with integer vertices"
     for name in ("q", "p", "h"):
         if not _pairs(getattr(cert, name)):
             return f"{name} must be a list of integer pairs"

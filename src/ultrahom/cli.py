@@ -94,8 +94,7 @@ def cmd_oracle(args) -> int:
     print(out)
     if kind.is_lazy:
         state["oracle"] = f.description()
-        state["transcript"] = [[list(U), list(V), list(F), w]
-                               for U, V, F, w in session.transcript()]
+        state["transcript"] = [[list(U), w] for U, w in session.transcript()]
         with open(args.state, "w") as fh:
             fh.write(json.dumps(state, sort_keys=True) + "\n")
     return 0

@@ -106,7 +106,7 @@ class GraphSession:
         self.kind = kind
         self._lazy = kind.is_lazy
         self._adj: dict[int, set[int]] = {}
-        self._transcript: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]] = []
+        self._transcript: list[tuple[tuple[int, ...], int]] = []
         self._frozen = False
 
     # -- vertex bookkeeping -------------------------------------------------
@@ -258,6 +258,8 @@ class GraphSession:
             raise GraphError(f"clique size must be >= 2, got {k}")
         verts = sorted(set(S))
         self._require(verts)
+        if len(verts) < k:  # most witness sets U: no room for a k-clique
+            return True
         members = set(verts)
         within = {v: self.neighbors_within(v, members) for v in verts}
 
@@ -278,13 +280,15 @@ class GraphSession:
 
     # -- extension-property witnesses -----------------------------------------
 
-    def alice_witness(self, U: Iterable[int], V: Iterable[int],
+    def alice_witness(self, U: Iterable[int], V: Iterable[int] = (),
                       forbidden: Iterable[int] = ()) -> int:
         """Create a fresh vertex adjacent to every vertex of U and nothing else.
 
         The new vertex w satisfies N(w) = U within the realized session, in
         particular N(w) cap (U u V u forbidden) = U.  For the K_n-free
-        family U must not contain a (n-1)-clique.
+        family U must not contain a (n-1)-clique.  V and forbidden are
+        checked (disjoint from U, every vertex known) but not recorded:
+        the transcript entry is (sorted U, w), all that fixes the graph.
         """
         if self._frozen:
             raise GraphError("session snapshot is read-only")
@@ -304,45 +308,50 @@ class GraphSession:
         adj[w] = U
         for u in U:
             adj[u].add(w)
-        self._transcript.append((tuple(sorted(U)), tuple(sorted(V)), tuple(sorted(forbidden)), w))
+        self._transcript.append((tuple(sorted(U)), w))
         return w
 
     def check_witness_contract(self, entry_index: int = -1) -> bool:
-        """Re-verify one transcript entry's postcondition against the session."""
-        U, V, forb, w = self._transcript[entry_index]
-        mentioned = set(U) | set(V) | set(forb)
-        if w in mentioned:
-            return False
-        return self.neighbors_within(w, mentioned) == set(U)
+        """Re-verify one transcript entry against the session: N(w) cap {v < w} = U."""
+        U, w = self._transcript[entry_index]
+        return {v for v in self._adj[w] if v < w} == set(U)
 
     # -- transcripts ------------------------------------------------------------
 
-    def transcript(self) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]:
+    def transcript(self) -> list[tuple[tuple[int, ...], int]]:
         return list(self._transcript)
 
     def transcript_text(self) -> str:
-        """One line per witness call: ``<id>: U=.. V=.. F=..`` (ids comma separated)."""
-        lines = []
-        for U, V, F, w in self._transcript:
-            lines.append(
-                f"{w}: U={','.join(map(str, U))} V={','.join(map(str, V))}"
-                f" F={','.join(map(str, F))}"
-            )
-        return "\n".join(lines)
+        """One line per witness call: ``<id>: U=..`` (ids comma separated)."""
+        return "\n".join(f"{w}: U={','.join(map(str, U))}" for U, w in self._transcript)
 
     @staticmethod
     def replay(kind: GraphKind,
                entries: Sequence[Sequence[Sequence[int] | int]]) -> "GraphSession":
-        """Rebuild a session from transcript entries, checking resulting ids."""
+        """Rebuild a session from transcript entries, checking resulting ids.
+
+        An entry is (U, id), or (U, V, F, id) as schema-1 certificates
+        wrote it; the fences V and F of the latter are checked as they
+        were at the call, though they do not change the graph.
+        """
         s = GraphSession(kind)
-        for U, V, F, w in entries:
-            got = s.alice_witness(U, V, F)
+        for entry in entries:
+            if len(entry) == 2:
+                U, w = entry
+                got = s.alice_witness(U)
+            elif len(entry) == 4:
+                U, V, F, w = entry
+                got = s.alice_witness(U, V, F)
+            else:
+                raise GraphError(f"transcript entry of {len(entry)} items;"
+                                 " expected (U, id) or (U, V, F, id)")
             if got != w:
                 raise GraphError(f"transcript replay diverged: expected id {w}, got {got}")
         return s
 
     @staticmethod
     def replay_text(kind: GraphKind, text: str) -> "GraphSession":
+        """Replay ``transcript_text`` lines; older lines with ``V=``/``F=`` still read."""
         entries = []
         for line in text.splitlines():
             line = line.strip()
@@ -353,7 +362,9 @@ class GraphSession:
             for field in rest.split():
                 key, _, val = field.partition("=")
                 sets[key] = tuple(int(x) for x in val.split(",") if x)
-            entries.append((sets["U"], sets["V"], sets["F"], int(head)))
+            U = sets.pop("U")
+            entries.append((U, sets.get("V", ()), sets.get("F", ()), int(head)) if sets
+                           else (U, int(head)))
         return GraphSession.replay(kind, entries)
 
     def snapshot(self) -> "GraphSession":

@@ -34,13 +34,23 @@ class _MapReads:
         return self._bwd.get(y)
 
     def chase(self, x: int, k: int) -> int | None:
-        """(x)f^k with the empty product at k=0; None when undefined."""
+        """(x)f^k with the empty product at k=0; None when undefined.
+
+        At most 2|f| lookups whatever k is: within |f| steps the walk
+        either leaves the map or comes back to x, and then |k| is reduced
+        mod the length of that cycle.
+        """
         v = x
         step = self._fwd if k >= 0 else self._bwd
-        for _ in range(abs(k)):
+        n = abs(k)
+        for i in range(1, n + 1):
             v = step.get(v)
             if v is None:
                 return None
+            if v == x:
+                for _ in range(n % i):
+                    v = step[v]
+                return v
         return v
 
     def __len__(self) -> int:
@@ -252,19 +262,42 @@ def invert(f: PartialIso) -> PartialIso:
 
 
 def power(f: PartialIso, k: int) -> PartialIso:
-    """f^k by iterated composition; f^0 is the identity on dom(f)."""
+    """f^k; f^0 is the identity on dom(f).
+
+    Linear in |f| whatever k is: each chain is walked once from its head
+    and each cycle once, and a vertex moves |k| places along its chain,
+    or |k| mod the length of its cycle.
+    """
     if k == 0:
         return identity_on(f.session, f.dom())
-    step = f._fwd if k > 0 else f._bwd
-    fwd = {}
-    for x in (f._fwd if k > 0 else f._bwd):
-        v = x
-        for _ in range(abs(k)):
+    step, back = (f._fwd, f._bwd) if k > 0 else (f._bwd, f._fwd)
+    n = abs(k)
+    fwd: dict[int, int] = {}
+    on_chains: set[int] = set()
+    chains = 0
+    for x in step:
+        if x in back:  # not the head of a chain
+            continue
+        comp = [x]
+        v = step.get(x)
+        while v is not None:
+            comp.append(v)
             v = step.get(v)
-            if v is None:
-                break
-        if v is not None:
-            fwd[x] = v
+        on_chains.update(comp)
+        chains += 1
+        fwd.update(zip(comp, comp[n:]))
+    # step holds every chain vertex but the tails; any other vertex of step lies on a cycle
+    if len(on_chains) - chains < len(step):
+        for x in step:
+            if x in fwd or x in on_chains:
+                continue
+            comp = [x]
+            v = step[x]
+            while v != x:
+                comp.append(v)
+                v = step[v]
+            r = n % len(comp)
+            fwd.update(zip(comp, comp[r:] + comp[:r]))
     return PartialIso(f.session, fwd, {y: x for x, y in fwd.items()})
 
 

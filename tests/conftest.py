@@ -60,6 +60,29 @@ def brute_components(pairs):
     return sorted(comps)
 
 
+class CountingDict(dict):
+    """A dict that counts the lookups made through ``get`` and ``[]``.
+
+    Past ``budget`` lookups it fails the test, so a walk of |k| steps
+    fails fast instead of running for ever.
+    """
+
+    lookups = 0
+    budget = 10 ** 5
+
+    def _count(self):
+        CountingDict.lookups += 1
+        assert CountingDict.lookups <= CountingDict.budget, "lookup budget exceeded"
+
+    def get(self, key, default=None):
+        self._count()
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._count()
+        return super().__getitem__(key)
+
+
 def random_injection_in_clique(session: GraphSession, rng: random.Random,
                                size: int, spread: int = 12):
     """Random partial bijection inside one complete component of n K_omega.

@@ -132,6 +132,8 @@ def test_cli_oracle_new_and_query(tmp_path, capsys):
     assert main(["oracle", "query", "--state", str(state), "--vertex", "0"]) == 0
     img = int(capsys.readouterr().out.strip())
     assert img != 0
+    # the schema-1 entry was read; the state is written back with (U, id) entries
+    assert all(len(entry) == 2 for entry in json.loads(state.read_text())["transcript"])
     # querying again gives the cached answer
     assert main(["oracle", "query", "--state", str(state), "--vertex", "0"]) == 0
     assert int(capsys.readouterr().out.strip()) == img
@@ -261,7 +263,7 @@ def test_large_band_rows_is_rejected_before_the_band_is_built(monkeypatch):
 
 def test_target_with_an_edge_across_is_not_separated():
     cert = henson_trial(3, random.Random(3))
-    U, _, _, w = next(e for e in cert.transcript if e[0])
+    U, w = next(e for e in cert.transcript if e[0])
     tampered = WitnessCertificate.from_json(cert.to_json())
     tampered.p = [(U[0], w)]  # an edge from the domain into the range
     report = verify(tampered)

@@ -11,10 +11,10 @@ from ultrahom.campaigns import run_trial
 
 # (family, n, trials), all with campaign seed 1
 GOLDEN_SET = (("nkomega", 3, 6), ("nkomega", 4, 2), ("n2", 2, 10), ("omega-kn", 3, 10))
-GOLDEN_SHA256 = "e232d6ddd841434ef97fd7849b1745256c258e0ba1332d50347e2fbc7c642981"
-# the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, schema v1 transcripts
+GOLDEN_SHA256 = "7656fbb35d470bf18f4ec43c38333d84e30bcb56b94cf6212694c8892efe04c8"
+# the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, (U, id) transcripts
 HENSON_GOLDEN_SET = (("henson", 3, 20), ("henson", 4, 5))
-HENSON_GOLDEN_SHA256 = "40c10ecd2db17db7fc5fe7901f5723463eeb0c640678f3875e555b87218760c5"
+HENSON_GOLDEN_SHA256 = "be6a6ffa4474494b32f6663dba86fca3e6e314361636e21b6ee142473df28631"
 
 
 def _digest(golden_set) -> str:

@@ -134,6 +134,31 @@ def test_transcript_replay_determinism(h3):
     assert textual.transcript() == h3.transcript()
 
 
+def test_replay_reads_schema_1_entries_and_text(h3):
+    """(U, V, F, id) entries and ``V=``/``F=`` lines replay, with V and F still checked."""
+    rng = random.Random(4)
+    old = []
+    for _ in range(25):
+        realized = h3.realized()
+        U = [v for v in realized if rng.random() < 0.3]
+        if not h3.kn_free_check(U, 2):
+            U = U[:1]
+        V = sorted(set(realized) - set(U))
+        F = [v for v in realized if rng.random() < 0.2]
+        old.append((tuple(U), tuple(V), tuple(F), h3.alice_witness(U, V, F)))
+    assert h3.transcript() == [(U, w) for U, _, _, w in old]
+    assert "V=" not in h3.transcript_text()
+    text = "\n".join(f"{w}: U={','.join(map(str, U))} V={','.join(map(str, V))}"
+                     f" F={','.join(map(str, F))}" for U, V, F, w in old)
+    for clone in (GraphSession.replay(h3.kind, old), GraphSession.replay_text(h3.kind, text)):
+        assert clone.transcript() == h3.transcript()
+    w = len(old)
+    with pytest.raises(GraphError, match="U and V overlap"):  # the fences are still checked
+        GraphSession.replay_text(h3.kind, text + f"\n{w}: U=0 V=0 F=")
+    with pytest.raises(GraphError, match="expected \\(U, id\\) or \\(U, V, F, id\\)"):
+        GraphSession.replay(h3.kind, [((), (), 0)])
+
+
 def test_snapshot_is_read_only(h3):
     h3.alice_witness((), ())
     snap = h3.snapshot()

@@ -28,8 +28,8 @@ class Reference:
     """Adjacency of a lazy session rebuilt from its transcript, queried pair by pair."""
 
     def __init__(self, s: GraphSession):
-        self.verts = {w for _, _, _, w in s.transcript()}
-        self.edges = {frozenset((u, w)) for U, _, _, w in s.transcript() for u in U}
+        self.verts = {w for _, w in s.transcript()}
+        self.edges = {frozenset((u, w)) for U, w in s.transcript() for u in U}
 
     def require(self, *vs):
         for v in vs:
@@ -248,7 +248,7 @@ def test_witness_errors_name_the_same_vertex():
     with pytest.raises(GraphError, match=r"^U and V overlap: \[0\]$"):
         s.alice_witness((a, 9), (a, 8))
     w = s.alice_witness((b,), (a,), forbidden=(a, b))
-    assert s.transcript()[-1] == ((b,), (a,), (a, b), w)
+    assert s.transcript()[-1] == ((b,), w)
 
 
 def test_separated_iso_names_the_edge_across():

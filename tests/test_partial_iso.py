@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import brute_components, brute_compose, chase_pairs, random_injection_in_clique
+from conftest import (CountingDict, brute_components, brute_compose, chase_pairs,
+                      random_injection_in_clique)
 from ultrahom.campaigns import nkomega_instance, nkomega_oracle
 from ultrahom.errors import IsoError
 from ultrahom.graphs import GraphKind, GraphSession
-from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, compose,
-                                  cycle_free, empty, extend, from_pairs,
+from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
+                                  compose, cycle_free, empty, extend, from_pairs,
                                   identity_on, index_perm_of, invert,
                                   orbit_rep_profile, power, union_extend,
                                   validate)
@@ -308,3 +309,60 @@ def test_fresh_window_matches_f_closure():
             b.add(x, z)
             if rng.random() < 0.2:  # the window carries over to a builder of the grown map
                 b = IsoBuilder(b.freeze())
+
+
+def _chains_and_cycles(rng):
+    """A partial bijection on 0..N-1 (N <= 30) cut into chains and cycles of at most 8."""
+    verts = list(range(rng.randint(0, 30)))
+    rng.shuffle(verts)
+    pairs = []
+    while verts:
+        size = rng.randint(1, 8)
+        block, verts = verts[:size], verts[size:]
+        pairs += list(zip(block, block[1:]))
+        if len(block) > 1 and rng.random() < 0.5:  # close the chain into a cycle
+            pairs.append((block[-1], block[0]))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _naive_power(pairs, k):
+    """f^k pointwise, |k| steps per vertex."""
+    src = [x for x, _ in pairs] if k > 0 else [y for _, y in pairs]
+    return {(x, chase_pairs(pairs, x, k)) for x in src if chase_pairs(pairs, x, k) is not None}
+
+
+def test_chase_and_power_match_the_naive_walk(nk2):
+    for seed in range(200):
+        rng = random.Random(seed)
+        pairs = _chains_and_cycles(rng)
+        f = PartialIso(nk2, dict(pairs), {y: x for x, y in pairs})
+        for _ in range(6):
+            k = rng.randint(-70, 70)
+            for x in range(-1, 32):
+                assert f.chase(x, k) == chase_pairs(pairs, x, k)
+            if k:
+                assert set(power(f, k).pairs()) == _naive_power(pairs, k)
+
+
+def test_huge_exponents_cost_lookups_bounded_by_the_map(nk2):
+    huge = 10 ** 18
+    for seed in range(40):
+        rng = random.Random(seed)
+        pairs = _chains_and_cycles(rng)
+        fwd = CountingDict(pairs)
+        bwd = CountingDict((y, x) for x, y in pairs)
+        f = PartialIso(nk2, fwd, bwd)
+        for k in (huge, -huge, huge + 1, -huge - 3):
+            for x in range(-1, 32):
+                CountingDict.lookups = 0
+                got = f.chase(x, k)
+                assert CountingDict.lookups <= 2 * len(pairs) + 1
+                # 840 = lcm(1..8): same value on every cycle, and past the end of every chain
+                same = (abs(k) % 840 + 840) * (1 if k > 0 else -1)
+                assert got == chase_pairs(pairs, x, same)
+            CountingDict.lookups = 0
+            p = power(f, k)
+            assert CountingDict.lookups <= 4 * len(pairs)
+            src = dict(fwd if k > 0 else bwd)
+            assert p._fwd == {x: f.chase(x, k) for x in src if f.chase(x, k) is not None}

@@ -1,0 +1,163 @@
+"""Certificate schema 2: transcript entries are (U, id); schema 1 is still read.
+
+``data/certs_v1.jsonl`` holds schema-1 certificates written before the
+schema changed: seed 1 ``henson`` n=3 trials 0-2, ``nkomega`` n=3 trial 0
+and ``omega-kn`` n=3 trial 0, one per line in that order.
+"""
+
+import json
+from pathlib import Path
+
+from conftest import CountingDict
+from perfbench.workloads import henson_wide_instance, stream
+from ultrahom import partial_iso
+from ultrahom.campaigns import run_trial
+from ultrahom.certs import SCHEMA_VERSION, WitnessCertificate, verify
+from ultrahom.henson import density_witness_henson
+from ultrahom.partial_iso import PartialIso
+
+V1_PATH = Path(__file__).parent / "data" / "certs_v1.jsonl"
+V1_TRIALS = (("henson", 3, 0), ("henson", 3, 1), ("henson", 3, 2),
+             ("nkomega", 3, 0), ("omega-kn", 3, 0))
+HENSON_CLAUSES = ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
+                  "h-cycle-free", "target-separated", "product-extends-target"]
+V1_CLAUSES = (HENSON_CLAUSES, HENSON_CLAUSES, HENSON_CLAUSES,
+              ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
+               "target-index-fixing", "product-extends-target", "product-pair-sets-match"],
+              ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
+               "h-component-count", "h-orbit-reps", "target-whole-components",
+               "product-extends-target"])
+
+
+def _v1_lines() -> list[str]:
+    return V1_PATH.read_text().splitlines()
+
+
+def _failing(doc: dict) -> list[tuple[str, str]]:
+    """(name, note) of each failing clause of a certificate given as a JSON object."""
+    report = verify(WitnessCertificate.from_json(json.dumps(doc)))
+    assert not report.ok
+    return [(name, note) for name, ok, note in report.clauses if not ok]
+
+
+def _first_entry_with_u(doc: dict) -> int:
+    return next(i for i, entry in enumerate(doc["transcript"]) if entry[0])
+
+
+def test_schema_1_certificates_still_verify_with_the_same_clauses():
+    lines = _v1_lines()
+    assert len(lines) == len(V1_TRIALS)
+    for line, clauses in zip(lines, V1_CLAUSES):
+        cert = WitnessCertificate.from_json(line)
+        assert cert.schema == 1
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert [name for name, _, _ in report.clauses] == clauses
+        assert cert.to_json() == line  # a schema-1 record round-trips as it was written
+
+
+def test_new_certificate_is_the_schema_1_one_projected():
+    """Schema 2 changes the schema number and drops V and F; no other byte moves."""
+    assert SCHEMA_VERSION == 2
+    for line, (family, n, index) in zip(_v1_lines(), V1_TRIALS):
+        doc = json.loads(line)
+        doc["schema"] = 2
+        doc["transcript"] = [[U, w] for U, _, _, w in doc["transcript"]]
+        projected = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert run_trial(family, n, 1, index).to_json() == projected
+
+
+def test_schema_1_fence_faults_are_still_rejected_on_replay():
+    base = json.loads(_v1_lines()[0])
+    i = _first_entry_with_u(base)
+    U, V, F, w = base["transcript"][i]
+    faults = (
+        ([U, V + [U[0]], F, w], "U and V overlap"),
+        ([U, V + [w], F, w], f"unknown vertex {w}"),
+        ([U, V, F + [w + 1], w], f"unknown vertex {w + 1}"),
+    )
+    for entry, want in faults:
+        doc = json.loads(json.dumps(base))
+        doc["transcript"][i] = entry
+        (name, note), = _failing(doc)
+        assert name == "transcript-replay" and want in note
+
+
+def _v2_henson() -> dict:
+    doc = json.loads(run_trial("henson", 3, 1, 0).to_json())
+    assert doc["schema"] == 2 and all(len(entry) == 2 for entry in doc["transcript"])
+    return doc
+
+
+def test_entry_arity_must_match_the_schema():
+    doc = _v2_henson()
+    U, w = doc["transcript"][0]
+    doc["transcript"][0] = [U, [], [], w]
+    (name, note), = _failing(doc)
+    assert (name, note) == ("certificate-shape", "transcript entries of schema 2 must be"
+                                                 " (U, id) with integer vertices")
+    doc = _v2_henson()
+    doc["schema"] = 1
+    assert [name for name, _ in _failing(doc)] == ["certificate-shape"]
+    for bad in ([], [[0]], [[0], "1"], [[0, "x"], 1], [0, 1], [[0], [], 2]):
+        doc = _v2_henson()
+        doc["transcript"][0] = bad
+        try:
+            cert = WitnessCertificate.from_json(json.dumps(doc))
+        except ValueError:  # GraphError: not a certificate at all
+            continue
+        assert [name for name, ok, _ in verify(cert).clauses if not ok] == ["certificate-shape"]
+
+
+def test_v2_replay_faults_are_rejected_on_replay():
+    base = _v2_henson()
+    i = _first_entry_with_u(base)
+    (u, *_), w = base["transcript"][i]  # u ~ w, and both exist before entry i + 1
+    j = i + 1
+    later_w = base["transcript"][j][1]
+    cases = (
+        (i, [[u, w + 5], w], f"unknown vertex {w + 5}"),
+        (j, [sorted({u, w}), later_w], "forbidden clique in U"),  # an edge is a K_2
+        (0, [base["transcript"][0][0], 1], "expected id 1, got 0"),
+    )
+    for index, entry, want in cases:
+        doc = json.loads(json.dumps(base))
+        doc["transcript"][index] = entry
+        (name, note), = _failing(doc)
+        assert name == "transcript-replay" and want in note
+    doc = json.loads(json.dumps(base))
+    doc["transcript"][0], doc["transcript"][1] = doc["transcript"][1], doc["transcript"][0]
+    assert [name for name, _ in _failing(doc)] == ["transcript-replay"]
+
+
+def _wide_cert_bytes(width: int) -> int:
+    f, q, p = henson_wide_instance(stream(1, "henson-wide", 0), width=width)
+    return len(density_witness_henson(f, q, p).to_json())
+
+
+def test_henson_certificate_bytes_grow_linearly_in_the_target():
+    small, large = _wide_cert_bytes(8), _wide_cert_bytes(32)
+    assert large < 5 * small, (small, large)
+
+
+def test_verify_cost_does_not_grow_with_the_exponent(monkeypatch):
+    doc = json.loads(run_trial("henson", 3, 1, 0).to_json())
+    x = doc["p"][0][0]
+    z = next(w for _, w in doc["transcript"] if w != x)
+    doc["q"], doc["h"] = [], [[x, z], [z, x]]
+    real_validate = partial_iso.validate
+
+    def counting_validate(session, pairs):
+        iso = real_validate(session, pairs)
+        return PartialIso(session, CountingDict(iso._fwd), CountingDict(iso._bwd))
+
+    monkeypatch.setattr("ultrahom.certs.validate", counting_validate)
+    reports = {}
+    for m in (0, 1, 10 ** 18, 10 ** 18 + 1):
+        doc["data"]["m"] = m
+        CountingDict.lookups = 0
+        reports[m] = verify(WitnessCertificate.from_json(json.dumps(doc))).clauses
+        assert CountingDict.lookups < 100
+    # h is one 2-cycle, so only the parity of m matters
+    assert reports[10 ** 18] == reports[0] and reports[10 ** 18 + 1] == reports[1]
+    assert ("h-cycle-free", False, "") in reports[0]
