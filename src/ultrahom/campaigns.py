@@ -18,7 +18,7 @@ from .nkomega import (AFSigmaContext, IndexFixingIso, classify_stabilizing,
                       density_witness_nkomega, piccard_partner)
 from .omega_kn import WholeComponentIso, density_witness_omega
 from .oracles import LazyOracle, NKOracle, OmegaShiftOracle
-from .partial_iso import PartialIso, empty, from_pairs, validate
+from .partial_iso import empty, from_pairs, validate
 from .perms import IndexPerm, all_perms
 
 FAMILIES = ("henson", "omega-kn", "nkomega", "n2")
@@ -52,6 +52,21 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 
 # -- instance generators ------------------------------------------------------
+
+def _fresh_vertices(s: GraphSession, rng: random.Random, lo: int, hi: int):
+    """``fresh(comp)``: a vertex of comp not returned before, at the first
+    unused position from one rng draw in [lo, hi)."""
+    taken: set[int] = set()
+
+    def fresh(comp: int) -> int:
+        t = rng.randrange(lo, hi)
+        while s.vertex(comp, t) in taken:
+            t += 1
+        taken.add(s.vertex(comp, t))
+        return s.vertex(comp, t)
+
+    return fresh
+
 
 def _random_kfree_subset(s: GraphSession, pool, rng: random.Random, cap: int) -> list[int]:
     pool = list(pool)
@@ -123,10 +138,10 @@ def omega_trial(n: int, sigma_size: int, rng: random.Random) -> WitnessCertifica
             pairs.extend((s.vertex(a, i), s.vertex(b, tgt[i])) for i in range(n))
         # representatives must sit inside dom(q): any spot but the chain tail
         length = len(comps)
+        iso = validate(s, pairs)
         for i in range(n):
             spot = rng.randrange(length - 1)
             v = s.vertex(comps[0], i)
-            iso = validate(s, pairs)
             w = iso.chase(v, spot)
             sigma.append(w)
     q = validate(s, pairs)
@@ -176,15 +191,7 @@ def nkomega_instance(f: NKOracle, rng: random.Random,
     n = s.kind.n
     sf = f.index_perm()
     sq = piccard_partner(sf)
-    taken: set[int] = set()
-
-    def fresh(comp: int) -> int:
-        t = rng.randrange(4, 30)
-        while s.vertex(comp, t) in taken:
-            t += 1
-        taken.add(s.vertex(comp, t))
-        return s.vertex(comp, t)
-
+    fresh = _fresh_vertices(s, rng, 4, 30)
     sigma = []
     pairs = []
     for orbit in sq.cycles(include_fixed=True):
@@ -225,15 +232,7 @@ def n2_trial(rng: random.Random) -> WitnessCertificate:
     fixed = rng.choice([1, 2])
     f = NKOracle(s, IndexPerm.identity(2), fixed_tail=(fixed,))
     sq = IndexPerm.from_cycles(2, [(1, 2)])
-    taken: set[int] = set()
-
-    def fresh(comp: int) -> int:
-        t = rng.randrange(2, 20)
-        while s.vertex(comp, t) in taken:
-            t += 1
-        taken.add(s.vertex(comp, t))
-        return s.vertex(comp, t)
-
+    fresh = _fresh_vertices(s, rng, 2, 20)
     v = fresh(rng.choice([1, 2]))
     sigma = (v,)
     a = s.component_of(v)

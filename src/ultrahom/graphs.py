@@ -107,7 +107,6 @@ class GraphSession:
         self._lazy = kind.is_lazy
         self._adj: dict[int, set[int]] = {}
         self._transcript: list[tuple[tuple[int, ...], int]] = []
-        self._frozen = False
 
     # -- vertex bookkeeping -------------------------------------------------
 
@@ -290,8 +289,6 @@ class GraphSession:
         checked (disjoint from U, every vertex known) but not recorded:
         the transcript entry is (sorted U, w), all that fixes the graph.
         """
-        if self._frozen:
-            raise GraphError("session snapshot is read-only")
         if not self._lazy:
             raise GraphError("witnesses exist only for the random / K_n-free families")
         U, V, forbidden = set(U), set(V), set(forbidden)
@@ -367,22 +364,6 @@ class GraphSession:
                            else (U, int(head)))
         return GraphSession.replay(kind, entries)
 
-    def snapshot(self) -> "GraphSession":
-        """Read-only copy sharing no mutable state; safe to query from other threads."""
-        s = GraphSession(self.kind)
-        s._adj = {v: set(nb) for v, nb in self._adj.items()}
-        s._transcript = list(self._transcript)
-        s._frozen = True
-        return s
-
     def __repr__(self) -> str:
         size = len(self._adj) if self.kind.is_lazy else "closed-form"
         return f"GraphSession({self.kind.tag}, n={self.kind.n}, realized={size})"
-
-
-def triangle_witness(s: GraphSession) -> tuple[int, int, int]:
-    """Build a triangle in a random-graph session (used as a K_3 oracle)."""
-    a = s.alice_witness((), ())
-    b = s.alice_witness((a,), ())
-    c = s.alice_witness((a, b), ())
-    return a, b, c

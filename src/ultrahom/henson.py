@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from .certs import HENSON_CLAIM, WitnessCertificate
 from .errors import HypothesisError, IsoError, internal_check
-from .graphs import GraphSession
 from .oracles import LazyOracle
-from .partial_iso import (PartialIso, cycle_free, empty, extend, power, validate)
+from .partial_iso import (PartialIso, cycle_free, extend, power, validate)
 
 
 @dataclass(frozen=True)
@@ -167,20 +166,6 @@ def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
     h2m = power(h, 2 * m)
     internal_check(h2m.extends(piso), "power-extends-target")
     return h, m
-
-
-def split_separated(q: PartialIso) -> tuple[SeparatedIso, SeparatedIso]:
-    """Factor q through a fresh edge-isolated copy of its domain."""
-    s = q.session
-    order = sorted(q.dom())
-    copies: dict[int, int] = {}
-    for v in order:
-        matched = {copies[u] for u in s.neighbors_within(v, set(copies))}
-        fence = (q.dom() | q.ran() | set(copies.values())) - matched
-        copies[v] = s.alice_witness(matched, fence)
-    p1 = SeparatedIso(validate(s, [(v, copies[v]) for v in order]))
-    p2 = SeparatedIso(validate(s, [(copies[v], q.apply(v)) for v in order]))
-    return p1, p2
 
 
 def _materialize_images(f: LazyOracle, pts) -> set[int]:

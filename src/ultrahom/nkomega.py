@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate
 from .errors import GraphError, HypothesisError, internal_check
 from .oracles import NKOracle
-from .partial_iso import (FreshWindow, IsoBuilder, PartialIso, compose, extend,
-                          index_perm_of, invert, orbit_rep_profile, power, validate)
+from .partial_iso import (FreshWindow, IsoBuilder, PartialIso, compose, index_perm_of,
+                          invert, power)
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
 from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                     concat, empty_word, evaluate, landing_orbit, reduce_word,
@@ -92,23 +92,6 @@ def check_admissible(ctx: AFSigmaContext, q: PartialIso) -> IndexPerm:
     return sq
 
 
-def easy_one_point(q: PartialIso, x: int, y: int) -> PartialIso:
-    """Union q u {(x, y)} for component-matched fresh points."""
-    s = q.session
-    n = s.kind.n
-    sq = index_perm_of(q, n)
-    if sq is None:
-        raise HypothesisError("index-perm-total")
-    a = s.component_of(x)
-    if x in q.dom():
-        raise HypothesisError("x-free", f"{x} already in dom(q)")
-    if s.component_of(y) != sq(a) or y in q.ran():
-        raise HypothesisError("component-match",
-                              f"y must be a fresh point of component {sq(a)}, "
-                              f"x lives in {a}")
-    return extend(q, x, y)
-
-
 def _restriction_index_perm(b: IsoBuilder, dropped: set[int]) -> IndexPerm | None:
     """Total index permutation of b minus the pairs rooted in ``dropped``.
 
@@ -129,9 +112,8 @@ def _restriction_index_perm(b: IsoBuilder, dropped: set[int]) -> IndexPerm | Non
 def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     """One-point extension staying in the orbit-representative class.
 
-    Mirror-closed variant: the class is closed under inversion, so sigma
-    may sit on either side of the map (the strict public op pins it to
-    the domain side).
+    The class is closed under inversion, so sigma need only lie in the
+    support of the map, on either side of it.
     """
     sq = b.index_perm()
     if sq is None:
@@ -147,15 +129,6 @@ def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     if ctx.session.component_of(y) != sq(ctx.session.component_of(x)):
         raise HypothesisError("component-match")
     b.add(x, y)
-
-
-def class_one_point(ctx: AFSigmaContext, q: PartialIso, x: int, y: int) -> PartialIso:
-    """q u {(x, y)} certified to stay extendable with sigma as orbit reps."""
-    if not ctx.sigma_set() <= q.dom():
-        raise HypothesisError("sigma-in-dom", "sigma must lie in dom(q)")
-    b = IsoBuilder(q)
-    _class_extend(ctx, b, x, y)
-    return b.freeze()
 
 
 def amalgamate(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, x: int, y: int):
@@ -193,79 +166,6 @@ def amalgamate(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, x: int, y: int):
     return b if b is q else b.freeze()
 
 
-def extend_orbit_reps(ctx: AFSigmaContext, q: PartialIso, depth: int) -> PartialIso:
-    """Finite truncation of an extension with sigma as its orbit representatives.
-
-    Pushes every boundary point out of dom(q), merges representative-free
-    chains into representative-carrying ones, then absorbs the first
-    ``depth`` session vertices into dom cap ran.  Complete components are
-    never touched; chains never merge with one another once each carries
-    its representative.
-    """
-    s = ctx.session
-    sq = check_admissible(ctx, q)
-    sig = ctx.sigma_set()
-    if not sig <= q.dom():
-        raise HypothesisError("sigma-in-dom")
-    q0 = q
-    b = IsoBuilder(q)
-
-    def fresh(comp: int, *extra) -> int:
-        avoid = set(sig)
-        for e in extra:
-            avoid |= set(e)
-        return b.fresh(comp, avoid)
-
-    for x in sorted(q0.ran() - q0.dom()):
-        a = s.component_of(x)
-        _class_extend(ctx, b, x, fresh(sq(a)))
-    for x in sorted(q0.ran() - q0.dom()):
-        internal_check(b.apply(x) not in q0.dom(), "boundary-escapes")
-
-    def sigma_chain_tail_in_orbit(target_comp: int) -> tuple[int, int]:
-        """(tail vertex, steps m >= 1) of a representative chain reaching target_comp."""
-        for c in b.components().components:
-            if c.complete or not sig & set(c.vertices):
-                continue
-            tail_comp = s.component_of(c.tail)
-            for m in range(1, sq.order() + 1):
-                if sq.power(m)(tail_comp) == target_comp:
-                    return c.tail, m
-        raise HypothesisError("sigma-reachability",
-                              f"no representative chain reaches component {target_comp}")
-
-    def join_to_sigma_chain(x: int):
-        """Grow a representative chain through fresh points onto x (x heads a chain)."""
-        a = s.component_of(x)
-        tail, m = sigma_chain_tail_in_orbit(a)
-        cur = tail
-        for i in range(1, m):
-            nxt = fresh(sq.power(i)(s.component_of(tail)), [x])
-            _class_extend(ctx, b, cur, nxt)
-            cur = nxt
-        b.add(cur, x)  # lands on the chain head; merge is the construction's point
-
-    for c in list(b.components().components):
-        if c.complete or sig & set(c.vertices):
-            continue
-        join_to_sigma_chain(c.head)
-
-    for v in range(depth):
-        while not (v in b.dom() and v in b.ran()):
-            if v in b.ran() and v not in b.dom():
-                _class_extend(ctx, b, v, fresh(sq(s.component_of(v))))
-            elif v in b.dom() and v not in b.ran():
-                a = s.component_of(v)
-                b.add(fresh(sq.inverse()(a)), v)
-            else:
-                join_to_sigma_chain(v)
-
-    profile = orbit_rep_profile(b, sig)
-    internal_check(all(k == 1 for k in profile.values()), "one-rep-per-component")
-    internal_check(b.extends(q0), "extends-input")
-    return b.freeze()
-
-
 def piccard_partner(a: IndexPerm) -> IndexPerm | None:
     """Smallest b with <a, b> the full symmetric group, or None if there is none.
 
@@ -284,26 +184,6 @@ def piccard_partner(a: IndexPerm) -> IndexPerm | None:
     for b in all_perms(n):
         if generates_symmetric(n, [a, b]):
             return b
-    return None
-
-
-def class_witness_perm(ctx: AFSigmaContext) -> IndexPerm | None:
-    """An index permutation making the orbit-representative class nonempty.
-
-    Needs <f-index, sigma> = S_n and every component reachable along
-    sigma-orbits from a representative-carrying component.
-    """
-    n = ctx.n
-    if n > 8:
-        raise GraphError("out of desk range: n must be at most 8")
-    carriers = {ctx.session.component_of(v) for v in ctx.sigma}
-    if not carriers:
-        return None
-    sf = ctx.f.index_perm()
-    for cand in all_perms(n):
-        if all(set(cand.orbit(i)) & carriers for i in range(1, n + 1)) \
-                and generates_symmetric(n, [sf, cand]):
-            return cand
     return None
 
 
@@ -887,41 +767,3 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
         data={"word": str(word), "exponents": [m1, m2, m3, m4],
               "sigma": list(ctx.sigma)},
     )
-
-
-def split_index_fixing(q: PartialIso):
-    """Factor q as adjust * p1 * p2 with p1, p2 disjoint and index-fixing.
-
-    ``adjust`` carries all the index movement of q (the identity map on
-    dom(q) when q already fixes every component index).
-    """
-    s = q.session
-    n = s.kind.n
-    imap = q.index_map()
-    img = dict(imap)
-    free = [j for j in range(1, n + 1) if j not in set(img.values())]
-    for i in range(1, n + 1):
-        if i not in img:
-            img[i] = free.pop(0)
-    sigma = IndexPerm(tuple(img[i] for i in range(1, n + 1)))
-
-    taken = set(q.support())
-    identity_adjust = all(c == d for c, d in imap.items())
-    adj_pairs, p1_pairs, p2_pairs = [], [], []
-    for x in sorted(q.dom()):
-        cx = s.component_of(x)
-        if identity_adjust:
-            ax = x
-        else:
-            ax = s.fresh_in_component(sigma(cx), taken)
-            taken.add(ax)
-        bx = s.fresh_in_component(sigma(cx), taken)
-        taken.add(bx)
-        adj_pairs.append((x, ax))
-        p1_pairs.append((ax, bx))
-        p2_pairs.append((bx, q.apply(x)))
-    adjust = validate(s, adj_pairs)
-    p1 = IndexFixingIso(validate(s, p1_pairs))
-    p2 = IndexFixingIso(validate(s, p2_pairs))
-    internal_check(compose(adjust, p1.iso, p2.iso).extends(q), "factorization")
-    return p1, p2, adjust

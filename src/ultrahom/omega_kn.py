@@ -9,7 +9,6 @@ invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .certs import OMEGA_CLAIM, WitnessCertificate
 from .errors import GraphError, HypothesisError, internal_check
@@ -24,13 +23,6 @@ class SigmaPlacement:
 
     vertices: tuple[int, ...]
     counts: dict[int, int]
-
-    @staticmethod
-    def of(session: GraphSession, sigma) -> "SigmaPlacement":
-        counts: dict[int, int] = {}
-        for v in sigma:
-            counts[session.component_of(v)] = counts.get(session.component_of(v), 0) + 1
-        return SigmaPlacement(tuple(sorted(set(sigma))), counts)
 
     @staticmethod
     def from_counts(session: GraphSession, counts: dict[int, int]) -> "SigmaPlacement":
@@ -268,48 +260,10 @@ def build_from_partition(session: GraphSession, placement: SigmaPlacement,
     return out
 
 
-def _component_bijection(session: GraphSession, src: int, dst: int,
-                         fixed: dict[int, int] | None = None) -> list[tuple[int, int]]:
-    """Bijection L_src -> L_dst extending ``fixed`` pairs, position-sorted."""
-    fixed = fixed or {}
-    sv = [v for v in sorted(session.component_vertices(src)) if v not in fixed]
-    dv = [v for v in sorted(session.component_vertices(dst))
-          if v not in set(fixed.values())]
-    return sorted(fixed.items()) + list(zip(sv, dv))
-
-
-def round_up_to_components(q: PartialIso) -> PartialIso:
-    """Extend q so its domain and range are unions of whole components."""
-    s = q.session
-    pairs = dict(q.pairs())
-    imap = q.index_map()
-    for c, d in sorted(imap.items(), key=lambda cd: _zigzag(cd[0])):
-        fixed = {x: y for x, y in pairs.items() if s.component_of(x) == c}
-        for x, y in _component_bijection(s, c, d, fixed):
-            pairs[x] = y
-    return validate(s, sorted(pairs.items()))
-
-
-def split_whole_components(q: PartialIso) -> tuple[WholeComponentIso, WholeComponentIso]:
-    """Factor (the component-rounding of) q through fresh components."""
-    s = q.session
-    r = round_up_to_components(q)
-    imap = r.index_map()
-    used = set(imap) | set(imap.values())
-    fresh: dict[int, int] = {}
-    for c in sorted(imap, key=_zigzag):
-        nc = s.fresh_component(used)
-        used.add(nc)
-        fresh[c] = nc
-    p1_pairs = []
-    for c, nc in fresh.items():
-        p1_pairs.extend(_component_bijection(s, c, nc))
-    p1 = validate(s, p1_pairs)
-    from .partial_iso import compose, invert
-
-    p2 = compose(invert(p1), r)
-    internal_check(compose(p1, p2).extends(r), "factorization-extends")
-    return WholeComponentIso(p1), WholeComponentIso(p2)
+def _component_bijection(session: GraphSession, src: int, dst: int) -> list[tuple[int, int]]:
+    """Bijection L_src -> L_dst, position-sorted."""
+    return list(zip(sorted(session.component_vertices(src)),
+                    sorted(session.component_vertices(dst))))
 
 
 def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,

@@ -9,8 +9,6 @@ replayable by the verifier without any engine code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphError, internal_check
 from .graphs import GraphSession, NK_OMEGA, OMEGA_KN, _unzigzag, _zigzag
 from .partial_iso import IsoBuilder, PartialIso, empty as empty_iso, validate

@@ -170,14 +170,10 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
         cx, cy = comp(x), comp(y)
         seen = cmap.get(cx)
         if seen is not None and seen[0] != cy:
-            raise IsoError("component-split", [seen[1], (x, y)],
-                           f"component {cx} mapped into both {seen[0]} and {cy};"
-                           " induced index map ill-defined")
+            _raise_component_conflict(session, seen[1], (x, y))
         hit = cinv.get(cy)
         if hit is not None and hit[0] != cx:
-            raise IsoError("component-collision", [hit[1], (x, y)],
-                           f"components {hit[0]} and {cx} both mapped into {cy};"
-                           " induced index map not injective")
+            _raise_component_conflict(session, hit[1], (x, y))
         cmap[cx] = (cy, (x, y))
         cinv[cy] = (cx, (x, y))
         fwd[x] = y
@@ -232,14 +228,6 @@ def extend(f: PartialIso, x: int, y: int) -> PartialIso:
     fwd[x] = y
     bwd[y] = x
     return PartialIso(f.session, fwd, bwd)
-
-
-def union_extend(f: PartialIso, pairs: Iterable[tuple[int, int]]) -> PartialIso:
-    """Validated union; the first conflicting pair is named in the rejection."""
-    g = f
-    for x, y in pairs:
-        g = extend(g, x, y)
-    return g
 
 
 def compose(f: PartialIso, g: PartialIso, *rest: PartialIso) -> PartialIso:

@@ -66,10 +66,6 @@ class FreeWord:
     def has_negative(self, letter: str) -> bool:
         return any(l == letter and e < 0 for l, e in self.syllables)
 
-    def is_prefix_of(self, other: "FreeWord") -> bool:
-        mine, theirs = self.letters(), other.letters()
-        return theirs[: len(mine)] == mine
-
     def __str__(self) -> str:
         if not self.syllables:
             return "e"
@@ -96,20 +92,12 @@ def reduce_word(raw: Iterable[Syllable]) -> FreeWord:
     return FreeWord(tuple((l, e) for l, e in stack))
 
 
-def word(*syllables: Syllable) -> FreeWord:
-    return reduce_word(syllables)
-
-
 def empty_word() -> FreeWord:
     return FreeWord(())
 
 
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:
     return reduce_word(u.syllables + v.syllables)
-
-
-def invert_word(w: FreeWord) -> FreeWord:
-    return FreeWord(tuple((l, -e) for l, e in reversed(w.syllables)))
 
 
 def swap_a_sign(w: FreeWord) -> FreeWord:

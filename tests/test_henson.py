@@ -8,10 +8,9 @@ from ultrahom.errors import HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
-                             one_point_extend, pad_components, split_separated)
+                             one_point_extend, pad_components)
 from ultrahom.oracles import LazyOracle
-from ultrahom.partial_iso import (compose, cycle_free, empty, from_pairs,
-                                  power)
+from ultrahom.partial_iso import cycle_free, empty, from_pairs, power
 
 
 def fresh(s, U=(), V_all=True):
@@ -124,17 +123,6 @@ def test_separated_class_rejects_edges(h3):
         SeparatedIso(from_pairs(h3, [(a, b)]))
     with pytest.raises(HypothesisError, match="separated"):
         SeparatedIso(from_pairs(h3, [(a, a)]))
-
-
-def test_split_separated(h3):
-    a = fresh(h3)
-    b = fresh(h3, U=(a,))
-    c = fresh(h3)
-    d = fresh(h3, U=(c,))
-    q = from_pairs(h3, [(a, c), (b, d)])
-    p1, p2 = split_separated(q)
-    assert compose(p1.iso, p2.iso).extends(q)
-    assert split_separated(empty(h3))[0].iso.pairs() == ()
 
 
 def test_density_witness_trivial_target(h3):

@@ -6,17 +6,14 @@ from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkome
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
-from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, amalgamate,
+from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, amalgamate,
                               build_base_word, build_covering_word,
-                              check_admissible, class_one_point,
-                              class_witness_perm, classify_stabilizing,
+                              check_admissible, classify_stabilizing,
                               density_witness_n2, density_witness_nkomega,
-                              easy_one_point, escape_exponents,
-                              extend_orbit_reps, extend_word_domain,
-                              piccard_partner, split_index_fixing)
+                              escape_exponents, extend_word_domain,
+                              piccard_partner)
 from ultrahom.oracles import NKOracle
-from ultrahom.partial_iso import (FreshWindow, compose, from_pairs, index_perm_of,
-                                  orbit_rep_profile)
+from ultrahom.partial_iso import FreshWindow, IsoBuilder, from_pairs, index_perm_of
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
 from ultrahom.words import b_count, chase, check_word_condition, parse_word
 
@@ -36,33 +33,6 @@ def simple_q(ctx, s):
     return from_pairs(s, pairs)
 
 
-def test_easy_one_point(nk3):
-    v = nk3.vertex
-    q = from_pairs(nk3, [(v(1, 0), v(2, 0)), (v(2, 1), v(3, 0)), (v(3, 1), v(1, 1))])
-    out = easy_one_point(q, v(1, 5), v(2, 5))
-    assert out.apply(v(1, 5)) == v(2, 5)
-    with pytest.raises(HypothesisError, match="component-match"):
-        easy_one_point(q, v(1, 6), v(3, 6))
-    with pytest.raises(HypothesisError, match="x-free"):
-        easy_one_point(q, v(1, 0), v(2, 9))
-
-
-def test_class_one_point_and_chain_growth():
-    ctx, s, f = simple_ctx()
-    q = simple_q(ctx, s)
-    before = len(q.components().components)
-    out = class_one_point(ctx, q, s.vertex(2, 0), s.vertex(1, 7))
-    assert len(out.components().components) == before  # chain grew, no new chain
-    with pytest.raises(HypothesisError, match="y-fresh"):
-        class_one_point(ctx, q, s.vertex(2, 0), s.vertex(1, 1))
-    with pytest.raises(HypothesisError, match="sigma-in-dom"):
-        bad_ctx = AFSigmaContext(f, (s.vertex(1, 9),))
-        q2 = from_pairs(s, list(q.pairs()) + [(s.vertex(1, 9), s.vertex(2, 9))])
-        class_one_point(bad_ctx, from_pairs(s, [p for p in q2.pairs()
-                                                if p[0] != s.vertex(1, 9)]),
-                        s.vertex(1, 9), s.vertex(2, 10))
-
-
 def test_amalgamate():
     ctx, s, f = simple_ctx()
     v = s.vertex
@@ -80,6 +50,19 @@ def test_amalgamate():
         amalgamate(sig2, q, v(2, 2), v(1, 3))
 
 
+def test_class_extend_grows_a_chain_and_refuses_used_points():
+    ctx, s, f = simple_ctx()
+    v = s.vertex
+    b = IsoBuilder(simple_q(ctx, s))
+    count = b.count
+    _class_extend(ctx, b, v(2, 0), v(1, 7))
+    assert b.apply(v(2, 0)) == v(1, 7) and b.count == count  # chain grew, no new chain
+    for x, y, reason in [(v(1, 0), v(2, 9), "x-free"), (v(1, 5), v(2, 1), "y-fresh"),
+                         (v(1, 5), v(3, 9), "component-match")]:
+        with pytest.raises(HypothesisError, match=reason):
+            _class_extend(ctx, b, x, y)
+
+
 def test_check_admissible_errors():
     ctx, s, f = simple_ctx()
     with pytest.raises(HypothesisError, match="index-perm-total"):
@@ -89,21 +72,6 @@ def test_check_admissible_errors():
     bad_sigma = AFSigmaContext(f, (s.vertex(1, 0),))
     with pytest.raises(HypothesisError, match="sigma-reachability"):
         check_admissible(bad_sigma, q)
-
-
-def test_extend_orbit_reps():
-    ctx, s, f = simple_ctx()
-    q = simple_q(ctx, s)
-    out = extend_orbit_reps(ctx, q, depth=0)
-    profile = orbit_rep_profile(out, ctx.sigma_set())
-    assert all(k == 1 for k in profile.values())
-    for x in sorted(q.ran() - q.dom()):
-        assert out.apply(x) is not None and out.apply(x) not in q.dom()
-    deep = extend_orbit_reps(ctx, q, depth=12)
-    assert deep.extends(q)
-    for vtx in range(12):
-        assert vtx in deep.dom() and vtx in deep.ran()
-    assert all(k == 1 for k in orbit_rep_profile(deep, ctx.sigma_set()).values())
 
 
 def test_piccard_partner_small():
@@ -127,20 +95,6 @@ def test_piccard_exceptional_set_n4():
             assert partner is None
         else:
             assert partner is not None
-
-
-def test_class_witness_perm():
-    ctx, s, f = simple_ctx()
-    sigma_perm = class_witness_perm(ctx)
-    assert sigma_perm is not None
-    assert generates_symmetric(3, [f.index_perm(), sigma_perm])
-    empty_ctx = AFSigmaContext(f, ())
-    assert class_witness_perm(empty_ctx) is None
-    # n = 4 with the exceptional index permutation: nothing generates
-    s4 = GraphSession(GraphKind.nk_omega(4))
-    f4 = NKOracle(s4, IndexPerm.from_cycles(4, [(1, 2), (3, 4)]))
-    rich = AFSigmaContext(f4, tuple(s4.vertex(c, 0) for c in (1, 2, 3, 4)))
-    assert class_witness_perm(rich) is None
 
 
 def test_classify_stabilizing():
@@ -265,20 +219,6 @@ def test_covering_word_randomized():
         h, w, phi = build_covering_word(ctx, q, gamma, delta)
         rep = check_word_condition(h, gamma, gamma, q.dom(), delta, w, f)
         assert rep.holds, f"seed {seed}: {rep}"
-
-
-def test_split_index_fixing(nk3):
-    v = nk3.vertex
-    q = from_pairs(nk3, [(v(1, 0), v(2, 0)), (v(2, 1), v(3, 1)), (v(3, 2), v(1, 2))])
-    p1, p2, adjust = split_index_fixing(q)
-    assert compose(adjust, p1.iso, p2.iso).extends(q)
-    # identity-indexed input: adjust collapses to the identity map on dom(q)
-    qid = from_pairs(nk3, [(v(1, 0), v(1, 1)), (v(2, 0), v(2, 1))])
-    p1, p2, adjust = split_index_fixing(qid)
-    assert all(x == y for x, y in adjust.pairs())
-    assert compose(adjust, p1.iso, p2.iso).extends(qid)
-    e1, e2, eadj = split_index_fixing(from_pairs(nk3, []))
-    assert len(e1.iso) == 0
 
 
 def test_index_fixing_class():

@@ -9,10 +9,9 @@ from ultrahom.errors import HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.omega_kn import (OrbitPartition, SigmaPlacement, WholeComponentIso,
                                build_from_partition, density_witness_omega,
-                               feasible_partition, in_orbit_rep_class,
-                               round_up_to_components, split_whole_components)
+                               feasible_partition, in_orbit_rep_class)
 from ultrahom.oracles import OmegaShiftOracle
-from ultrahom.partial_iso import compose, from_pairs, orbit_rep_profile
+from ultrahom.partial_iso import from_pairs, orbit_rep_profile
 
 
 def comp_bijection(s, a, b):
@@ -123,17 +122,6 @@ def test_build_from_partition_monotone_and_profiled(ok2):
             while cur in imap:
                 cur = imap[cur]
                 assert cur in allowed
-
-
-def test_round_up_and_split(ok2):
-    v = ok2.vertex
-    q = from_pairs(ok2, [(v(0, 0), v(1, 1))])
-    r = round_up_to_components(q)
-    assert r.extends(q) and len(r) == 2
-    w1, w2 = split_whole_components(q)
-    assert compose(w1.iso, w2.iso).extends(r)
-    e1, e2 = split_whole_components(from_pairs(ok2, []))
-    assert len(e1.iso) == 0 and len(e2.iso) == 0
 
 
 def test_whole_component_class_invariants(ok2):

@@ -10,8 +10,7 @@ from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
                                   compose, cycle_free, empty, extend, from_pairs,
                                   identity_on, index_perm_of, invert,
-                                  orbit_rep_profile, power, union_extend,
-                                  validate)
+                                  orbit_rep_profile, power, validate)
 
 
 def test_validate_empty_and_single(nk3, h3):
@@ -28,10 +27,17 @@ def test_validate_rejections_name_pairs(nk2):
     with pytest.raises(IsoError, match="not-injective"):
         validate(nk2, [(v(1, 0), v(1, 1)), (v(1, 2), v(1, 1))])
     # two source components into one target component: induced index map collapses
-    with pytest.raises(IsoError, match="component-collision"):
-        validate(nk2, [(v(1, 0), v(1, 1)), (v(2, 0), v(1, 2))])
-    with pytest.raises(IsoError, match="component-split"):
-        validate(nk2, [(v(1, 0), v(1, 1)), (v(1, 2), v(2, 0))])
+    collision = [(v(1, 0), v(1, 1)), (v(2, 0), v(1, 2))]
+    split = [(v(1, 0), v(1, 1)), (v(1, 2), v(2, 0))]
+    for pairs, reason, detail in [
+            (collision, "component-collision", "components 1 and 2 both mapped into 1;"
+                                               " induced index map not injective"),
+            (split, "component-split", "component 1 mapped into both 1 and 2;"
+                                       " induced index map ill-defined")]:
+        with pytest.raises(IsoError) as e:
+            validate(nk2, pairs)
+        assert (e.value.reason, e.value.pairs) == (reason, tuple(pairs))
+        assert str(e.value) == f"{reason}: {detail} (pairs {pairs})"
 
 
 def test_validate_adjacency_mismatch_lazy(h3):
@@ -95,16 +101,6 @@ def test_power_and_invert(nk2):
             assert acc == power(f, k)
 
 
-def test_union_extend(nk2):
-    v = nk2.vertex
-    f = from_pairs(nk2, [(v(1, 0), v(2, 0))])
-    assert union_extend(f, []) == f
-    g = union_extend(f, [(v(2, 1), v(1, 1))])
-    assert g.extends(f) and len(g) == 2
-    with pytest.raises(IsoError, match="not-injective"):
-        union_extend(f, [(v(1, 0), v(2, 5))])
-
-
 def test_components_shapes(nk2):
     v = nk2.vertex
     chain = from_pairs(nk2, [(v(1, 0), v(1, 1)), (v(1, 1), v(1, 2))])
@@ -140,7 +136,7 @@ def test_union_merges_at_most_two_components(nk2):
         x, y = nk2.vertex(1, free_x[0]), nk2.vertex(1, free_y[-1])
         if x == y:
             continue
-        g = union_extend(f, [(x, y)])
+        g = extend(f, x, y)
         before = f.components()
         after = g.components()
         diff = len(before.components) - len(after.components)

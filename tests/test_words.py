@@ -12,7 +12,7 @@ from ultrahom.oracles import FrozenOracle, NKOracle
 from ultrahom.partial_iso import IsoBuilder, from_pairs, identity_on, compose
 from ultrahom.perms import IndexPerm
 from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
-                            concat, empty_word, evaluate, invert_word,
+                            concat, empty_word, evaluate,
                             largest_defined_prefix, parse_word, reduce_word,
                             swap_a_sign, word_index_image)
 
@@ -54,7 +54,6 @@ def test_word_views():
     assert w.letters() == [("a", 1)] * 3 + [("b", -1)] + [("a", 1)]
     assert w.prefix(2) == parse_word("a^2")
     assert w.starts_with("a") and not w.has_negative("a") and w.has_negative("b")
-    assert invert_word(w) == parse_word("a^-1 b a^-3")
     assert swap_a_sign(w) == parse_word("a^-3 b^-1 a^-1")
     assert b_count(parse_word("a^5")) == 0
     assert b_count(parse_word("a b^-2 a b")) == 3
@@ -134,7 +133,7 @@ def test_largest_defined_prefix_property(nk2):
         f = FrozenOracle(nk2, random_injection_in_clique(nk2, rng, rng.randint(1, 4)))
         x = nk2.vertex(1, rng.randrange(12))
         pre = largest_defined_prefix(w, p, f, x)
-        assert pre.is_prefix_of(w)
+        assert w.letters()[:len(pre)] == pre.letters()
         assert chase(pre, x, p, f) is not None
         if len(pre) < len(w):
             assert chase(w.prefix(len(pre) + 1), x, p, f) is None
