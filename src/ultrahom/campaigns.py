@@ -18,7 +18,7 @@ from .nkomega import (AFSigmaContext, IndexFixingIso, classify_stabilizing,
                       density_witness_nkomega, piccard_partner)
 from .omega_kn import WholeComponentIso, density_witness_omega
 from .oracles import LazyOracle, NKOracle, OmegaShiftOracle
-from .partial_iso import empty, from_pairs, validate
+from .partial_iso import IsoBuilder, empty, from_pairs
 from .perms import IndexPerm, all_perms
 
 FAMILIES = ("henson", "omega-kn", "nkomega", "n2")
@@ -89,13 +89,13 @@ def henson_trial(n: int, rng: random.Random) -> WitnessCertificate:
     for _ in range(rng.randint(0, 2)):
         f.image(rng.choice(s.realized()))
 
-    q = empty(s)
+    b = IsoBuilder(empty(s))
     for _ in range(rng.randint(0, 2)):
         U = _random_kfree_subset(s, s.realized(), rng, 2)
         start = s.alice_witness(U, set(s.realized()) - set(U))
-        q, _ = one_point_extend(q, start)
+        one_point_extend(b, start)
         if rng.random() < 0.5:
-            q, _ = one_point_extend(q, sorted(q.ran() - q.dom())[0])
+            one_point_extend(b, sorted(b.ran() - b.dom())[0])
 
     dom_side: list[int] = []
     for _ in range(rng.randint(1, 2)):
@@ -106,7 +106,7 @@ def henson_trial(n: int, rng: random.Random) -> WitnessCertificate:
         U = [ran_side[j] for j in range(i) if s.adjacent(v, dom_side[j])]
         ran_side.append(s.alice_witness(U, set(s.realized()) - set(U)))
     p = SeparatedIso(from_pairs(s, list(zip(dom_side, ran_side))))
-    return density_witness_henson(f, q, p)
+    return density_witness_henson(f, b.freeze(), p)
 
 
 def omega_trial(n: int, sigma_size: int, rng: random.Random) -> WitnessCertificate:
@@ -126,25 +126,18 @@ def omega_trial(n: int, sigma_size: int, rng: random.Random) -> WitnessCertifica
         used.add(c)
         return c
 
-    pairs: list[tuple[int, int]] = []
+    q = IsoBuilder(empty(s))
     sigma: list[int] = []
     for _ in range(sigma_size // n):
         comps = [fresh_comp() for _ in range(rng.randint(2, 3))]
-        perm_rows = []
         for a, b in zip(comps, comps[1:]):
             tgt = list(range(n))
             rng.shuffle(tgt)
-            perm_rows.append(tgt)
-            pairs.extend((s.vertex(a, i), s.vertex(b, tgt[i])) for i in range(n))
+            for i in range(n):
+                q.add(s.vertex(a, i), s.vertex(b, tgt[i]))
         # representatives must sit inside dom(q): any spot but the chain tail
-        length = len(comps)
-        iso = validate(s, pairs)
         for i in range(n):
-            spot = rng.randrange(length - 1)
-            v = s.vertex(comps[0], i)
-            w = iso.chase(v, spot)
-            sigma.append(w)
-    q = validate(s, pairs)
+            sigma.append(q.chase(s.vertex(comps[0], i), rng.randrange(len(comps) - 1)))
 
     k = rng.randint(1, 2)
     p_pairs: list[tuple[int, int]] = []
@@ -155,7 +148,7 @@ def omega_trial(n: int, sigma_size: int, rng: random.Random) -> WitnessCertifica
         rng.shuffle(tgt)
         p_pairs.extend((s.vertex(a, i), s.vertex(b, tgt[i])) for i in range(n))
     p = WholeComponentIso(from_pairs(s, p_pairs))
-    return density_witness_omega(f, q, p, sigma)
+    return density_witness_omega(f, q.freeze(), p, sigma)
 
 
 def nkomega_oracle(n: int, rng: random.Random,
@@ -193,22 +186,19 @@ def nkomega_instance(f: NKOracle, rng: random.Random,
     sq = piccard_partner(sf)
     fresh = _fresh_vertices(s, rng, 4, 30)
     sigma = []
-    pairs = []
+    b = IsoBuilder(empty(s))
     for orbit in sq.cycles(include_fixed=True):
         c = rng.choice(orbit)
         v = fresh(c)
         sigma.append(v)
-        pairs.append((v, fresh(sq(c))))
-    covered = {s.component_of(x) for x, _ in pairs}
+        b.add(v, fresh(sq(c)))
     for a in range(1, n + 1):
-        if a not in covered:
-            pairs.append((fresh(a), fresh(sq(a))))
-    q = validate(s, pairs)
+        if a not in b.cmap:
+            b.add(fresh(a), fresh(sq(a)))
     for _ in range(rng.randint(0, 2)):
-        tails = sorted(q.ran() - q.dom())
-        x = rng.choice(tails)
-        y = fresh(sq(s.component_of(x)))
-        q = validate(s, list(q.pairs()) + [(x, y)])
+        x = rng.choice(sorted(b.ran() - b.dom()))
+        b.add(x, fresh(sq(s.component_of(x))))
+    q = b.freeze()
 
     comps = pair_comps if pair_comps is not None else \
         sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
@@ -237,7 +227,7 @@ def n2_trial(rng: random.Random) -> WitnessCertificate:
     sigma = (v,)
     a = s.component_of(v)
     pairs = [(v, fresh(sq(a))), (fresh(sq(a)), fresh(a))]
-    q = validate(s, pairs)
+    q = from_pairs(s, pairs)
     p_pairs = [(fresh(c), fresh(c)) for c in sorted(rng.sample([1, 2], rng.randint(1, 2)))]
     p = IndexFixingIso(from_pairs(s, p_pairs))
     ctx = AFSigmaContext(f, sigma)
@@ -262,8 +252,7 @@ def run_trial(family: str, n: int, seed: int, index: int,
 
 def campaign(family: str, n: int, trials: int, seed: int,
              sigma_size: int | None = None,
-             index_perm: IndexPerm | None = None,
-             keep_certs: bool = True) -> CampaignSummary:
+             index_perm: IndexPerm | None = None) -> CampaignSummary:
     """Run randomized witness trials through build + verify."""
     t0 = time.perf_counter()
     if family == "nkomega" and index_perm is not None \
@@ -280,8 +269,7 @@ def campaign(family: str, n: int, trials: int, seed: int,
             passes += 1
         else:
             failures.append(i)
-        if keep_certs:
-            certs.append(cert)
+        certs.append(cert)
     return CampaignSummary(family, n, trials, passes, failures,
                            time.perf_counter() - t0, certs=certs)
 

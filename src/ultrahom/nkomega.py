@@ -21,6 +21,9 @@ from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                     concat, empty_word, evaluate, landing_orbit, reduce_word,
                     swap_a_sign, word_index_image)
 
+# Largest equal per-component count the engines' stabilized-set search tries.
+STAB_BOUND = 64
+
 
 @dataclass(frozen=True)
 class IndexFixingIso:
@@ -131,15 +134,13 @@ def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     b.add(x, y)
 
 
-def amalgamate(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, x: int, y: int):
-    """Join two chains of q at (x, y) without orphaning a representative.
+def amalgamate(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
+    """Join two chains of b at (x, y), in place, without orphaning a representative.
 
     x must end one incomplete component, y begin a different one, at
     most one of the two carrying a representative, and dropping either
-    component must leave the induced index permutation intact.  Returns
-    the joined map; an ``IsoBuilder`` is joined in place and returned.
+    component must leave the induced index permutation intact.
     """
-    b = q if isinstance(q, IsoBuilder) else IsoBuilder(q)
     A = b.component(x)
     B = b.component(y)
     if A.complete or B.complete:
@@ -163,7 +164,6 @@ def amalgamate(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, x: int, y: int):
     count = b.count
     b.add(x, y)
     internal_check(b.count == count - 1, "merge-count")
-    return b if b is q else b.freeze()
 
 
 def piccard_partner(a: IndexPerm) -> IndexPerm | None:
@@ -544,14 +544,12 @@ def build_covering_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
     for x in gamma:
         h = extend_word_domain(ctx, h, gamma, done, phi, delta, w, x, window)
         done.append(x)
-    rep = check_word_condition(h, gamma, gamma, phi, delta, w, ctx.f)
-    internal_check(rep.holds, "covering-word-condition", str(rep))
+    # the last fill's exit check (or, for empty gamma, the base check) is the full condition
     return h, w, phi
 
 
 def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
-                            p: IndexFixingIso,
-                            stab_bound: int = 64) -> WitnessCertificate:
+                            p: IndexFixingIso) -> WitnessCertificate:
     """Build h extending q with w1(h) h^k w2(h)^-1 extending p.
 
     k is the order of q's index permutation.  Staging: a covering word
@@ -564,7 +562,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     f, s, n = ctx.f, ctx.session, ctx.n
     if n == 2 and f.index_perm().is_identity() and f.fixed_components():
         return density_witness_n2(ctx, q, p)
-    verdict = classify_stabilizing(f, stab_bound)
+    verdict = classify_stabilizing(f, STAB_BOUND)
     if verdict.stabilizing:
         raise HypothesisError("non-stabilizing", verdict.detail)
     sq = check_admissible(ctx, q)
@@ -658,8 +656,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
 
 
 def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
-                       p: IndexFixingIso,
-                       stab_bound: int = 64) -> WitnessCertificate:
+                       p: IndexFixingIso) -> WitnessCertificate:
     """Two-component special case: identity index map with an infinite fixed line.
 
     Builds h and exponents m1..m4 so that the single word
@@ -672,7 +669,7 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     if n != 2 or not sf.is_identity() or not f.fixed_components():
         raise HypothesisError("routing",
                               "needs n = 2, identity index map and an infinite fixed line")
-    verdict = classify_stabilizing(f, stab_bound)
+    verdict = classify_stabilizing(f, STAB_BOUND)
     if verdict.stabilizing:
         raise HypothesisError("non-stabilizing", verdict.detail)
     sq = check_admissible(ctx, q)

@@ -14,7 +14,7 @@ from .certs import OMEGA_CLAIM, WitnessCertificate
 from .errors import GraphError, HypothesisError, internal_check
 from .graphs import GraphSession, _unzigzag, _zigzag
 from .oracles import OmegaShiftOracle
-from .partial_iso import (PartialIso, orbit_rep_profile, validate)
+from .partial_iso import IsoBuilder, PartialIso, orbit_rep_profile, validate
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,11 @@ def build_from_partition(session: GraphSession, placement: SigmaPlacement,
     return out
 
 
-def _component_bijection(session: GraphSession, src: int, dst: int) -> list[tuple[int, int]]:
-    """Bijection L_src -> L_dst, position-sorted."""
-    return list(zip(sorted(session.component_vertices(src)),
-                    sorted(session.component_vertices(dst))))
+def _add_bijection(b: IsoBuilder, src: int, dst: int) -> None:
+    """Add the position-sorted bijection L_src -> L_dst to b."""
+    s = b.session
+    for x, y in zip(sorted(s.component_vertices(src)), sorted(s.component_vertices(dst))):
+        b.add(x, y)
 
 
 def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
@@ -287,49 +288,34 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     piso = p.iso
 
     # -- stage 0: absorb p's components, then equalize chain lengths ---------
-    imap = q.index_map()
-    chains = _index_chains(imap)
-    internal_check(len(chains) * s.kind.n == len(sigma), "chain-count")
-    pairs = dict(q.pairs())
-
-    def current_chains():
-        return _index_chains(validate(s, sorted(pairs.items())).index_map())
-
+    internal_check(len(_index_chains(q.index_map())) * s.kind.n == len(sigma), "chain-count")
+    b = IsoBuilder(q)
     p_comps = sorted({s.component_of(v) for v in piso.support()}, key=_zigzag)
     for c in p_comps:
-        covered = {s.component_of(x) for x in pairs}
-        ran_only = {s.component_of(y) for y in pairs.values()} - covered
-        if c in covered:
+        if c in b.cmap:
             continue
-        if c in ran_only:
+        if c in b.cinv:
             # tail component: push the chain one fresh component further
-            used = covered | ran_only | set(p_comps)
-            nc = s.fresh_component(used)
-            for x, y in _component_bijection(s, c, nc):
-                pairs[x] = y
+            nc = s.fresh_component(b.cmap.keys() | b.cinv.keys() | set(p_comps))
+            _add_bijection(b, c, nc)
         else:
             # fresh component: make it the new head of the first chain
-            head = current_chains()[0][0]
-            for x, y in _component_bijection(s, c, head):
-                pairs[x] = y
+            _add_bijection(b, c, _index_chains(b.cmap)[0][0])
 
-    chains = current_chains()
+    chains = _index_chains(b.cmap)
     m = max(len(ch) for ch in chains)
     for ch in chains:
         while len(ch) < m:
-            covered = {s.component_of(x) for x in pairs}
-            ran_only = {s.component_of(y) for y in pairs.values()} - covered
-            nc = s.fresh_component(covered | ran_only | set(p_comps))
-            for x, y in _component_bijection(s, ch[-1], nc):
-                pairs[x] = y
+            nc = s.fresh_component(b.cmap.keys() | b.cinv.keys() | set(p_comps))
+            _add_bijection(b, ch[-1], nc)
             ch.append(nc)
-    q = validate(s, sorted(pairs.items()))
+    q = b.freeze()
     internal_check(in_orbit_rep_class(q, sigma), "padded-class-membership")
 
     # -- stage 1: march each chain m components through moving indices -------
-    r_pairs = dict(q.pairs())
-    comps_seen = {s.component_of(v) for v in q.support()} | set(p_comps)
-    tails = [ch[-1] for ch in _index_chains(q.index_map())]
+    b = IsoBuilder(q)
+    comps_seen = b.cmap.keys() | b.cinv.keys() | set(p_comps)
+    tails = [ch[-1] for ch in _index_chains(b.cmap)]
     marched: list[list[int]] = []
     for tail in tails:
         row = [tail]
@@ -338,12 +324,11 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
                 | {f.index_preimage(c) for c in comps_seen}
             nc = s.fresh_component(avoid)
             internal_check(f.index_image(nc) != nc, "march-component-moves")
-            for x, y in _component_bijection(s, row[-1], nc):
-                r_pairs[x] = y
+            _add_bijection(b, row[-1], nc)
             comps_seen.add(nc)
             row.append(nc)
         marched.append(row)
-    r = validate(s, sorted(r_pairs.items()))
+    r = b.freeze()
 
     r_comps = {s.component_of(v) for v in r.support()}
     for row in marched:
@@ -365,18 +350,15 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     internal_check(not u.support() & r.support(), "conjugate-avoids-r")
     internal_check(not _index_cycles(u.index_map()), "conjugate-cycle-free")
 
-    h_pairs = dict(r.pairs())
+    b = IsoBuilder(r)
     u_chains = _index_chains(u.index_map())
     if u_chains:
         for left, right in zip(u_chains, u_chains[1:]):
-            for x, y in _component_bijection(s, left[-1], right[0]):
-                h_pairs[x] = y
-        last_tail = marched[-1][-1]
-        for x, y in _component_bijection(s, last_tail, u_chains[0][0]):
-            h_pairs[x] = y
+            _add_bijection(b, left[-1], right[0])
+        _add_bijection(b, marched[-1][-1], u_chains[0][0])
         for x, y in u.pairs():
-            h_pairs[x] = y
-    h = validate(s, sorted(h_pairs.items()))
+            b.add(x, y)
+    h = b.freeze()
 
     comps = h.components()
     internal_check(len(comps.incomplete_components()) == len(sigma)

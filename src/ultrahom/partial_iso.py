@@ -2,10 +2,10 @@
 
 A partial isomorphism is a finite injective adjacency-preserving vertex
 map, composed left to right: ``(x)(f * g) = ((x)f)g`` on the domain
-``{x in dom(f) : (x)f in dom(g)}``.  Values are immutable; every
-extension returns a new value so construction chains keep all their
-intermediate stages.  Engines that grow one map pair by pair use an
-``IsoBuilder`` instead and freeze it to a value at stage boundaries.
+``{x in dom(f) : (x)f in dom(g)}``.  Values are immutable.  Every
+engine grows its maps pair by pair in an ``IsoBuilder`` and freezes it
+to a value at stage boundaries; ``extend`` is the one-pair reference
+that ``IsoBuilder.add`` is tested against.
 """
 
 from __future__ import annotations

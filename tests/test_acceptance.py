@@ -19,7 +19,7 @@ from ultrahom.henson import SeparatedIso, build_conjugator, one_point_extend
 from ultrahom.nkomega import build_covering_word, piccard_partner
 from ultrahom.omega_kn import SigmaPlacement, feasible_partition
 from ultrahom.oracles import FrozenOracle
-from ultrahom.partial_iso import empty, from_pairs, power
+from ultrahom.partial_iso import IsoBuilder, empty, from_pairs, power
 from ultrahom.perms import IndexPerm, all_perms, generates_symmetric
 from ultrahom.words import check_word_condition, evaluate, reduce_word
 
@@ -36,14 +36,15 @@ def _random_henson_qp(rng):
     def fresh(U=()):
         return s.alice_witness(U, set(s.realized()) - set(U))
 
-    q = empty(s)
+    b = IsoBuilder(empty(s))
     for _ in range(rng.randint(0, 2)):
         U = [v for v in s.realized() if rng.random() < 0.2]
         if not s.kn_free_check(U, 2):
             U = U[:1]
-        q, _ = one_point_extend(q, fresh(U))
+        one_point_extend(b, fresh(U))
         if rng.random() < 0.5:
-            q, _ = one_point_extend(q, sorted(q.ran() - q.dom())[0])
+            one_point_extend(b, sorted(b.ran() - b.dom())[0])
+    q = b.freeze()
     dom_side = []
     for _ in range(rng.randint(1, 2)):
         U = [v for v in dom_side if rng.random() < 0.5]

@@ -10,7 +10,7 @@ from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
                              one_point_extend, pad_components)
 from ultrahom.oracles import LazyOracle
-from ultrahom.partial_iso import cycle_free, empty, from_pairs, power
+from ultrahom.partial_iso import IsoBuilder, cycle_free, empty, from_pairs, power
 
 
 def fresh(s, U=(), V_all=True):
@@ -19,7 +19,8 @@ def fresh(s, U=(), V_all=True):
 
 def test_neigh_extend_success_and_failure(h3):
     a, b = fresh(h3), fresh(h3)
-    q = neigh_extend(empty(h3), a, b)
+    q = IsoBuilder(empty(h3))
+    neigh_extend(q, a, b)
     assert q.pairs() == ((a, b),)
     # y adjacent to an image whose preimage is not a neighbour of x
     c = fresh(h3)
@@ -35,8 +36,10 @@ def test_one_point_extend_contract(h3):
     b = fresh(h3, U=(a,))
     q = from_pairs(h3, [(a, b)])
     avoid = set(q.ran())
-    q2, y = one_point_extend(q, b, avoid)
+    grown = IsoBuilder(q)
+    y = one_point_extend(grown, b, avoid)
     assert y not in avoid and y != b
+    q2 = grown.freeze()
     assert q2.extends(q) and cycle_free(q2)
     # witness postcondition: the new image mirrors the source neighbourhood
     assert h3.neighbors_within(y, q.ran()) == {q.apply(u) for u in
@@ -45,31 +48,37 @@ def test_one_point_extend_contract(h3):
 
 def test_one_point_extend_keeps_class(h3):
     rng = random.Random(20)
-    q = empty(h3)
+    q = IsoBuilder(empty(h3))
     start = fresh(h3)
-    q, _ = one_point_extend(q, start)
+    one_point_extend(q, start)
     for _ in range(6):
         tail = sorted(q.ran() - q.dom())[0]
-        q, _ = one_point_extend(q, tail)
-        assert cycle_free(q)
+        one_point_extend(q, tail)
+        assert cycle_free(q.freeze())
 
 
 def test_pad_components_uniform(h3):
-    q = empty(h3)
+    grown = IsoBuilder(empty(h3))
     a = fresh(h3)
-    q, _ = one_point_extend(q, a)
+    one_point_extend(grown, a)
     b = fresh(h3)
-    q, y = one_point_extend(q, b)
-    q, _ = one_point_extend(q, y)
-    padded, m = pad_components(q)
+    y = one_point_extend(grown, b)
+    one_point_extend(grown, y)
+    q = grown.freeze()
+    m = pad_components(grown)
     assert m == 3
+    padded = grown.freeze()
     assert {len(c) for c in padded.components().components} == {3}
     assert padded.extends(q)
+    with pytest.raises(HypothesisError, match="cycle-free"):
+        pad_components(IsoBuilder(from_pairs(h3, [(a, a)])))
 
 
 def test_chain_link_degenerate(h3):
     x, y = fresh(h3), fresh(h3)
-    out = chain_link(empty(h3), set(), set(), x, y, m=1, sigma1=set(), sigma2=set())
+    b = IsoBuilder(empty(h3))
+    chain_link(b, set(), set(), x, y, m=1, sigma1=set(), sigma2=set())
+    out = b.freeze()
     assert out.chase(x, 2) == y
     assert cycle_free(out)
     interior = out.support() - {x, y}
@@ -80,10 +89,22 @@ def test_chain_link_hypothesis_errors(h3):
     x, y = fresh(h3), fresh(h3)
     q = from_pairs(h3, [(x, y)])
     with pytest.raises(HypothesisError):
-        chain_link(q, set(), {x, y}, x, y, 1, set(), set())  # endpoints not free
+        chain_link(IsoBuilder(q), set(), {x, y}, x, y, 1, set(), set())  # endpoints not free
     z = fresh(h3)
     with pytest.raises(HypothesisError, match="gamma-length"):
-        chain_link(q, set(), {x, y}, z, fresh(h3), 3, set(), set())
+        chain_link(IsoBuilder(q), set(), {x, y}, z, fresh(h3), 3, set(), set())
+    # x and y must agree through q^2 on their neighbours in delta = {a, b, c}
+    a, b, c = fresh(h3), fresh(h3), fresh(h3)
+    q = from_pairs(h3, [(a, b), (b, c)])
+    x = fresh(h3, U=(b,))
+    with pytest.raises(HypothesisError, match=f"neighbour {b} of x escapes"):
+        chain_link(IsoBuilder(q), {a, b, c}, set(), x, fresh(h3), 1, set(), set())
+    x = fresh(h3, U=(a,))
+    with pytest.raises(HypothesisError, match="delta-neighbourhood-match"):
+        chain_link(IsoBuilder(q), {a, b, c}, set(), x, fresh(h3), 1, set(), set())
+    grown, y = IsoBuilder(q), fresh(h3, U=(c,))
+    chain_link(grown, {a, b, c}, set(), x, y, 1, set(), set())
+    assert grown.chase(x, 2) == y
 
 
 def test_build_conjugator_single_pair(h3):
@@ -100,9 +121,9 @@ def test_build_conjugator_two_pairs_with_edges(h3):
     c = fresh(h3)
     d = fresh(h3, U=(c,))
     p = SeparatedIso(from_pairs(h3, [(a, c), (b, d)]))
-    q = empty(h3)
-    start = fresh(h3)
-    q, _ = one_point_extend(q, start, avoid=p.iso.support())
+    b = IsoBuilder(empty(h3))
+    one_point_extend(b, fresh(h3), avoid=p.iso.support())
+    q = b.freeze()
     h, m = build_conjugator(q, p)
     assert power(h, 2 * m).extends(p.iso)
     assert h.extends(q)

@@ -206,14 +206,14 @@ def test_oracle_grown_maps_match_all_pairs_reference(kind):
 
 
 def test_neigh_extend_names_the_range_vertex_of_the_earliest_conflict():
-    """neigh_extend turns extend's one pair check into its own hypothesis clause."""
+    """neigh_extend turns IsoBuilder.add's one pair check into its own hypothesis clause."""
     for seed in range(30):
         rng = random.Random(300 + seed)
         s = random_session(GraphKind.henson(3), rng, rng.randint(4, 24))
         ref = Reference(s)
         pairs = [p for p in random_pairs(s, ref, rng, 8) if min(p) >= 0 and max(p) in ref.verts]
         fwd, bwd = {}, {}
-        q = empty(s)
+        q = IsoBuilder(empty(s))
         for x, y in pairs:
             if x in fwd:
                 continue
@@ -224,7 +224,7 @@ def test_neigh_extend_names_the_range_vertex_of_the_earliest_conflict():
                     neigh_extend(q, x, y)
                 assert got.value.clause == "neighbourhood-match"
             elif want[0] == "ok":
-                q = neigh_extend(q, x, y)
+                neigh_extend(q, x, y)
                 ref.add(fwd, bwd, x, y)
                 assert list(q._fwd.items()) == list(fwd.items())
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ultrahom import nkomega
 from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError
@@ -41,13 +42,14 @@ def test_amalgamate():
              (v(1, 2), v(2, 2)), (v(1, 3), v(2, 3))]
     q = from_pairs(s, pairs)
     # join the sigma-free chain (1,3)->(2,3) onto (1,2)->(2,2): tail (2,2) to head (1,3)
-    out = amalgamate(ctx, q, v(2, 2), v(1, 3))
-    assert out.apply(v(2, 2)) == v(1, 3)
+    b = IsoBuilder(q)
+    amalgamate(ctx, b, v(2, 2), v(1, 3))
+    assert b.apply(v(2, 2)) == v(1, 3) and b.freeze().extends(q)
     with pytest.raises(HypothesisError, match="distinct-components"):
-        amalgamate(ctx, out, v(2, 3), v(1, 2))
+        amalgamate(ctx, b, v(2, 3), v(1, 2))
     sig2 = AFSigmaContext(f, (v(1, 2), v(1, 3), v(1, 0), v(3, 0)))
     with pytest.raises(HypothesisError, match="would-orphan"):
-        amalgamate(sig2, q, v(2, 2), v(1, 3))
+        amalgamate(sig2, IsoBuilder(q), v(2, 2), v(1, 3))
 
 
 def test_class_extend_grows_a_chain_and_refuses_used_points():
@@ -194,6 +196,24 @@ def test_covering_word_multi_gamma():
     rep = check_word_condition(h, gamma, gamma, q.dom(), delta, w, f)
     assert rep.holds, str(rep)
     assert not h.ran() & set(delta)
+
+
+def test_covering_word_checks_the_condition_once_per_stage(monkeypatch):
+    """One check after the base word, then one on entry and one on exit per fill."""
+    calls = []
+    real = nkomega.check_word_condition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nkomega, "check_word_condition", counted)
+    ctx, s, f = simple_ctx()
+    q = simple_q(ctx, s)
+    for gamma in ([], [s.vertex(1, 5)], [s.vertex(1, 5), s.vertex(2, 7), s.vertex(3, 6)]):
+        calls.clear()
+        build_covering_word(ctx, q, gamma, [s.vertex(1, 20)])
+        assert len(calls) == 1 + 2 * len(gamma)
 
 
 def test_covering_word_randomized():
