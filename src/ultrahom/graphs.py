@@ -200,7 +200,15 @@ class GraphSession:
         return self.component_of(u) == self.component_of(v)
 
     def neighbors_within(self, x: int, S: Iterable[int]) -> set[int]:
-        """The neighbours of x inside S; on lazy graphs one set intersection."""
+        """The neighbours of x inside S.
+
+        On lazy graphs this is one set intersection, after an O(|S|) check
+        that every vertex of S is realized; an unknown vertex raises
+        GraphError.  To map x's neighbours through a builder, whose
+        vertices were each checked realized when they joined it, use
+        ``IsoBuilder.neighbour_images`` / ``neighbour_preimages``, which
+        cost O(degree).
+        """
         if self._lazy:
             if isinstance(S, AbstractSet):
                 members = S
@@ -239,13 +247,23 @@ class GraphSession:
         if not self._lazy:
             raise GraphError("neighbour sets exist only for the random / K_n-free families")
         self._require((x, y))
-        adj = self._adj
-        mapped = {fwd[u] for u in adj[x] & fwd.keys()}
-        seen = adj[y] & bwd.keys()
+        mapped = self.mapped_neighbours(x, fwd)
+        seen = self._adj[y] & bwd.keys()
         if mapped == seen:
             return None
         off = mapped ^ seen
         return next(pair for pair in fwd.items() if pair[1] in off)
+
+    def mapped_neighbours(self, x: int, m: dict[int, int]) -> set[int]:
+        """{(u)m : u in N(x) cap dom m}, in O(degree); lazy graphs only.
+
+        x must be realized.  The keys of m are not checked: every caller
+        passes a map whose vertices were checked realized as they joined it.
+        """
+        nx = self._adj.get(x)
+        if nx is None:
+            raise GraphError(f"unknown vertex {x}")
+        return {m[u] for u in nx & m.keys()}
 
     def kn_free_check(self, S: Iterable[int], k: int) -> bool:
         """True iff no k-subset of S induces a complete graph.

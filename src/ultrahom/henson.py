@@ -53,11 +53,10 @@ def neigh_extend(b: IsoBuilder, x: int, y: int) -> None:
 
 def one_point_extend(b: IsoBuilder, x: int, avoid=()) -> int:
     """Extend b at x with a fresh matched witness avoiding the given set; return it."""
-    s = b.session
     if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in the domain")
-    matched = {b.apply(u) for u in s.neighbors_within(x, b.dom())}
-    y = s.alice_witness(matched, (b.ran() | {x} | set(avoid)) - matched)
+    matched = b.neighbour_images(x)
+    y = b.session.alice_witness(matched, (b.ran() | {x} | set(avoid)) - matched)
     neigh_extend(b, x, y)
     return y
 
@@ -69,9 +68,9 @@ def pad_components(b: IsoBuilder, avoid=()) -> int:
     the common length m (at least 1 even when b is empty, so a linking
     chain always has positive length).
     """
-    chains = {c[0]: list(c) for c in b.chains()}
-    if len(chains) != b.count:  # some component is a cycle
+    if not b.cycle_free():
         raise HypothesisError("cycle-free", "cannot pad a map with complete components")
+    chains = {c[0]: list(c) for c in b.chains()}
     m = max((len(v) for v in chains.values()), default=1)
     while True:
         short = sorted((len(v), head) for head, v in chains.items() if len(v) < m)
@@ -84,21 +83,24 @@ def pad_components(b: IsoBuilder, avoid=()) -> int:
 
 
 def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
-               x: int, y: int, m: int,
+               pairs: list[tuple[int, int]], m: int,
                sigma1: set[int], sigma2: set[int]) -> None:
-    """Join x to y in b by a fresh chain of 2m edges.
+    """Join each x to its y in b by a fresh chain of 2m edges, pair by pair.
 
-    The support of b must split as delta | gamma_fixed with gamma_fixed a
-    union of incomplete components all of m vertices; x and y must agree
-    through b^{2m} on their delta-neighbourhoods; sigma1 avoids ran(b),
-    sigma2 avoids dom(b), and both avoid gamma_fixed.  The fresh interior
-    vertices land outside sigma1 u sigma2 with no edges into it.
+    On entry the support of b must split as delta | gamma_fixed with
+    gamma_fixed a union of incomplete components all of m vertices;
+    sigma1 avoids ran(b), sigma2 avoids dom(b), and both avoid
+    gamma_fixed.  Linking cannot break these: every chain's interior is
+    fresh and its endpoints lie outside the support, so each link only
+    adds its vertices to delta.  Per pair, x and y must lie outside the
+    support and agree through b^{2m} on their delta-neighbourhoods.  The
+    fresh interior vertices land outside sigma1 u sigma2 with no edges
+    into it.
     """
     s = b.session
-    support = b.support()
     if delta & gamma_fixed:
         raise HypothesisError("delta-gamma-disjoint")
-    if delta | gamma_fixed != support:
+    if delta | gamma_fixed != b.support():
         raise HypothesisError("support-partition",
                               "delta and gamma_fixed must cover dom(q) u ran(q)")
     gamma_comps = [c for c in b.components().components if set(c.vertices) & gamma_fixed]
@@ -107,36 +109,42 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
             raise HypothesisError("gamma-union-of-components")
         if c.complete or len(c) != m:
             raise HypothesisError("gamma-length", f"component of {c.head} has {len(c)} vertices")
-    if x in support or y in support or x == y:
-        raise HypothesisError("endpoints-free", "x, y must avoid the support of q")
-    images = {v: b.chase(v, 2 * m) for v in s.neighbors_within(x, delta)}
-    escaped = [v for v, w in images.items() if w is None]
-    if escaped:
-        raise HypothesisError("delta-neighbourhood-domain",
-                              f"neighbour {min(escaped)} of x escapes dom(q^2m)")
-    if set(images.values()) != s.neighbors_within(y, delta):
-        raise HypothesisError("delta-neighbourhood-match")
     if sigma1 & b.ran() or sigma2 & b.dom():
         raise HypothesisError("sigma-avoids-q")
     if (sigma1 | sigma2) & gamma_fixed:
         raise HypothesisError("sigma-avoids-gamma")
 
+    delta = set(delta)
     fence = sigma1 | sigma2
-    xs = [x]
-    for i in range(2 * m - 1):
-        horizon = b.support() | fence | {x, y}
-        matched = {b.apply(u) for u in s.neighbors_within(xs[-1], b.dom())}
-        nxt = s.alice_witness(matched, horizon - matched)
-        neigh_extend(b, xs[-1], nxt)
-        xs.append(nxt)
-    neigh_extend(b, xs[-1], y)
-    xs.append(y)
+    horizon = b.support() | fence
+    for x, y in pairs:
+        if b.in_support(x) or b.in_support(y) or x == y:
+            raise HypothesisError("endpoints-free", "x, y must avoid the support of q")
+        images = {v: b.chase(v, 2 * m) for v in s.neighbors_within(x, delta)}
+        escaped = [v for v, w in images.items() if w is None]
+        if escaped:
+            raise HypothesisError("delta-neighbourhood-domain",
+                                  f"neighbour {min(escaped)} of x escapes dom(q^2m)")
+        if set(images.values()) != s.neighbors_within(y, delta):
+            raise HypothesisError("delta-neighbourhood-match")
 
-    for v in xs[1:-1]:
-        internal_check(v not in fence, "interior-avoids-sigma")
-        internal_check(not s.neighbors_within(v, fence), "interior-no-sigma-edges")
-    internal_check(b.chase(x, 2 * m) == y, "chain-connects", f"{x} does not reach {y}")
-    internal_check(len(b.chains()) == b.count, "result-cycle-free")  # no component is a cycle
+        horizon |= {x, y}
+        xs = [x]
+        for _ in range(2 * m - 1):
+            matched = b.neighbour_images(xs[-1])
+            nxt = s.alice_witness(matched, horizon - matched)
+            neigh_extend(b, xs[-1], nxt)
+            horizon.add(nxt)
+            xs.append(nxt)
+        neigh_extend(b, xs[-1], y)
+        xs.append(y)
+        delta.update(xs)
+
+        for v in xs[1:-1]:
+            internal_check(v not in fence, "interior-avoids-sigma")
+            internal_check(not s.neighbors_within(v, fence), "interior-no-sigma-edges")
+        internal_check(b.chase(x, 2 * m) == y, "chain-connects", f"{x} does not reach {y}")
+        internal_check(b.cycle_free(), "result-cycle-free")
 
 
 def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
@@ -154,21 +162,11 @@ def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
         raise HypothesisError("supports-disjoint", "q and p share vertices")
     b = IsoBuilder(q)
     m = pad_components(b, avoid=p_support)
-    gamma = b.support()
-    for x in sorted(piso.dom()):
-        chain_link(b, b.support() - gamma, gamma, x, piso.apply(x), m,
-                   sigma1=piso.dom(), sigma2=piso.ran())
+    chain_link(b, set(), b.support(), [(x, piso.apply(x)) for x in sorted(piso.dom())], m,
+               sigma1=piso.dom(), sigma2=piso.ran())
     h = b.freeze()
     internal_check(power(h, 2 * m).extends(piso), "power-extends-target")
     return h, m
-
-
-def _materialize_images(f: LazyOracle, pts) -> set[int]:
-    return {f.image(v) for v in pts}
-
-
-def _materialize_preimages(f: LazyOracle, pts) -> set[int]:
-    return {f.preimage(v) for v in pts}
 
 
 def density_witness_henson(f: LazyOracle, q: PartialIso,
@@ -195,25 +193,37 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     m = pad_components(b, avoid=set(p_support))
     q = b.freeze()
 
+    # gamma is the support of the march builder, with its f-images and
+    # f-preimages.  Each step materializes only what joined since the last
+    # one (the first step the whole support, in set order): queries on
+    # older vertices are cache hits, so the oracle misses, and with them
+    # the witnesses they create, come in the same order as a full rescan.
     tails = sorted(q.ran() - q.dom())
     b = IsoBuilder(q)
+    gamma = b.support()
+    gamma_f: set[int] = set()
+    gamma_fi: set[int] = set()
+    new = list(gamma)
+    seen = len(b.arrivals)
     marched: list[int] = []
     for tail in tails:
         cur = tail
         for _ in range(m):
-            gamma_set = b.support()
-            x_sup = f.fresh_support_point(avoid=gamma_set)
-            gamma_f = _materialize_images(f, gamma_set)
-            gamma_fi = _materialize_preimages(f, gamma_set)
+            x_sup = f.fresh_support_point(avoid=gamma)
+            gamma_f.update(f.image(v) for v in new)
+            gamma_fi.update(f.preimage(v) for v in new)
             buddy = s.alice_witness({x_sup},
-                                    (gamma_set | gamma_fi | {f.image(x_sup)}) - {x_sup})
+                                    (gamma | gamma_fi | {f.image(x_sup)}) - {x_sup})
             buddy_img = f.image(buddy)
-            matched = {b.apply(u) for u in s.neighbors_within(cur, b.dom())}
+            matched = b.neighbour_images(cur)
             u_set = matched | {buddy}
-            fence = gamma_set | gamma_f | gamma_fi | {buddy_img} | {x_sup, f.image(x_sup)}
+            fence = gamma | gamma_f | gamma_fi | {buddy_img} | {x_sup, f.image(x_sup)}
             nxt = s.alice_witness(u_set, fence - u_set)
             internal_check(f.image(nxt) != nxt, "march-in-support")
             neigh_extend(b, cur, nxt)
+            new = b.arrivals[seen:]
+            seen = len(b.arrivals)
+            gamma.update(new)
             marched.append(nxt)
             cur = nxt
     r = b.freeze()

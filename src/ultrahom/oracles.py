@@ -89,9 +89,8 @@ class LazyOracle(OracleBase):
         got = cache.apply(v)
         if got is not None:
             return got
-        s = self.session
-        matched = {cache.apply(u) for u in s.neighbors_within(v, cache.dom())}
-        y = s.alice_witness(matched, cache.ran() - matched, forbidden=(v,))
+        matched = cache.neighbour_images(v)
+        y = self.session.alice_witness(matched, cache.ran() - matched, forbidden=(v,))
         cache.add(v, y)
         return y
 
@@ -100,9 +99,8 @@ class LazyOracle(OracleBase):
         got = cache.unapply(v)
         if got is not None:
             return got
-        s = self.session
-        matched = {cache.unapply(u) for u in s.neighbors_within(v, cache.ran())}
-        x = s.alice_witness(matched, cache.dom() - matched, forbidden=(v,))
+        matched = cache.neighbour_preimages(v)
+        x = self.session.alice_witness(matched, cache.dom() - matched, forbidden=(v,))
         cache.add(x, v)
         return x
 
@@ -110,7 +108,7 @@ class LazyOracle(OracleBase):
         """A point x with (x)f != x, outside ``avoid``; possible for any finite avoid set."""
         x = self.session.alice_witness((), ())
         y = self.image(x)
-        internal_check(x != y and x not in set(avoid), "fresh-support",
+        internal_check(x != y and x not in avoid, "fresh-support",
                        "fresh witness collided with avoid set")
         return x
 

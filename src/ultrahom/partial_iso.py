@@ -443,6 +443,18 @@ class IsoBuilder(_MapReads):
     def longest_component(self) -> int:
         return self._longest
 
+    def cycle_free(self) -> bool:
+        """True iff no component is a cycle (a fixed point is a cycle of one)."""
+        return len(self._tail_of) == self.count
+
+    def neighbour_images(self, x: int) -> set[int]:
+        """The images of N(x) cap dom on a lazy graph, in O(degree)."""
+        return self.session.mapped_neighbours(x, self._fwd)
+
+    def neighbour_preimages(self, y: int) -> set[int]:
+        """The preimages of N(y) cap ran on a lazy graph, in O(degree)."""
+        return self.session.mapped_neighbours(y, self._bwd)
+
     def index_perm(self) -> IndexPerm | None:
         """Total induced index permutation (n K_omega), or None while partial."""
         if self._perm is None:

@@ -303,22 +303,27 @@ def landing_orbit(p: PartialIso, z: int, longest: int | None = None) -> list[int
     """{(z)p^m : m in Z, defined}, scanning one step past the component bound.
 
     p^0 is read as the empty product here, so z itself is always included.
+    The forward walk comes back to z exactly on a cycle, which it has then
+    walked whole; otherwise the backward walk covers the rest of the
+    chain, and on a chain it cannot meet the forward half.
     """
     if longest is None:
         longest = p.longest_component()
     seen = [z]
     v = z
-    for m in range(longest + 1):
+    for _ in range(longest + 1):
         v = p.apply(v)
         if v is None or v == z:
             break
         seen.append(v)
     else:
         raise GraphError("component scan exceeded the longest-component bound")
+    if v == z:
+        return seen
     v = z
-    for m in range(longest + 1):
+    for _ in range(longest + 1):
         v = p.unapply(v)
-        if v is None or v in seen:
+        if v is None:
             break
         seen.append(v)
     else:

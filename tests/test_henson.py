@@ -11,6 +11,7 @@ from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              one_point_extend, pad_components)
 from ultrahom.oracles import LazyOracle
 from ultrahom.partial_iso import IsoBuilder, cycle_free, empty, from_pairs, power
+from perfbench.workloads import henson_wide_instance, stream
 
 
 def fresh(s, U=(), V_all=True):
@@ -77,7 +78,7 @@ def test_pad_components_uniform(h3):
 def test_chain_link_degenerate(h3):
     x, y = fresh(h3), fresh(h3)
     b = IsoBuilder(empty(h3))
-    chain_link(b, set(), set(), x, y, m=1, sigma1=set(), sigma2=set())
+    chain_link(b, set(), set(), [(x, y)], m=1, sigma1=set(), sigma2=set())
     out = b.freeze()
     assert out.chase(x, 2) == y
     assert cycle_free(out)
@@ -89,22 +90,48 @@ def test_chain_link_hypothesis_errors(h3):
     x, y = fresh(h3), fresh(h3)
     q = from_pairs(h3, [(x, y)])
     with pytest.raises(HypothesisError):
-        chain_link(IsoBuilder(q), set(), {x, y}, x, y, 1, set(), set())  # endpoints not free
+        chain_link(IsoBuilder(q), set(), {x, y}, [(x, y)], 1, set(), set())  # endpoints not free
     z = fresh(h3)
     with pytest.raises(HypothesisError, match="gamma-length"):
-        chain_link(IsoBuilder(q), set(), {x, y}, z, fresh(h3), 3, set(), set())
+        chain_link(IsoBuilder(q), set(), {x, y}, [(z, fresh(h3))], 3, set(), set())
     # x and y must agree through q^2 on their neighbours in delta = {a, b, c}
     a, b, c = fresh(h3), fresh(h3), fresh(h3)
     q = from_pairs(h3, [(a, b), (b, c)])
     x = fresh(h3, U=(b,))
     with pytest.raises(HypothesisError, match=f"neighbour {b} of x escapes"):
-        chain_link(IsoBuilder(q), {a, b, c}, set(), x, fresh(h3), 1, set(), set())
+        chain_link(IsoBuilder(q), {a, b, c}, set(), [(x, fresh(h3))], 1, set(), set())
     x = fresh(h3, U=(a,))
     with pytest.raises(HypothesisError, match="delta-neighbourhood-match"):
-        chain_link(IsoBuilder(q), {a, b, c}, set(), x, fresh(h3), 1, set(), set())
+        chain_link(IsoBuilder(q), {a, b, c}, set(), [(x, fresh(h3))], 1, set(), set())
     grown, y = IsoBuilder(q), fresh(h3, U=(c,))
-    chain_link(grown, {a, b, c}, set(), x, y, 1, set(), set())
+    chain_link(grown, {a, b, c}, set(), [(x, y)], 1, set(), set())
     assert grown.chase(x, 2) == y
+
+
+def test_chain_link_checks_each_pair_against_the_grown_delta(h3):
+    a, b, c = fresh(h3), fresh(h3), fresh(h3)
+    q = from_pairs(h3, [(a, b), (b, c)])
+    x1, y1 = fresh(h3, U=(a,)), fresh(h3, U=(c,))
+    x2 = fresh(h3, U=(x1,))  # x1 joins delta with the first link; (x1)q^2 = y1
+    grown = IsoBuilder(q)
+    with pytest.raises(HypothesisError, match="delta-neighbourhood-match"):
+        chain_link(grown, {a, b, c}, set(), [(x1, y1), (x2, fresh(h3))], 1, set(), set())
+    assert grown.chase(x1, 2) == y1  # the first pair was linked before the second failed
+    grown, y2 = IsoBuilder(q), fresh(h3, U=(y1,))
+    chain_link(grown, {a, b, c}, set(), [(x1, y1), (x2, y2)], 1, set(), set())
+    assert grown.chase(x1, 2) == y1 and grown.chase(x2, 2) == y2
+    assert cycle_free(grown.freeze())
+
+
+def test_chain_link_checks_gamma_before_creating_a_witness(h3):
+    x, y = fresh(h3), fresh(h3)
+    b = IsoBuilder(from_pairs(h3, [(x, y)]))
+    pairs = [(fresh(h3), fresh(h3)), (fresh(h3), fresh(h3))]
+    before = len(h3.transcript())
+    with pytest.raises(HypothesisError, match="gamma-length"):
+        chain_link(b, set(), {x, y}, pairs, 3, set(), set())
+    assert len(h3.transcript()) == before
+    assert b.pairs() == ((x, y),)
 
 
 def test_build_conjugator_single_pair(h3):
@@ -172,3 +199,21 @@ def test_density_witness_randomized_small():
 def test_density_witness_henson_n4():
     cert = henson_trial(4, random.Random(77))
     assert verify(cert).ok
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_henson_build_queries_the_oracle_linearly_in_the_target(monkeypatch, width):
+    """The march materializes f only on vertices that joined since its last step."""
+    queries = []
+    for name in ("try_image", "try_preimage"):
+        real = getattr(LazyOracle, name)
+
+        def counted(self, v, _real=real):
+            queries.append(v)
+            return _real(self, v)
+
+        monkeypatch.setattr(LazyOracle, name, counted)
+    f, q, p = henson_wide_instance(stream(1, "scale", 0), width=width)
+    queries.clear()
+    density_witness_henson(f, q, p)
+    assert len(queries) <= 50 * width, len(queries)

@@ -5,7 +5,7 @@ import pytest
 from conftest import (CountingDict, brute_components, brute_compose, chase_pairs,
                       random_injection_in_clique)
 from ultrahom.campaigns import nkomega_instance, nkomega_oracle
-from ultrahom.errors import IsoError
+from ultrahom.errors import GraphError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
                                   compose, cycle_free, empty, extend, from_pairs,
@@ -209,6 +209,7 @@ def _assert_builder_matches(b, s):
     view = ComponentView.of(frozen)
     assert b.longest_component() == max((len(c) for c in view.components), default=0)
     assert b.count == len(view.components)
+    assert b.cycle_free() == cycle_free(frozen)
     assert b.index_perm() == index_perm_of(frozen, s.kind.n)
     assert sorted(b.chains()) == sorted(c.vertices for c in view.incomplete_components())
     for c in view.components:
@@ -280,6 +281,12 @@ def test_builder_add_matches_extend_on_lazy_graphs(h3):
             continue
         b.add(x, y)
         assert b.freeze() == ref
+        for v in vs:
+            assert b.neighbour_images(v) == {b.apply(u) for u in h3.neighbors_within(v, b.dom())}
+            assert b.neighbour_preimages(v) == {b.unapply(u)
+                                                for u in h3.neighbors_within(v, b.ran())}
+    with pytest.raises(GraphError, match="unknown vertex 99"):
+        b.neighbour_images(99)
 
 
 def test_fresh_window_matches_f_closure():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_injection_in_clique
+from conftest import brute_components, random_injection_in_clique
 from ultrahom.certs import brute_force_word_eval
 from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
@@ -12,7 +12,7 @@ from ultrahom.oracles import FrozenOracle, NKOracle
 from ultrahom.partial_iso import IsoBuilder, from_pairs, identity_on, compose
 from ultrahom.perms import IndexPerm
 from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
-                            concat, empty_word, evaluate,
+                            concat, empty_word, evaluate, landing_orbit,
                             largest_defined_prefix, parse_word, reduce_word,
                             swap_a_sign, word_index_image)
 
@@ -248,3 +248,37 @@ def test_chase_and_prefix_agree_with_letter_walks(nk2):
         assert len(largest_defined_prefix(w, p, f, x)) == k
         assert chase(w, x, p, f) == (v if k == len(w) else None)
         assert chase(raw, x, p, f) == chase(w, x, p, f)
+
+
+def test_landing_orbit_matches_brute_components(nk2):
+    """Chains and cycles of up to 40 vertices: the orbit is z, then forward, then backward.
+
+    The scan is one step past ``longest``; a walk that needs more steps
+    raises GraphError.
+    """
+    rng = random.Random(302)
+    for _ in range(40):
+        pts = [nk2.vertex(1, t) for t in rng.sample(range(400), 120)]
+        pairs, i = [], 0
+        while i < len(pts):
+            size = rng.randint(1, 40)
+            comp = pts[i:i + size]
+            i += size
+            pairs += zip(comp, comp[1:])
+            if rng.random() < 0.4:
+                pairs.append((comp[-1], comp[0]))
+        p = from_pairs(nk2, pairs)
+        outside = nk2.vertex(1, 400)
+        assert landing_orbit(p, outside) == [outside]
+        for chain, cyclic in brute_components(pairs):
+            comp = list(chain)
+            for j, z in enumerate(comp):
+                forward, backward = comp[j:], comp[:j][::-1]
+                want = comp[j:] + comp[:j] if cyclic else forward + backward
+                steps = len(comp) if cyclic else max(len(forward), len(backward) + 1)
+                longest = rng.choice([None, len(comp), steps - 1, steps - 2])
+                if longest is not None and steps > longest + 1:
+                    with pytest.raises(GraphError, match="longest-component bound"):
+                        landing_orbit(p, z, longest)
+                else:
+                    assert landing_orbit(p, z, longest) == want
