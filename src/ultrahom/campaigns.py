@@ -85,14 +85,14 @@ def henson_trial(n: int, rng: random.Random) -> WitnessCertificate:
     f = LazyOracle(s)
     for _ in range(rng.randint(1, 3)):
         U = _random_kfree_subset(s, s.realized(), rng, 2)
-        s.alice_witness(U, set(s.realized()) - set(U))
+        s.alice_witness(U)
     for _ in range(rng.randint(0, 2)):
         f.image(rng.choice(s.realized()))
 
     b = IsoBuilder(empty(s))
     for _ in range(rng.randint(0, 2)):
         U = _random_kfree_subset(s, s.realized(), rng, 2)
-        start = s.alice_witness(U, set(s.realized()) - set(U))
+        start = s.alice_witness(U)
         one_point_extend(b, start)
         if rng.random() < 0.5:
             one_point_extend(b, sorted(b.ran() - b.dom())[0])
@@ -100,11 +100,11 @@ def henson_trial(n: int, rng: random.Random) -> WitnessCertificate:
     dom_side: list[int] = []
     for _ in range(rng.randint(1, 2)):
         U = _random_kfree_subset(s, dom_side, rng, 1)
-        dom_side.append(s.alice_witness(U, set(s.realized()) - set(U)))
+        dom_side.append(s.alice_witness(U))
     ran_side: list[int] = []
     for i, v in enumerate(dom_side):
         U = [ran_side[j] for j in range(i) if s.adjacent(v, dom_side[j])]
-        ran_side.append(s.alice_witness(U, set(s.realized()) - set(U)))
+        ran_side.append(s.alice_witness(U))
     p = SeparatedIso(from_pairs(s, list(zip(dom_side, ran_side))))
     return density_witness_henson(f, b.freeze(), p)
 

@@ -166,7 +166,7 @@ _OPTIONAL_DATA = {"sigma": _ints, "product_pairs": _pairs}
 _ORACLE_KEYS = {
     "lazy_fresh": (("pairs", _pairs, True),),
     "frozen": (("pairs", _pairs, True),),
-    "omega_shift": (("step", _is_int, True), ("pos_perm", _ints, False)),
+    "omega_shift": (("step", _is_int, True), ("pos_perm", _ints, True)),
     "nk_policy": (("sigma", _ints, True), ("band_rows", _is_int, False),
                   ("band_pairs", _pairs, False), ("fixed_tail", _ints, False)),
 }

@@ -301,9 +301,10 @@ class GraphSession:
                       forbidden: Iterable[int] = ()) -> int:
         """Create a fresh vertex adjacent to every vertex of U and nothing else.
 
-        The new vertex w satisfies N(w) = U within the realized session, in
-        particular N(w) cap (U u V u forbidden) = U.  For the K_n-free
-        family U must not contain a (n-1)-clique.  V and forbidden are
+        The new w has N(w) = U within the realized session, so it misses
+        every other realized vertex; engines pass U only.  For the K_n-free
+        family U must not contain a (n-1)-clique.  The fences V and
+        forbidden, kept for schema-1 replay and positional callers, are
         checked (disjoint from U, every vertex known) but not recorded:
         the transcript entry is (sorted U, w), all that fixes the graph.
         """

@@ -51,22 +51,22 @@ def neigh_extend(b: IsoBuilder, x: int, y: int) -> None:
                               f"range vertex {off} unmatched between N(y) and (N(x))q") from None
 
 
-def one_point_extend(b: IsoBuilder, x: int, avoid=()) -> int:
-    """Extend b at x with a fresh matched witness avoiding the given set; return it."""
+def one_point_extend(b: IsoBuilder, x: int) -> int:
+    """Extend b at x with a new vertex adjacent to exactly (N(x))b; return it."""
     if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in the domain")
-    matched = b.neighbour_images(x)
-    y = b.session.alice_witness(matched, (b.ran() | {x} | set(avoid)) - matched)
+    y = b.session.alice_witness(b.neighbour_images(x))
     neigh_extend(b, x, y)
     return y
 
 
-def pad_components(b: IsoBuilder, avoid=()) -> int:
+def pad_components(b: IsoBuilder) -> int:
     """Extend chain tails until every component has the same vertex count.
 
-    Shortest components first, ties broken by lowest vertex id.  Returns
-    the common length m (at least 1 even when b is empty, so a linking
-    chain always has positive length).
+    Shortest components first, ties broken by lowest vertex id, each tail
+    extended by ``one_point_extend``.  Returns the common length m (at
+    least 1 even when b is empty, so a linking chain always has positive
+    length).
     """
     if not b.cycle_free():
         raise HypothesisError("cycle-free", "cannot pad a map with complete components")
@@ -78,7 +78,7 @@ def pad_components(b: IsoBuilder, avoid=()) -> int:
             break
         _, head = short[0]
         chain = chains[head]
-        chain.append(one_point_extend(b, chain[-1], avoid))
+        chain.append(one_point_extend(b, chain[-1]))
     return m
 
 
@@ -116,7 +116,6 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
 
     delta = set(delta)
     fence = sigma1 | sigma2
-    horizon = b.support() | fence
     for x, y in pairs:
         if b.in_support(x) or b.in_support(y) or x == y:
             raise HypothesisError("endpoints-free", "x, y must avoid the support of q")
@@ -128,13 +127,10 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
         if set(images.values()) != s.neighbors_within(y, delta):
             raise HypothesisError("delta-neighbourhood-match")
 
-        horizon |= {x, y}
         xs = [x]
         for _ in range(2 * m - 1):
-            matched = b.neighbour_images(xs[-1])
-            nxt = s.alice_witness(matched, horizon - matched)
+            nxt = s.alice_witness(b.neighbour_images(xs[-1]))
             neigh_extend(b, xs[-1], nxt)
-            horizon.add(nxt)
             xs.append(nxt)
         neigh_extend(b, xs[-1], y)
         xs.append(y)
@@ -161,7 +157,7 @@ def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
     if q.support() & p_support:
         raise HypothesisError("supports-disjoint", "q and p share vertices")
     b = IsoBuilder(q)
-    m = pad_components(b, avoid=p_support)
+    m = pad_components(b)
     chain_link(b, set(), b.support(), [(x, piso.apply(x)) for x in sorted(piso.dom())], m,
                sigma1=piso.dom(), sigma2=piso.ran())
     h = b.freeze()
@@ -189,20 +185,18 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     b = IsoBuilder(q)
     for v in p_support:
         if v not in b.dom():
-            one_point_extend(b, v, avoid=set(p_support))
-    m = pad_components(b, avoid=set(p_support))
+            one_point_extend(b, v)
+    m = pad_components(b)
     q = b.freeze()
 
-    # gamma is the support of the march builder, with its f-images and
-    # f-preimages.  Each step materializes only what joined since the last
-    # one (the first step the whole support, in set order): queries on
-    # older vertices are cache hits, so the oracle misses, and with them
-    # the witnesses they create, come in the same order as a full rescan.
+    # gamma is the support of the march builder.  Each step queries f, then
+    # f^-1, on what joined since the last one (the first step the whole
+    # support, in set order), then f on buddy: misses create witnesses, so
+    # this order fixes vertex ids, and it makes f(gamma) u f^-1(gamma) real
+    # before nxt, which then has no neighbour among them outside its U.
     tails = sorted(q.ran() - q.dom())
     b = IsoBuilder(q)
     gamma = b.support()
-    gamma_f: set[int] = set()
-    gamma_fi: set[int] = set()
     new = list(gamma)
     seen = len(b.arrivals)
     marched: list[int] = []
@@ -210,15 +204,13 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
         cur = tail
         for _ in range(m):
             x_sup = f.fresh_support_point(avoid=gamma)
-            gamma_f.update(f.image(v) for v in new)
-            gamma_fi.update(f.preimage(v) for v in new)
-            buddy = s.alice_witness({x_sup},
-                                    (gamma | gamma_fi | {f.image(x_sup)}) - {x_sup})
-            buddy_img = f.image(buddy)
-            matched = b.neighbour_images(cur)
-            u_set = matched | {buddy}
-            fence = gamma | gamma_f | gamma_fi | {buddy_img} | {x_sup, f.image(x_sup)}
-            nxt = s.alice_witness(u_set, fence - u_set)
+            for v in new:
+                f.image(v)
+            for v in new:
+                f.preimage(v)
+            buddy = s.alice_witness({x_sup})
+            f.image(buddy)
+            nxt = s.alice_witness(b.neighbour_images(cur) | {buddy})
             internal_check(f.image(nxt) != nxt, "march-in-support")
             neigh_extend(b, cur, nxt)
             new = b.arrivals[seen:]

@@ -89,8 +89,7 @@ class LazyOracle(OracleBase):
         got = cache.apply(v)
         if got is not None:
             return got
-        matched = cache.neighbour_images(v)
-        y = self.session.alice_witness(matched, cache.ran() - matched, forbidden=(v,))
+        y = self.session.alice_witness(cache.neighbour_images(v))
         cache.add(v, y)
         return y
 
@@ -99,14 +98,13 @@ class LazyOracle(OracleBase):
         got = cache.unapply(v)
         if got is not None:
             return got
-        matched = cache.neighbour_preimages(v)
-        x = self.session.alice_witness(matched, cache.dom() - matched, forbidden=(v,))
+        x = self.session.alice_witness(cache.neighbour_preimages(v))
         cache.add(x, v)
         return x
 
     def fresh_support_point(self, avoid=()) -> int:
         """A point x with (x)f != x, outside ``avoid``; possible for any finite avoid set."""
-        x = self.session.alice_witness((), ())
+        x = self.session.alice_witness(())
         y = self.image(x)
         internal_check(x != y and x not in avoid, "fresh-support",
                        "fresh witness collided with avoid set")
@@ -133,9 +131,11 @@ class OmegaShiftOracle(OracleBase):
         self.session = session
         self.step = step
         self.pos_perm = tuple(pos_perm) if pos_perm is not None else tuple(range(n))
-        if sorted(self.pos_perm) != list(range(n)):
+        if len(self.pos_perm) != n or set(self.pos_perm) != set(range(n)):  # n may be huge
             raise GraphError(f"pos_perm must permute 0..{n - 1}")
-        self._inv = tuple(self.pos_perm.index(p) for p in range(n))
+        self._inv = [0] * n
+        for i, p in enumerate(self.pos_perm):
+            self._inv[p] = i
 
     def try_image(self, v: int) -> int:
         s = self.session
@@ -187,6 +187,8 @@ class NKOracle(OracleBase):
         self.band_rows = band_rows
         self.fixed_tail = frozenset(fixed_tail)
         for c in self.fixed_tail:
+            if not 1 <= c <= n:
+                raise GraphError(f"fixed tail component {c} out of range 1..{n}")
             if sigma(c) != c:
                 raise GraphError(f"fixed tail component {c} is moved by sigma")
         band = {session.vertex(c, t) for c in range(1, n + 1) for t in range(band_rows)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, KeysView
 
-from .errors import IsoError
+from .errors import GraphError, IsoError
 from .graphs import GraphSession
 from .perms import IndexPerm
 
@@ -160,6 +160,8 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
     cinv: dict[int, tuple[int, tuple[int, int]]] = {}
     comp = session.component_of
     for x, y in pairs:
+        if x < 0 or y < 0:  # no vertex of a component graph has a negative id
+            raise GraphError(f"unknown vertex {x if x < 0 else y}")
         prev = fwd.get(x)
         if prev is not None:
             if prev != y:

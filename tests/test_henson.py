@@ -38,7 +38,7 @@ def test_one_point_extend_contract(h3):
     q = from_pairs(h3, [(a, b)])
     avoid = set(q.ran())
     grown = IsoBuilder(q)
-    y = one_point_extend(grown, b, avoid)
+    y = one_point_extend(grown, b)
     assert y not in avoid and y != b
     q2 = grown.freeze()
     assert q2.extends(q) and cycle_free(q2)
@@ -149,8 +149,9 @@ def test_build_conjugator_two_pairs_with_edges(h3):
     d = fresh(h3, U=(c,))
     p = SeparatedIso(from_pairs(h3, [(a, c), (b, d)]))
     b = IsoBuilder(empty(h3))
-    one_point_extend(b, fresh(h3), avoid=p.iso.support())
+    one_point_extend(b, fresh(h3))
     q = b.freeze()
+    assert not q.support() & p.iso.support()
     h, m = build_conjugator(q, p)
     assert power(h, 2 * m).extends(p.iso)
     assert h.extends(q)
@@ -217,3 +218,20 @@ def test_henson_build_queries_the_oracle_linearly_in_the_target(monkeypatch, wid
     queries.clear()
     density_witness_henson(f, q, p)
     assert len(queries) <= 50 * width, len(queries)
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_henson_build_states_witnesses_linearly_in_the_target(monkeypatch, width):
+    """A witness call names only its U: the build passes no fence of size |r|."""
+    named = []
+    real = GraphSession.alice_witness
+
+    def counted(self, U, V=(), forbidden=()):
+        U, V, forbidden = list(U), list(V), list(forbidden)
+        named.append(len(U) + len(V) + len(forbidden))
+        return real(self, U, V, forbidden)
+
+    f, q, p = henson_wide_instance(stream(1, "scale", 0), width=width)
+    monkeypatch.setattr(GraphSession, "alice_witness", counted)
+    density_witness_henson(f, q, p)
+    assert named and sum(named) <= 100 * width, (len(named), sum(named))

@@ -8,6 +8,8 @@ and ``omega-kn`` n=3 trial 0, one per line in that order.
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import CountingDict
 from perfbench.workloads import henson_wide_instance, stream
 from ultrahom import partial_iso
@@ -161,3 +163,43 @@ def test_verify_cost_does_not_grow_with_the_exponent(monkeypatch):
     # h is one 2-cycle, so only the parity of m matters
     assert reports[10 ** 18] == reports[0] and reports[10 ** 18 + 1] == reports[1]
     assert ("h-cycle-free", False, "") in reports[0]
+
+
+def _set_p(doc, pairs):
+    doc["p"] = pairs
+
+
+def _set_fixed_tail(doc, tail):
+    doc["oracle"]["fixed_tail"] = tail
+
+
+def _widen_omega(doc, keep_pos_perm):
+    doc["family"]["n"] = 10 ** 6
+    if not keep_pos_perm:
+        del doc["oracle"]["pos_perm"]
+
+
+# (trial, mutation, failing clause, note): each must be a report, never an exception
+HOSTILE = (
+    (("nkomega", 3), lambda d: _set_p(d, [[-3, -6]]), "inputs-validate", "unknown vertex -3"),
+    (("n2", 2), lambda d: _set_p(d, [[-3, -6]]), "inputs-validate", "unknown vertex -3"),
+    (("omega-kn", 3), lambda d: _set_p(d, [[-3, -6]]), "inputs-validate", "unknown vertex -3"),
+    (("n2", 2), lambda d: _set_fixed_tail(d, [100]), "inputs-validate",
+     "fixed tail component 100 out of range 1..2"),
+    (("n2", 2), lambda d: _set_fixed_tail(d, [0]), "inputs-validate",
+     "fixed tail component 0 out of range 1..2"),
+    (("omega-kn", 3), lambda d: _widen_omega(d, keep_pos_perm=False), "certificate-shape",
+     "oracle omega_shift lacks pos_perm"),
+    (("omega-kn", 3), lambda d: _widen_omega(d, keep_pos_perm=True), "inputs-validate",
+     "pos_perm must permute 0..999999"),
+)
+
+
+@pytest.mark.parametrize("trial, mutate, clause, note", HOSTILE,
+                         ids=["nkomega-negative-id", "n2-negative-id", "omega-kn-negative-id",
+                              "n2-fixed-tail-100", "n2-fixed-tail-0",
+                              "omega-kn-wide-no-pos-perm", "omega-kn-wide-pos-perm"])
+def test_hostile_certificates_are_rejected_on_a_named_clause(trial, mutate, clause, note):
+    doc = json.loads(run_trial(*trial, 1, 0).to_json())
+    mutate(doc)
+    assert _failing(doc) == [(clause, note)]
