@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import HENSON_CLAIM, WitnessCertificate
+from .certs import HENSON_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import HypothesisError, IsoError, internal_check
 from .oracles import LazyOracle
 from .partial_iso import IsoBuilder, PartialIso, cycle_free, power, validate
@@ -115,7 +115,9 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
         raise HypothesisError("sigma-avoids-gamma")
 
     delta = set(delta)
-    fence = sigma1 | sigma2
+    # as an identity map, so mapped_neighbours reads N(v) cap fence in O(degree)
+    fence = {v: v for v in sigma1 | sigma2}
+    s._require(fence)
     for x, y in pairs:
         if b.in_support(x) or b.in_support(y) or x == y:
             raise HypothesisError("endpoints-free", "x, y must avoid the support of q")
@@ -138,7 +140,7 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
 
         for v in xs[1:-1]:
             internal_check(v not in fence, "interior-avoids-sigma")
-            internal_check(not s.neighbors_within(v, fence), "interior-no-sigma-edges")
+            internal_check(not s.mapped_neighbours(v, fence), "interior-no-sigma-edges")
         internal_check(b.chase(x, 2 * m) == y, "chain-connects", f"{x} does not reach {y}")
         internal_check(b.cycle_free(), "result-cycle-free")
 
@@ -189,21 +191,20 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     m = pad_components(b)
     q = b.freeze()
 
-    # gamma is the support of the march builder.  Each step queries f, then
-    # f^-1, on what joined since the last one (the first step the whole
-    # support, in set order), then f on buddy: misses create witnesses, so
-    # this order fixes vertex ids, and it makes f(gamma) u f^-1(gamma) real
-    # before nxt, which then has no neighbour among them outside its U.
+    # Each march step queries f, then f^-1, on what joined the builder since
+    # the last one (the first step its whole support, in set order), then f
+    # on buddy: misses create witnesses, so this order fixes vertex ids, and
+    # it makes f and f^-1 of the support real before nxt, which then has no
+    # neighbour among them outside its U.
     tails = sorted(q.ran() - q.dom())
     b = IsoBuilder(q)
-    gamma = b.support()
-    new = list(gamma)
+    new = list(b.support())
     seen = len(b.arrivals)
     marched: list[int] = []
     for tail in tails:
         cur = tail
         for _ in range(m):
-            x_sup = f.fresh_support_point(avoid=gamma)
+            x_sup = f.fresh_support_point()
             for v in new:
                 f.image(v)
             for v in new:
@@ -215,7 +216,6 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
             neigh_extend(b, cur, nxt)
             new = b.arrivals[seen:]
             seen = len(b.arrivals)
-            gamma.update(new)
             marched.append(nxt)
             cur = nxt
     r = b.freeze()
@@ -238,13 +238,10 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
 
     h, l = build_conjugator(r, u)
 
-    for x in sorted(piso.dom()):
-        v = h.chase(x, m)
-        v = f.image(v)
-        v = h.chase(v, 2 * l)
-        v = f.preimage(v)
-        v = h.chase(v, -m)
-        internal_check(v == piso.apply(x), "product-extends-target", f"at {x}")
+    # before the certificate: misses of the lazy f here create vertices
+    data = {"m": m, "l": l}
+    miss = product_miss(claim_word(HENSON_CLAIM, data), piso.pairs(), h, f)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
 
     return WitnessCertificate(
         family=s.kind,
@@ -254,5 +251,5 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
         q=[list(t) for t in q_in.pairs()],
         p=[list(t) for t in piso.pairs()],
         h=[list(t) for t in h.pairs()],
-        data={"m": m, "l": l},
+        data=data,
     )

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate
+from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
 from .oracles import NKOracle
-from .partial_iso import (FreshWindow, IsoBuilder, PartialIso, compose, index_perm_of,
-                          invert, power)
+from .partial_iso import FreshWindow, IsoBuilder, PartialIso, index_perm_of, invert
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
 from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                     concat, empty_word, evaluate, landing_orbit, reduce_word,
@@ -637,9 +636,11 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
             _class_extend(ctx, h, Y, Z)
     h = h.freeze()
 
-    product = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
+    data = {"k": k, "w1": str(w1), "w2": str(w2), "sigma": list(ctx.sigma)}
+    product = evaluate(claim_word(NKOMEGA_CLAIM, data), h, f)
     internal_check(product.extends(piso), "product-extends-target")
     internal_check(h.extends(q_in), "h-extends-q")
+    data["product_pairs"] = [list(t) for t in product.pairs()]
 
     return WitnessCertificate(
         family=s.kind,
@@ -649,9 +650,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
         q=[list(t) for t in q_in.pairs()],
         p=[list(t) for t in piso.pairs()],
         h=[list(t) for t in h.pairs()],
-        data={"k": k, "w1": str(w1), "w2": str(w2),
-              "sigma": list(ctx.sigma),
-              "product_pairs": [list(t) for t in product.pairs()]},
+        data=data,
     )
 
 
@@ -747,10 +746,10 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     h = h.freeze()
 
     raw = [("b", m1), ("a", 1), ("b", m2), ("a", 2), ("b", -m4), ("a", 1), ("b", -m3)]
-    word = reduce_word([syl for syl in raw if syl[1] != 0])
-    for x in sorted(piso.dom()):
-        internal_check(chase(word, x, h, f) == piso.apply(x),
-                       "product-extends-target", f"at {x}")
+    data = {"word": str(reduce_word([syl for syl in raw if syl[1] != 0])),
+            "exponents": [m1, m2, m3, m4], "sigma": list(ctx.sigma)}
+    miss = product_miss(claim_word(N2_CLAIM, data), piso.pairs(), h, f)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
     internal_check(h.extends(q_in), "h-extends-q")
 
     return WitnessCertificate(
@@ -761,6 +760,5 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
         q=[list(t) for t in q_in.pairs()],
         p=[list(t) for t in piso.pairs()],
         h=[list(t) for t in h.pairs()],
-        data={"word": str(word), "exponents": [m1, m2, m3, m4],
-              "sigma": list(ctx.sigma)},
+        data=data,
     )

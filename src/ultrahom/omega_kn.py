@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import OMEGA_CLAIM, WitnessCertificate
+from .certs import OMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
 from .graphs import GraphSession, _unzigzag, _zigzag
 from .oracles import OmegaShiftOracle
@@ -366,13 +366,9 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     internal_check(in_orbit_rep_class(h, sigma), "h-class-membership")
     internal_check(h.extends(q_in), "h-extends-q")
 
-    for x in sorted(piso.dom()):
-        v = h.chase(x, m)
-        v = f.image(v)
-        v = h.apply(v)
-        v = f.preimage(v)
-        v = h.chase(v, -m)
-        internal_check(v == piso.apply(x), "product-extends-target", f"at {x}")
+    data = {"m": m, "sigma": sigma}
+    miss = product_miss(claim_word(OMEGA_CLAIM, data), piso.pairs(), h, f)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
 
     return WitnessCertificate(
         family=s.kind,
@@ -382,5 +378,5 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
         q=[list(t) for t in q_in.pairs()],
         p=[list(t) for t in piso.pairs()],
         h=[list(t) for t in h.pairs()],
-        data={"m": m, "sigma": sigma},
+        data=data,
     )

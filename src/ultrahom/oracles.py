@@ -102,12 +102,10 @@ class LazyOracle(OracleBase):
         cache.add(x, v)
         return x
 
-    def fresh_support_point(self, avoid=()) -> int:
-        """A point x with (x)f != x, outside ``avoid``; possible for any finite avoid set."""
+    def fresh_support_point(self) -> int:
+        """A fresh witness x with (x)f != x: new, so outside every vertex set realized before."""
         x = self.session.alice_witness(())
-        y = self.image(x)
-        internal_check(x != y and x not in avoid, "fresh-support",
-                       "fresh witness collided with avoid set")
+        internal_check(x != self.image(x), "fresh-support")
         return x
 
     def description(self) -> dict:

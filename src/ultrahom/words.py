@@ -129,7 +129,8 @@ def _steps(syllables, p, f) -> list:
     """The word compiled against p and f: one step function per letter.
 
     'a' letters step through p's maps (which a growing map updates in
-    place), 'b' letters through the oracle's image and preimage.
+    place), 'b' letters through the oracle's image and preimage.  For
+    walks that need the letter they stop at; ``walk`` gives end values.
     """
     out = []
     for letter, exp in syllables:
@@ -155,12 +156,32 @@ def _walk(steps: list, v: int, k: int = 0) -> tuple[int, int]:
     return len(steps), v
 
 
+def walk(syllables: Iterable[Syllable], x: int, p, f) -> int | None:
+    """End of x's walk through raw syllables, or None once a step is undefined.
+
+    The syllables are read literally, not reduced.  An 'a^k' syllable is
+    one ``p.chase``, O(|p|) whatever k is; a 'b^k' syllable takes |k|
+    oracle steps.
+    """
+    v = x
+    for letter, exp in syllables:
+        if letter == "a":
+            v = p.chase(v, exp)
+        else:
+            step = f.try_image if exp > 0 else f.try_preimage
+            for _ in range(abs(exp)):
+                v = step(v)
+                if v is None:
+                    break
+        if v is None:
+            return None
+    return v
+
+
 def chase(w: FreeWord | Sequence[Syllable], x: int, p: PartialIso, f) -> int | None:
     """Image of x under the word's realization, or None when undefined."""
     sylls = w.syllables if isinstance(w, FreeWord) else reduce_word(w).syllables
-    steps = _steps(sylls, p, f)
-    k, v = _walk(steps, x)
-    return v if k == len(steps) else None
+    return walk(sylls, x, p, f)
 
 
 def evaluate(w, p: PartialIso, f) -> PartialIso:
@@ -201,11 +222,9 @@ def evaluate(w, p: PartialIso, f) -> PartialIso:
                 candidates = back
 
     fwd = {}
-    steps = _steps(sylls, p, f)
-    end = len(steps)
     for x in sorted(candidates):
-        k, v = _walk(steps, x)
-        if k == end:
+        v = walk(sylls, x, p, f)
+        if v is not None:
             fwd[x] = v
     # a word realization is automatically injective and adjacency-preserving
     return PartialIso(p.session, fwd, {y: x for x, y in fwd.items()})

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -6,10 +7,14 @@ from pathlib import Path
 import pytest
 
 from ultrahom.campaigns import campaign, henson_trial, run_trial, write_certs, read_certs
-from ultrahom.certs import (WitnessCertificate, brute_force_word_eval, verify)
+from ultrahom.certs import (HENSON_CLAIM, N2_CLAIM, NKOMEGA_CLAIM, OMEGA_CLAIM,
+                            WitnessCertificate, brute_force_word_eval, claim_word, verify)
 from ultrahom.cli import main
 from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.oracles import oracle_from_description
+from ultrahom.partial_iso import compose, invert, power, validate
 from ultrahom.perms import IndexPerm
+from ultrahom.words import evaluate, parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ultrahom"
 
@@ -47,6 +52,61 @@ def test_verifier_is_engine_independent():
     for engine in ("henson", "omega_kn", "nkomega", "campaigns", "cli"):
         assert not re.search(rf"from\s+\.{engine}\s+import|import\s+\.{engine}", text), \
             f"certs.py must not import {engine}"
+
+
+def test_verifier_imports_reach_no_engine():
+    """certs.py and every package module it imports, transitively, import no engine."""
+    engines = {"henson", "omega_kn", "nkomega", "campaigns", "cli"}
+    seen, todo = set(), ["certs"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ultrahom"):
+                names = [node.module.partition(".")[2]] if "." in node.module \
+                    else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.partition(".")[2] for a in node.names
+                         if a.name.startswith("ultrahom.")]
+            else:
+                continue
+            for name in names:
+                assert name not in engines, f"{module}.py imports {name}"
+                if (SRC / f"{name}.py").exists():
+                    todo.append(name)
+    assert {"certs", "words", "partial_iso", "oracles", "graphs"} <= seen
+
+
+def test_claim_words_are_the_four_products_unreduced():
+    assert claim_word(HENSON_CLAIM, {"m": 2, "l": 3}) == \
+        [("a", 2), ("b", 1), ("a", 6), ("b", -1), ("a", -2)]
+    assert claim_word(HENSON_CLAIM, {"m": 0, "l": 0}) == [("b", 1), ("b", -1)]
+    assert claim_word(OMEGA_CLAIM, {"m": 1}) == \
+        [("a", 1), ("b", 1), ("a", 1), ("b", -1), ("a", -1)]
+    assert claim_word(NKOMEGA_CLAIM, {"k": 2, "w1": "b a^-1", "w2": "a b^3"}) == \
+        [("b", 1), ("a", -1), ("a", 2), ("b", -3), ("a", -1)]
+    assert claim_word(N2_CLAIM, {"word": "b a b^2"}) == [("b", 1), ("a", 1), ("b", 2)]
+    with pytest.raises(ValueError):
+        claim_word(N2_CLAIM, {"word": "a^x"})
+
+
+def test_nkomega_claim_word_realizes_the_old_product_on_the_golden_set():
+    """evaluate(claim_word) equals w1(h) * h^k * w2(h)^-1 built from its three factors."""
+    for n, count in ((3, 6), (4, 2)):  # test_golden.GOLDEN_SET's nkomega trials
+        for index in range(count):
+            cert = run_trial("nkomega", n, 1, index)
+            session = GraphSession(cert.family)
+            h = validate(session, cert.h)
+            f = oracle_from_description(session, cert.oracle)
+            w1, w2, k = (parse_word(cert.data["w1"]), parse_word(cert.data["w2"]),
+                         cert.data["k"])
+            old = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
+            assert evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f) == old
+            assert old.pairs() == tuple(sorted(map(tuple, cert.data["product_pairs"])))
 
 
 def test_brute_force_word_eval_basics():

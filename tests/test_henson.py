@@ -4,7 +4,7 @@ import pytest
 
 from ultrahom.campaigns import henson_trial
 from ultrahom.certs import verify
-from ultrahom.errors import HypothesisError
+from ultrahom.errors import GraphError, HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
@@ -121,6 +121,16 @@ def test_chain_link_checks_each_pair_against_the_grown_delta(h3):
     chain_link(grown, {a, b, c}, set(), [(x1, y1), (x2, y2)], 1, set(), set())
     assert grown.chase(x1, 2) == y1 and grown.chase(x2, 2) == y2
     assert cycle_free(grown.freeze())
+
+
+def test_chain_link_names_an_unknown_sigma_vertex_before_linking(h3):
+    x, y, target = fresh(h3), fresh(h3), fresh(h3)
+    b = IsoBuilder(empty(h3))
+    with pytest.raises(GraphError, match=f"unknown vertex {10 ** 6}"):
+        chain_link(b, set(), set(), [(x, y)], 2, sigma1={target}, sigma2={10 ** 6})
+    assert not b.pairs()
+    chain_link(b, set(), set(), [(x, y)], 2, sigma1={target}, sigma2=set())
+    assert b.chase(x, 4) == y and not b.in_support(target)
 
 
 def test_chain_link_checks_gamma_before_creating_a_witness(h3):

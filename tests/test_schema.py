@@ -6,6 +6,7 @@ and ``omega-kn`` n=3 trial 0, one per line in that order.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,10 @@ def _set_fixed_tail(doc, tail):
     doc["oracle"]["fixed_tail"] = tail
 
 
+def _set_data(doc, **changes):
+    doc["data"].update(changes)
+
+
 def _widen_omega(doc, keep_pos_perm):
     doc["family"]["n"] = 10 ** 6
     if not keep_pos_perm:
@@ -192,14 +197,55 @@ HOSTILE = (
      "oracle omega_shift lacks pos_perm"),
     (("omega-kn", 3), lambda d: _widen_omega(d, keep_pos_perm=True), "inputs-validate",
      "pos_perm must permute 0..999999"),
+    (("nkomega", 3), lambda d: _set_data(d, k=0, w1="b", w2="b"), "certificate-shape",
+     "data k must be at least 1, got 0"),
 )
 
 
 @pytest.mark.parametrize("trial, mutate, clause, note", HOSTILE,
                          ids=["nkomega-negative-id", "n2-negative-id", "omega-kn-negative-id",
                               "n2-fixed-tail-100", "n2-fixed-tail-0",
-                              "omega-kn-wide-no-pos-perm", "omega-kn-wide-pos-perm"])
+                              "omega-kn-wide-no-pos-perm", "omega-kn-wide-pos-perm",
+                              "nkomega-k-0-all-b"])
 def test_hostile_certificates_are_rejected_on_a_named_clause(trial, mutate, clause, note):
     doc = json.loads(run_trial(*trial, 1, 0).to_json())
     mutate(doc)
     assert _failing(doc) == [(clause, note)]
+
+
+# (trial, mutation): words an all-b evaluation or a letter-by-letter a^k walk broke
+HOSTILE_WORDS = (
+    (("nkomega", 3), lambda d: _set_data(d, w1="b")),
+    (("nkomega", 3), lambda d: _set_data(d, w2="b")),
+    (("nkomega", 3), lambda d: _set_data(d, w2="b^-2")),
+    (("nkomega", 3), lambda d: _set_data(d, w1="a^1000000 " + d["data"]["w1"])),
+    (("n2", 2), lambda d: _set_data(d, word="a^1000000")),
+)
+
+
+@pytest.mark.parametrize("trial, mutate", HOSTILE_WORDS,
+                         ids=["nkomega-w1-b", "nkomega-w2-b", "nkomega-w2-b-2",
+                              "nkomega-w1-a-million", "n2-word-a-million"])
+def test_hostile_words_are_rejected_on_the_product_within_bounds(monkeypatch, trial, mutate):
+    """A report, never an exception; h lookups at most one per certificate byte, little memory."""
+    doc = json.loads(run_trial(*trial, 1, 0).to_json())
+    mutate(doc)
+    real_validate = partial_iso.validate
+
+    def counting_validate(session, pairs):
+        iso = real_validate(session, pairs)
+        return PartialIso(session, CountingDict(iso._fwd), CountingDict(iso._bwd))
+
+    monkeypatch.setattr("ultrahom.certs.validate", counting_validate)
+    CountingDict.lookups = 0
+    tracemalloc.start()
+    try:
+        failing = _failing(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = [name for name, _ in failing]
+    assert names in (["product-extends-target"],
+                     ["product-extends-target", "product-pair-sets-match"]), failing
+    assert CountingDict.lookups <= len(json.dumps(doc))
+    assert peak < 10 ** 6, peak

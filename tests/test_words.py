@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_components, random_injection_in_clique
+from conftest import CountingDict, brute_components, random_injection_in_clique
 from ultrahom.certs import brute_force_word_eval
 from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import FrozenOracle, NKOracle
-from ultrahom.partial_iso import IsoBuilder, from_pairs, identity_on, compose
+from ultrahom.partial_iso import IsoBuilder, PartialIso, from_pairs, identity_on, compose
 from ultrahom.perms import IndexPerm
 from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                             concat, empty_word, evaluate, landing_orbit,
                             largest_defined_prefix, parse_word, reduce_word,
-                            swap_a_sign, word_index_image)
+                            swap_a_sign, walk, word_index_image)
 
 syllables = st.lists(st.tuples(st.sampled_from("ab"),
                                st.integers(-4, 4).filter(bool)), max_size=8)
@@ -282,3 +282,46 @@ def test_landing_orbit_matches_brute_components(nk2):
                         landing_orbit(p, z, longest)
                 else:
                     assert landing_orbit(p, z, longest) == want
+
+
+def test_walk_matches_a_letter_by_letter_walk_on_unreduced_syllables(nk2):
+    """Raw syllables are walked as written: a a^-1 is the identity on dom(p) only."""
+    rng = random.Random(10)
+    for _ in range(400):
+        raw = []
+        for _ in range(rng.randint(0, 7)):
+            letter, exp = rng.choice("ab"), rng.choice([-3, -2, -1, 1, 2, 3])
+            raw.append((letter, exp))
+            if rng.random() < 0.3:  # an adjacent cancelling syllable
+                raw.append((letter, -exp))
+        p = from_pairs(nk2, random_injection_in_clique(nk2, rng, rng.randint(0, 5), spread=8))
+        f = FrozenOracle(nk2, random_injection_in_clique(nk2, rng, rng.randint(0, 5), spread=8))
+        x = nk2.vertex(1, rng.randrange(8))
+        v = x
+        for letter, exp in raw:
+            for _ in range(abs(exp)):
+                if letter == "a":
+                    v = p.apply(v) if exp > 0 else p.unapply(v)
+                else:
+                    v = f.try_image(v) if exp > 0 else f.try_preimage(v)
+                if v is None:
+                    break
+            if v is None:
+                break
+        assert walk(raw, x, p, f) == v
+
+
+def test_a_syllables_cost_the_map_not_the_exponent(nk2):
+    """On a 3-cycle, a^k is a few lookups whatever k is, in walk, chase and evaluate."""
+    cycle = [nk2.vertex(1, t) for t in range(3)]
+    iso = from_pairs(nk2, list(zip(cycle, cycle[1:] + cycle[:1])))
+    p = PartialIso(nk2, CountingDict(iso._fwd), CountingDict(iso._bwd))
+    f = FrozenOracle(nk2, [])
+    x = cycle[0]
+    for k in (10 ** 6, -(10 ** 6) - 1):
+        CountingDict.lookups = 0
+        want = cycle[k % 3]
+        assert walk([("a", k)], x, p, f) == want
+        assert chase(parse_word(f"a^{k}"), x, p, f) == want
+        assert evaluate(parse_word(f"a^{k}"), p, f).apply(x) == want
+        assert CountingDict.lookups < 100
