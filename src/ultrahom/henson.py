@@ -114,19 +114,20 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
     if (sigma1 | sigma2) & gamma_fixed:
         raise HypothesisError("sigma-avoids-gamma")
 
-    delta = set(delta)
-    # as an identity map, so mapped_neighbours reads N(v) cap fence in O(degree)
+    # as identity maps, so mapped_neighbours reads N(v) cap delta and N(v) cap fence
+    # in O(degree); delta lies in the support of b, whose vertices are realized
+    delta_id = {v: v for v in delta}
     fence = {v: v for v in sigma1 | sigma2}
     s._require(fence)
     for x, y in pairs:
         if b.in_support(x) or b.in_support(y) or x == y:
             raise HypothesisError("endpoints-free", "x, y must avoid the support of q")
-        images = {v: b.chase(v, 2 * m) for v in s.neighbors_within(x, delta)}
+        images = {v: b.chase(v, 2 * m) for v in s.mapped_neighbours(x, delta_id)}
         escaped = [v for v, w in images.items() if w is None]
         if escaped:
             raise HypothesisError("delta-neighbourhood-domain",
                                   f"neighbour {min(escaped)} of x escapes dom(q^2m)")
-        if set(images.values()) != s.neighbors_within(y, delta):
+        if set(images.values()) != s.mapped_neighbours(y, delta_id):
             raise HypothesisError("delta-neighbourhood-match")
 
         xs = [x]
@@ -136,7 +137,7 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
             xs.append(nxt)
         neigh_extend(b, xs[-1], y)
         xs.append(y)
-        delta.update(xs)
+        delta_id.update((v, v) for v in xs)
 
         for v in xs[1:-1]:
             internal_check(v not in fence, "interior-avoids-sigma")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
 from .oracles import NKOracle
-from .partial_iso import FreshWindow, IsoBuilder, PartialIso, index_perm_of, invert
+from .partial_iso import FreshWindow, IsoBuilder, PartialIso, invert
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
 from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                     concat, empty_word, evaluate, landing_orbit, reduce_word,
@@ -54,7 +54,7 @@ class AFSigmaContext:
         return set(self.sigma)
 
 
-def check_admissible(ctx: AFSigmaContext, q: PartialIso) -> IndexPerm:
+def check_admissible(ctx: AFSigmaContext, q: PartialIso | IsoBuilder) -> IndexPerm:
     """Hypotheses shared by the pipeline ops; returns the total index perm of q.
 
     q must induce a full index permutation generating S_n together with
@@ -64,7 +64,7 @@ def check_admissible(ctx: AFSigmaContext, q: PartialIso) -> IndexPerm:
     representative.
     """
     n = ctx.n
-    sq = index_perm_of(q, n)
+    sq = q.index_perm()
     if sq is None:
         raise HypothesisError("index-perm-total", "q does not cover every component")
     if not generates_symmetric(n, [ctx.f.index_perm(), sq]):
@@ -335,7 +335,7 @@ def _orbit_avoids(b: IsoBuilder, z: int, phi) -> bool:
 
 def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
                established: list[int], x: int, phi: frozenset[int],
-               delta: set[int], depth: int):
+               delta: set[int], window: FreshWindow, depth: int):
     """Absorb one more target point into the word bookkeeping.
 
     Extends the word by an escape block, a long run of the first letter
@@ -343,6 +343,7 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     one more first letter; then extends b point by point until the
     target's defined prefix reaches the word's second-to-last letter,
     keeping the previously established points' landings untouched.
+    ``window``, which fences delta, is widened to the new word's b-count.
     Returns the new word and the established points.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
@@ -378,10 +379,10 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     y = partners[0] if partners else None
     if y is not None and walks.consumed(y) > walks.consumed(x):
         swapped = [u for u in established if u != y] + [x]
-        return _base_step(ctx, b, lam1, swapped, y, phi, delta, depth + 1)
+        return _base_step(ctx, b, lam1, swapped, y, phi, delta, window, depth + 1)
 
     entry_prefix = {u: walks.consumed(u) for u in established}
-    window = FreshWindow(f, b_count(lam1))
+    window.widen(b_count(lam1))
     k = 0
     while True:
         x_len, x_val = walks.consumed(x), walks.value(x)
@@ -403,7 +404,7 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
                 internal_check(x_val != walks.value(y), "collision-resolved")
             break
         z = x_val
-        z2 = window.fresh(b, sq(s.component_of(z)), delta | walks.values())
+        z2 = window.fresh(b, sq(s.component_of(z)), walks.values())
         _class_extend(ctx, b, z, z2)
         walks.on_add(z, z2)
         k += 1
@@ -419,81 +420,81 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     return lam1, out_est
 
 
-def build_base_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
-    """Extension h of q and a word w driving all of gamma out of dom(w(h)).
+def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
+                    window: FreshWindow):
+    """Grow b in place, from q, to h with a word w driving all of gamma out of dom(w(h)).
 
     w starts with the first letter and never uses its inverse; h
     satisfies the word condition with an empty covered set, range
     avoiding delta, and landings clear of the prepared domain (which is
-    returned as the phi of the rest of the pipeline).
+    returned as the phi of the rest of the pipeline).  ``window`` serves
+    b's fresh choices: it fences delta and widens with the word.
+    Returns (w, phi).
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     delta = set(delta)
-    if q.ran() & delta:
+    if b.ran() & delta:
         raise HypothesisError("ran-avoids-delta")
-    check_admissible(ctx, q)
+    check_admissible(ctx, b)
     specials: set[int] = set()
     if n == 2 and f.index_perm().is_identity():
         if f.fixed_components():
             raise HypothesisError("fix-finite",
                                   "fix(f) is infinite; route to the n=2 special witness")
         specials = f.fixed_band_points()
-    b = IsoBuilder(q)
     _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set() | specials, avoid=delta)
     phi = frozenset(b.dom())
+    window.fence(delta)
 
     lam = reduce_word([("a", 1)])
     established: list[int] = []
     for x in gamma:
-        lam, established = _base_step(ctx, b, lam, established, x, phi, delta, 0)
+        lam, established = _base_step(ctx, b, lam, established, x, phi, delta, window, 0)
 
     sq = b.index_perm()
     target = word_index_image(lam, sq, f.index_perm()).inverse()
     suffix = word_to(n, sq, f.index_perm(), target)
     w = reduce_word(list(lam.syllables) + suffix)
     internal_check(w.starts_with("a") and not w.has_negative("a"), "word-shape")
-    q = b.freeze()
-    rep = check_word_condition(q, gamma, (), phi, delta, w, f)
+    rep = check_word_condition(b, gamma, (), phi, delta, w, f)
     internal_check(rep.holds, "base-word-condition", str(rep))
-    return q, w, phi
+    return w, phi
 
 
-def extend_word_domain(ctx: AFSigmaContext, q: PartialIso, gamma, theta,
-                       phi, delta, w: FreeWord, x: int,
-                       window: FreshWindow | None = None) -> PartialIso:
-    """Extend q so that x joins dom(w(q)) while the word condition survives.
+def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
+                       phi, delta, w: FreeWord, x: int, window: FreshWindow) -> None:
+    """Grow b in place so that x joins dom(w(b)) while the word condition survives.
 
     One fresh pair per first-letter death point of x's walk; the other
     target points' landings are pinned by the exclusion windows around
-    every choice.  ``window`` (radius b_count(w)) may carry its marks
-    over from an earlier call whose result q extends.
+    every choice.  ``window`` must have radius b_count(w); it fences
+    delta and carries its marks over from earlier growth of b.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     theta = set(theta)
     phi = set(phi)
     delta = set(delta)
-    rep = check_word_condition(q, gamma, theta, phi, delta, w, f)
+    rep = check_word_condition(b, gamma, theta, phi, delta, w, f)
     if not rep.holds:
         raise HypothesisError("word-condition-entry", str(rep))
     if x not in set(gamma) - theta:
         raise HypothesisError("x-new", f"{x} must be an uncovered target point")
     if not w.starts_with("a") or w.has_negative("a"):
         raise HypothesisError("word-shape")
-    if not set(gamma) <= q.dom() or not phi <= q.dom():
+    dom = b.dom()
+    if not all(v in dom for v in gamma) or not all(v in dom for v in phi):
         raise HypothesisError("gamma-phi-in-dom")
 
-    b = IsoBuilder(q)
     sq = b.index_perm()
     B = b_count(w)
     W = len(w)
     others = [u for u in gamma if u != x]
     walks = WordWalks(w, b, f, gamma)
-    if window is None:
-        window = FreshWindow(f, B)
     if window.radius != B:
         raise HypothesisError("window-radius", f"the window must have radius b_count(w) = {B}")
+    window.fence(delta)
     entry = {u: walks.consumed(u) for u in others}
     guard = 0
     internal_check(2 <= walks.consumed(x) + 1 <= W, "death-position")
@@ -504,7 +505,7 @@ def extend_word_domain(ctx: AFSigmaContext, q: PartialIso, gamma, theta,
         internal_check(walks.next_letter(x) == ("a", 1), "death-at-alpha")
         y = walks.value(x)
         internal_check(y not in b.dom(), "death-point-free")
-        z = window.fresh(b, sq(s.component_of(y)), delta | walks.values())
+        z = window.fresh(b, sq(s.component_of(y)), walks.values())
         _class_extend(ctx, b, y, z)
         walks.on_add(y, z)
         guard += 1
@@ -518,33 +519,39 @@ def extend_word_domain(ctx: AFSigmaContext, q: PartialIso, gamma, theta,
         internal_check(walks.consumed(x) > k, "fill-progress")
         if walks.consumed(x) < W:
             radius = B - b_count(walks.prefix(x))
-            for i in range(-radius, radius + 1):
-                internal_check(f.iterate(newval, i) not in b.dom(), "fill-iii")
+            for v in window.window(newval)[:2 * radius + 1]:
+                internal_check(v not in dom, "fill-iii")
         internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
         for u in others:
             internal_check(_orbit_avoids(b, walks.value(u), phi), "fill-v")
         internal_check(_orbit_avoids(b, newval, phi), "fill-v-x")
 
-    qj = b.freeze()
-    rep = check_word_condition(qj, gamma, theta | {x}, phi, delta, w, f)
+    rep = check_word_condition(b, gamma, theta | {x}, phi, delta, w, f)
     internal_check(rep.holds, "word-condition-exit", str(rep))
-    return qj
 
 
 def build_covering_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
-    """Base word plus one fill round per target point: the full word condition."""
+    """Base word plus one fill round per target point: the full word condition.
+
+    One builder grows from q through the base word and every fill, and
+    one window serves all their fresh choices: it fences delta once and
+    widens from the base steps' b-counts to b_count(w), so each centre's
+    window is marked once per covering word.
+    """
     gamma = sorted(set(gamma))
     delta = sorted(set(delta))
     if set(gamma) & set(delta):
         raise HypothesisError("gamma-delta-disjoint")
-    h, w, phi = build_base_word(ctx, q, gamma, delta)
-    window = FreshWindow(ctx.f, b_count(w))
+    b = IsoBuilder(q)
+    window = FreshWindow(ctx.f)
+    w, phi = build_base_word(ctx, b, gamma, delta, window)
+    window.widen(b_count(w))
     done: list[int] = []
     for x in gamma:
-        h = extend_word_domain(ctx, h, gamma, done, phi, delta, w, x, window)
+        extend_word_domain(ctx, b, gamma, done, phi, delta, w, x, window)
         done.append(x)
     # the last fill's exit check (or, for empty gamma, the base check) is the full condition
-    return h, w, phi
+    return b.freeze(), w, phi
 
 
 def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,

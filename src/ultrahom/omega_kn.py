@@ -314,18 +314,19 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
 
     # -- stage 1: march each chain m components through moving indices -------
     b = IsoBuilder(q)
+    # every component seen so far, with its f-index image and preimage
     comps_seen = b.cmap.keys() | b.cinv.keys() | set(p_comps)
+    avoid = comps_seen | {f.index_image(c) for c in comps_seen} \
+        | {f.index_preimage(c) for c in comps_seen}
     tails = [ch[-1] for ch in _index_chains(b.cmap)]
     marched: list[list[int]] = []
     for tail in tails:
         row = [tail]
         for _ in range(m):
-            avoid = comps_seen | {f.index_image(c) for c in comps_seen} \
-                | {f.index_preimage(c) for c in comps_seen}
             nc = s.fresh_component(avoid)
             internal_check(f.index_image(nc) != nc, "march-component-moves")
             _add_bijection(b, row[-1], nc)
-            comps_seen.add(nc)
+            avoid.update((nc, f.index_image(nc), f.index_preimage(nc)))
             row.append(nc)
         marched.append(row)
     r = b.freeze()
@@ -336,9 +337,8 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
             internal_check(f.index_image(c) not in r_comps, "march-escapes-forward")
             internal_check(f.index_preimage(c) not in r_comps, "march-escapes-backward")
     for x in sorted(q.dom()):
-        for j in range(1, m + 1):
-            v = r.chase(x, j)
-            internal_check(v is not None, "march-depth")
+        # a walk defined for m steps is defined at every j <= m
+        internal_check(r.chase(x, m) is not None, "march-depth")
 
     # -- stage 2: conjugate p through r^m f and close up ----------------------
     u_pairs = []

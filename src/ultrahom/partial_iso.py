@@ -121,6 +121,10 @@ class PartialIso(_MapReads):
             out[s.component_of(x)] = s.component_of(y)
         return out
 
+    def index_perm(self) -> IndexPerm | None:
+        """Total induced index permutation (n K_omega), or None while partial."""
+        return index_perm_of(self, self.session.kind.n)
+
 
 def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> PartialIso:
     """Check injectivity and adjacency preservation; raise IsoError otherwise."""
@@ -600,55 +604,79 @@ class FreshWindow:
 
     A vertex v lies in the window {(u)f^i : u in S, |i| <= B} exactly when
     (v)f^i is in S for some |i| <= B, because f is a bijection.  The
-    window of each support vertex is marked once, when the vertex joins
-    the support, so rejecting a candidate costs one set lookup, not 2B
-    oracle steps; a per-component cursor skips the marked prefix.  One
-    window may serve a sequence of builders whose maps extend one another.
+    window of each centre (a support vertex, or a vertex ``fence`` adds)
+    is marked once, when it becomes a centre, so rejecting a candidate
+    costs one set lookup, not 2B oracle steps; a per-component cursor
+    skips the marked prefix.  The radius only widens: ``widen`` extends
+    every cached window from its two ends, so a centre costs 2B oracle
+    steps for the final B however often B grows.  The support, the fence
+    and the radius only grow, so the marked set only grows and the
+    cursors stay valid.  One window may serve a sequence of builders
+    whose maps extend one another.
     """
 
-    def __init__(self, f, radius: int):
+    def __init__(self, f):
         self.f = f
-        self.radius = radius
+        self.radius = 0
         self.marked: set[int] = set()
         self._centers: set[int] = set()
         self._builder: IsoBuilder | None = None
         self._seen = 0
         self._cursor: dict[int, int] = {}
+        # v -> [v, (v)f, (v)f^-1, (v)f^2, (v)f^-2, ...]: a prefix of 2r+1 is the radius-r window
         self._windows: dict[int, list[int]] = {}
 
     def window(self, v: int) -> list[int]:
-        """(v)f^i for |i| <= radius."""
+        """(v)f^i for |i| <= radius, in the order v, (v)f, (v)f^-1, (v)f^2, ..."""
         out = self._windows.get(v)
         if out is None:
-            out = [v]
-            fw = bw = v
-            for _ in range(self.radius):
+            out = self._windows[v] = [v]
+        if len(out) <= 2 * self.radius:
+            fw, bw = (out[-2], out[-1]) if len(out) > 1 else (v, v)
+            for _ in range(self.radius - len(out) // 2):
                 fw = self.f.image(fw)
                 bw = self.f.preimage(bw)
                 out += (fw, bw)
-            self._windows[v] = out
         return out
 
-    def fresh(self, b: IsoBuilder, comp: int, near: Iterable[int] = ()) -> int:
-        """Lowest-position vertex of the component outside the window of b's support and ``near``."""
-        if b is not self._builder:
-            self._builder, self._seen = b, 0
+    def widen(self, radius: int) -> None:
+        """Grow the radius to ``radius``, marking the new ends of every centre's window."""
+        if radius < self.radius:
+            raise GraphError(f"a window only widens: radius {radius} < {self.radius}")
+        if radius == self.radius:
+            return
+        self.radius = radius
+        marked, windows = self.marked, self._windows
+        for v in self._centers:
+            start = len(windows[v])
+            marked.update(self.window(v)[start:])
+
+    def fence(self, vertices: Iterable[int]) -> None:
+        """Make ``vertices`` centres, whose windows later ``fresh`` calls avoid."""
         marked, centers = self.marked, self._centers
-        for v in b.arrivals[self._seen:]:
+        for v in vertices:
             if v not in centers:
                 centers.add(v)
                 marked.update(self.window(v))
+
+    def fresh(self, b: IsoBuilder, comp: int, near: Iterable[int] = ()) -> int:
+        """Lowest-position vertex of the component outside the window of b's support,
+        the fence and ``near``."""
+        if b is not self._builder:
+            self._builder, self._seen = b, 0
+        self.fence(b.arrivals[self._seen:])
         self._seen = len(b.arrivals)
-        blocked = set()
-        for v in near:
-            blocked.update(self.window(v))
+        marked = self.marked
         vertex = b.session.vertex
         p = self._cursor.get(comp, 0)
         while vertex(comp, p) in marked:
             p += 1
         self._cursor[comp] = p
+        # v is in the window of near exactly when near meets v's window; the engines add
+        # the v they accept to the support, which needs that window next anyway
+        near = set(near)
         v = vertex(comp, p)
-        while v in marked or v in blocked:
+        while v in marked or (near and not near.isdisjoint(self.window(v))):
             p += 1
             v = vertex(comp, p)
         return v

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GraphError, HypothesisError
-from .partial_iso import PartialIso, identity_on
+from .partial_iso import IsoBuilder, PartialIso, identity_on
 from .perms import IndexPerm
 
 Syllable = tuple[str, int]
@@ -350,10 +350,12 @@ def landing_orbit(p: PartialIso, z: int, longest: int | None = None) -> list[int
     return seen
 
 
-def check_word_condition(p: PartialIso, gamma: Iterable[int], theta: Iterable[int],
+def check_word_condition(p: PartialIso | IsoBuilder, gamma: Iterable[int], theta: Iterable[int],
                          phi: Iterable[int], delta: Iterable[int],
                          w: FreeWord, f) -> WordConditionReport:
     """Check the six clauses tying a word realization w(p) to the sets given.
+
+    p is a ``PartialIso`` or a growing ``IsoBuilder``; both read the same.
 
     (1) the induced index permutation of w(p) is the identity;
     (2) ran(p) is disjoint from delta;
@@ -371,10 +373,7 @@ def check_word_condition(p: PartialIso, gamma: Iterable[int], theta: Iterable[in
 
     failed: dict[int, object] = {}
 
-    n = p.session.kind.n
-    from .partial_iso import index_perm_of
-
-    sigma_p = index_perm_of(p, n)
+    sigma_p = p.index_perm()
     if sigma_p is not None and getattr(f, "index_perm", None) is not None:
         img = word_index_image(w, sigma_p, f.index_perm())
         if not img.is_identity():

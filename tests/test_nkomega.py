@@ -172,19 +172,26 @@ def test_base_and_fill_word():
     q = simple_q(ctx, s)
     gamma = [s.vertex(1, 5)]
     delta = [s.vertex(3, 9)]
-    h, w, phi = build_base_word(ctx, q, gamma, delta)
+    b = IsoBuilder(q)
+    window = FreshWindow(f)
+    w, phi = build_base_word(ctx, b, gamma, delta, window)
+    h = b.freeze()
     assert w.starts_with("a") and not w.has_negative("a")
     rep = check_word_condition(h, gamma, (), phi, delta, w, f)
     assert rep.holds
-    h2 = extend_word_domain(ctx, h, gamma, (), phi, delta, w, gamma[0])
+    window.widen(b_count(w))
+    extend_word_domain(ctx, b, gamma, (), phi, delta, w, gamma[0], window)
+    h2 = b.freeze()
+    assert h2.extends(h)
     rep2 = check_word_condition(h2, gamma, gamma, phi, delta, w, f)
     assert rep2.holds
     with pytest.raises(HypothesisError, match="x-new"):
-        extend_word_domain(ctx, h2, gamma, gamma, phi, delta, w, gamma[0])
-    # a window carried between calls must have the word's radius
+        extend_word_domain(ctx, b, gamma, gamma, phi, delta, w, gamma[0], window)
+    # the window serving the fills must have the word's radius
+    wide = FreshWindow(f)
+    wide.widen(b_count(w) + 1)
     with pytest.raises(HypothesisError, match="window-radius"):
-        extend_word_domain(ctx, h, gamma, (), phi, delta, w, gamma[0],
-                           FreshWindow(f, b_count(w) + 1))
+        extend_word_domain(ctx, IsoBuilder(h), gamma, (), phi, delta, w, gamma[0], wide)
 
 
 def test_covering_word_multi_gamma():
@@ -239,6 +246,11 @@ def test_covering_word_randomized():
         h, w, phi = build_covering_word(ctx, q, gamma, delta)
         rep = check_word_condition(h, gamma, gamma, q.dom(), delta, w, f)
         assert rep.holds, f"seed {seed}: {rep}"
+        # a growing map reads as its frozen value, failing clauses included
+        for theta in (gamma, gamma[:1], ()):
+            want = check_word_condition(h, gamma, theta, q.dom(), delta, w, f)
+            got = check_word_condition(IsoBuilder(h), gamma, theta, q.dom(), delta, w, f)
+            assert vars(got) == vars(want)
 
 
 def test_index_fixing_class():

@@ -290,6 +290,8 @@ def test_builder_add_matches_extend_on_lazy_graphs(h3):
 
 
 def test_fresh_window_matches_f_closure():
+    """A window widened and fenced at random points of the growth against the
+    closure of support, fence and near at the current radius."""
     for seed in range(24):
         rng = random.Random(seed)
         n = 2 + seed % 4
@@ -298,13 +300,27 @@ def test_fresh_window_matches_f_closure():
         s = f.session
         b = IsoBuilder(q)
         radius = rng.randint(0, 4)
-        window = FreshWindow(f, radius)
+        window = FreshWindow(f)
+        window.widen(radius)
+        fenced: set[int] = set()
         for _ in range(25):
+            if rng.random() < 0.25:
+                radius += rng.randint(0, 3)
+                window.widen(radius)
+            if rng.random() < 0.2:  # may fence support vertices too
+                extra = {s.vertex(rng.randint(1, n), rng.randrange(40))
+                         for _ in range(rng.randint(1, 3))}
+                window.fence(extra)
+                fenced |= extra
             near = {s.vertex(rng.randint(1, n), rng.randrange(40))
                     for _ in range(rng.randint(0, 3))}
             c = rng.randint(1, n)
-            want = s.fresh_in_component(c, _f_closure(f, b.support() | near, radius))
+            want = s.fresh_in_component(c, _f_closure(f, b.support() | fenced | near, radius))
             assert window.fresh(b, c, near) == want
+            # a prefix of 2r + 1 of a cached window is its radius-r window
+            v = rng.choice(sorted(b.support() | near))
+            r = rng.randint(0, radius)
+            assert set(window.window(v)[:2 * r + 1]) == _f_closure(f, {v}, r)
             # grow the map the way the engines do: a window-fresh point onto a tail
             tails = sorted(set(b.ran()) - set(b.dom()))
             x = rng.choice(tails)
@@ -312,6 +328,10 @@ def test_fresh_window_matches_f_closure():
             b.add(x, z)
             if rng.random() < 0.2:  # the window carries over to a builder of the grown map
                 b = IsoBuilder(b.freeze())
+        with pytest.raises(GraphError, match="only widens"):
+            window.widen(radius - 1)
+        window.widen(radius)  # widening to the same radius does nothing
+        assert window.radius == radius
 
 
 def _chains_and_cycles(rng):
