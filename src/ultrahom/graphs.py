@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import GraphError
 
@@ -120,8 +120,14 @@ class GraphSession:
             return v in self._adj
         return v >= 0
 
-    def _require(self, vs: Iterable[int]) -> None:
-        """Raise GraphError naming the first vertex of ``vs`` not realized."""
+    def _require(self, vs: Collection[int]) -> None:
+        """Raise GraphError naming the first vertex of ``vs`` not realized.
+
+        On lazy graphs one subset test; the ordered scan runs only to name
+        the vertex.
+        """
+        if self._lazy and self._adj.keys() >= set(vs):
+            return
         for v in vs:
             if not self.is_realized(v):
                 raise GraphError(f"unknown vertex {v}")
@@ -230,7 +236,7 @@ class GraphSession:
         self._require(A + B)
         members = set(B)
         for a in A:
-            hits = self.neighbors_within(a, members)
+            hits = self._adj[a] & members if self._lazy else self.neighbors_within(a, members)
             if hits:
                 return a, next(b for b in B if b in hits)
         return None
@@ -275,10 +281,22 @@ class GraphSession:
             raise GraphError(f"clique size must be >= 2, got {k}")
         verts = sorted(set(S))
         self._require(verts)
+        return self._clique_free(verts, set(verts), k)
+
+    def _clique_free(self, verts: list[int], members: set[int], k: int) -> bool:
+        """kn_free_check on sorted, distinct, realized ``verts``, whose set is ``members``."""
         if len(verts) < k:  # most witness sets U: no room for a k-clique
             return True
-        members = set(verts)
-        within = {v: self.neighbors_within(v, members) for v in verts}
+        if self._lazy:
+            adj = self._adj
+            if k == 2:  # a 2-clique is an edge
+                for v in verts:
+                    if not adj[v].isdisjoint(members):
+                        return False
+                return True
+            within = {v: adj[v] & members for v in verts}
+        else:
+            within = {v: self.neighbors_within(v, members) for v in verts}
 
         def grow(cands: list[int], depth: int) -> bool:
             if depth == k:
@@ -305,26 +323,32 @@ class GraphSession:
         every other realized vertex; engines pass U only.  For the K_n-free
         family U must not contain a (n-1)-clique.  The fences V and
         forbidden, kept for schema-1 replay and positional callers, are
-        checked (disjoint from U, every vertex known) but not recorded:
-        the transcript entry is (sorted U, w), all that fixes the graph.
+        built and checked (disjoint from U, every vertex known) only when
+        given, and never recorded: the transcript entry is (sorted U, w),
+        all that fixes the graph.  U is sorted once, and the clique test
+        runs once on that list, reading neighbour sets directly: for n = 3
+        it is one disjointness test per vertex of U, since a 2-clique is
+        an edge.
         """
         if not self._lazy:
             raise GraphError("witnesses exist only for the random / K_n-free families")
-        U, V, forbidden = set(U), set(V), set(forbidden)
-        if U & V:
-            raise GraphError(f"U and V overlap: {sorted(U & V)}")
+        members = set(U)
+        fences = (set(V), set(forbidden)) if V or forbidden else ()
+        if fences and members & fences[0]:
+            raise GraphError(f"U and V overlap: {sorted(members & fences[0])}")
         adj = self._adj
         known = adj.keys()
-        for part in (U, V, forbidden):
+        for part in (members, *fences):
             if not known >= part:
                 raise GraphError(f"unknown vertex {min(part - known)}")
-        if self.kind.tag == HENSON and not self.kn_free_check(U, self.kind.n - 1):
+        verts = sorted(members)
+        if self.kind.tag == HENSON and not self._clique_free(verts, members, self.kind.n - 1):
             raise GraphError("forbidden clique in U")
         w = len(adj)
-        adj[w] = U
-        for u in U:
+        adj[w] = members
+        for u in verts:
             adj[u].add(w)
-        self._transcript.append((tuple(sorted(U)), w))
+        self._transcript.append((tuple(verts), w))
         return w
 
     def check_witness_contract(self, entry_index: int = -1) -> bool:

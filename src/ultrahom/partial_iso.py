@@ -130,10 +130,13 @@ def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> Partial
     """Check injectivity and adjacency preservation; raise IsoError otherwise."""
     if session.kind.is_component:
         return _validate_component(session, pairs)
+    adj = session._adj
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
     for x, y in pairs:
-        session._require((x, y))
+        nx, ny = adj.get(x), adj.get(y)
+        if nx is None or ny is None:
+            raise GraphError(f"unknown vertex {x if nx is None else y}")
         prev = fwd.get(x)
         if prev is not None:
             if prev != y:
@@ -141,7 +144,10 @@ def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> Partial
             continue
         if y in bwd:
             raise IsoError("not-injective", [(bwd[y], y), (x, y)], "two preimages for one point")
-        _check_lazy_pair(session, fwd, bwd, x, y)
+        # (x, y) keeps adjacency with every earlier pair exactly when the images of
+        # N(x) cap dom are N(y) cap ran; only a failure asks which pair breaks
+        if {fwd[u] for u in nx if u in fwd} != {v for v in ny if v in bwd}:
+            _check_lazy_pair(session, fwd, bwd, x, y)
         fwd[x] = y
         bwd[y] = x
     return PartialIso(session, fwd, bwd)

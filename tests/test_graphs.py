@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ultrahom.errors import GraphError
-from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.graphs import HENSON, GraphKind, GraphSession
 
 
 def test_kind_parameter_ranges():
@@ -159,6 +159,47 @@ def test_replay_reads_schema_1_entries_and_text(h3):
         GraphSession.replay_text(h3.kind, text + f"\n{w}: U=0 V=0 F=")
     with pytest.raises(GraphError, match="expected \\(U, id\\) or \\(U, V, F, id\\)"):
         GraphSession.replay(h3.kind, [((), (), 0)])
+
+
+LAZY_KINDS = (GraphKind.henson(3), GraphKind.henson(4), GraphKind.henson(5), GraphKind.random())
+
+
+def _brute_clique_free(edges, S, k):
+    """No k-subset of S is pairwise adjacent, by itertools over every subset."""
+    return not any(all(frozenset(e) in edges for e in combinations(C, 2))
+                   for C in combinations(sorted(set(S)), k))
+
+
+@pytest.mark.parametrize("kind", LAZY_KINDS, ids=lambda k: f"{k.tag}-{k.n}")
+def test_random_sessions_replay_and_clique_checks_match_brute_force(kind):
+    """Witness calls, replay and kn_free_check against subsets and an edge set built from U."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        s = GraphSession(kind)
+        edges = set()
+        density = rng.choice((0.2, 0.4, 0.6))
+        for _ in range(rng.randint(5, 40)):
+            U = [v for v in s.realized() if rng.random() < density]
+            U += rng.sample(U, min(2, len(U)))  # a repeat is the same vertex
+            if kind.tag == HENSON and not _brute_clique_free(edges, U, kind.n - 1):
+                with pytest.raises(GraphError, match="^forbidden clique in U$"):
+                    s.alice_witness(U)
+                U = U[:1]
+            w = s.alice_witness(U)
+            assert s.transcript()[-1] == (tuple(sorted(set(U))), w)
+            edges |= {frozenset((u, w)) for u in U}
+        clone = GraphSession.replay(kind, s.transcript())
+        assert clone._adj == s._adj and clone.transcript() == s.transcript()
+        assert all(clone.check_witness_contract(i) for i in range(len(s.transcript())))
+        verts = s.realized()
+        for _ in range(20):
+            S = [rng.choice(verts) for _ in range(rng.randint(0, 14))]
+            for k in (2, 3, 4):
+                assert s.kn_free_check(S, k) == _brute_clique_free(edges, S, k), (S, k)
+        with pytest.raises(GraphError, match="^unknown vertex -1$"):
+            s.kn_free_check([verts[0], -1, len(verts)], 3)
+        with pytest.raises(GraphError, match="^clique size must be >= 2, got 1$"):
+            s.kn_free_check(verts, 1)
 
 
 def test_fresh_in_component_deterministic(nk2):

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from perfbench.workloads import henson_wide_instance, stream
 from ultrahom.campaigns import henson_trial
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError, IsoError
@@ -205,6 +206,51 @@ def test_oracle_grown_maps_match_all_pairs_reference(kind):
                 assert outcome(extend, frozen, x, y) == want
 
 
+def validate_pair_by_pair(session, pairs):
+    """Reference validate: every pair through the ordered unknown-vertex scan, then
+    ``adjacency_conflict``, which names the earliest pair a new pair breaks."""
+    fwd, bwd = {}, {}
+    for x, y in pairs:
+        for v in (x, y):
+            if not session.is_realized(v):
+                raise GraphError(f"unknown vertex {v}")
+        prev = fwd.get(x)
+        if prev is not None:
+            if prev != y:
+                raise IsoError("not-injective", [(x, prev), (x, y)], "two images for one point")
+            continue
+        if y in bwd:
+            raise IsoError("not-injective", [(bwd[y], y), (x, y)], "two preimages for one point")
+        conflict = session.adjacency_conflict(fwd, bwd, x, y)
+        if conflict is not None:
+            raise IsoError("adjacency-mismatch", [(x, y), conflict])
+        fwd[x] = y
+        bwd[y] = x
+    return fwd
+
+
+def full_outcome(call, *args):
+    """``outcome`` plus the exception type and message, and the map's order."""
+    try:
+        return "ok", list(call(*args).items())
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "reason", None), getattr(e, "pairs", None)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.n}")
+def test_validate_matches_the_pair_by_pair_version(kind):
+    """Unknown and negative vertices, repeats, clashes and broken pairs, on random pair lists."""
+    for seed in range(30):
+        rng = random.Random(400 + seed)
+        s = random_session(kind, rng, rng.randint(2, 30))
+        pairs = random_pairs(s, Reference(s), rng, rng.randint(0, 20))
+        if pairs and rng.random() < 0.5:  # break one pair: its image moves to another vertex
+            k = rng.randrange(len(pairs))
+            pairs[k] = (pairs[k][0], rng.choice(vertex_pool(s, rng)))
+        want = full_outcome(validate_pair_by_pair, s, pairs)
+        assert full_outcome(lambda: validate(s, pairs)._fwd) == want, pairs
+
+
 def test_neigh_extend_names_the_range_vertex_of_the_earliest_conflict():
     """neigh_extend turns IsoBuilder.add's one pair check into its own hypothesis clause."""
     for seed in range(30):
@@ -324,3 +370,22 @@ def test_henson_build_and_verify_ask_no_pair_adjacency(adjacent_calls):
     adjacent_calls["outside"] = adjacent_calls["inside"] = 0
     assert verify(cert).ok
     assert adjacent_calls["outside"] == 0
+
+
+def test_replaying_and_verifying_a_wide_certificate_ask_no_adjacency(monkeypatch):
+    """Witness replay, validate and the target check read neighbour sets directly."""
+    f, q, p = henson_wide_instance(stream(1, "henson-wide", 0))
+    cert = density_witness_henson(f, q, p)
+    calls = {"adjacent": 0, "neighbors_within": 0}
+    for name in calls:
+        real = getattr(GraphSession, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(GraphSession, name, counted)
+    GraphSession.replay(cert.family, cert.transcript)
+    assert calls == {"adjacent": 0, "neighbors_within": 0}
+    assert verify(cert).ok
+    assert calls == {"adjacent": 0, "neighbors_within": 0}

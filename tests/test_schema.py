@@ -7,6 +7,7 @@ and ``omega-kn`` n=3 trial 0, one per line in that order.
 
 import json
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from perfbench.workloads import henson_wide_instance, stream
 from ultrahom import partial_iso
 from ultrahom.campaigns import run_trial
 from ultrahom.certs import SCHEMA_VERSION, WitnessCertificate, verify
+from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import density_witness_henson
 from ultrahom.partial_iso import PartialIso
 
@@ -118,19 +120,40 @@ def test_v2_replay_faults_are_rejected_on_replay():
     (u, *_), w = base["transcript"][i]  # u ~ w, and both exist before entry i + 1
     j = i + 1
     later_w = base["transcript"][j][1]
+    last_U, last_w = base["transcript"][-1]
     cases = (
         (i, [[u, w + 5], w], f"unknown vertex {w + 5}"),
+        (i, [[-1, u], w], "unknown vertex -1"),
         (j, [sorted({u, w}), later_w], "forbidden clique in U"),  # an edge is a K_2
-        (0, [base["transcript"][0][0], 1], "expected id 1, got 0"),
+        (j, [[u, w, u], later_w], "forbidden clique in U"),  # a repeat hides no edge
+        (0, [base["transcript"][0][0], 1], "transcript replay diverged: expected id 1, got 0"),
+        (-1, [last_U, last_w + 1],  # an id skipped
+         f"transcript replay diverged: expected id {last_w + 1}, got {last_w}"),
     )
     for index, entry, want in cases:
         doc = json.loads(json.dumps(base))
         doc["transcript"][index] = entry
-        (name, note), = _failing(doc)
-        assert name == "transcript-replay" and want in note
+        assert _failing(doc) == [("transcript-replay", want)]
+    doc = json.loads(json.dumps(base))
+    doc["transcript"][i] = [[u, u, *doc["transcript"][i][0]], w]  # a repeat is one vertex
+    assert verify(WitnessCertificate.from_json(json.dumps(doc))).ok
     doc = json.loads(json.dumps(base))
     doc["transcript"][0], doc["transcript"][1] = doc["transcript"][1], doc["transcript"][0]
     assert [name for name, _ in _failing(doc)] == ["transcript-replay"]
+
+
+def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
+    """On K_4-free graphs U may hold edges but no triangle: the clique search beyond one edge."""
+    doc = json.loads(run_trial("henson", 4, 1, 0).to_json())
+    adj = GraphSession.replay(GraphKind.henson(4), doc["transcript"])._adj
+    # the first entry with a triangle among the vertices before it; edges never change
+    j, tri = next((j, C) for j, (_, w) in enumerate(doc["transcript"])
+                  for C in combinations(range(w), 3)
+                  if all(b in adj[a] for a, b in combinations(C, 2)))
+    doc["transcript"][j][0] = list(tri)
+    assert _failing(doc) == [("transcript-replay", "forbidden clique in U")]
+    doc["transcript"][j][0] = list(tri[:2])  # one edge is allowed: the entry replays
+    GraphSession.replay(GraphKind.henson(4), doc["transcript"][:j + 1])
 
 
 def _wide_cert_bytes(width: int) -> int:
