@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import GraphError
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
@@ -170,9 +171,29 @@ def _pairs(seq) -> bool:
 
 
 def _entries(seq, items: int) -> bool:
-    """Transcript entries of ``items`` items: lists of integer vertices, then an integer id."""
+    """Transcript entries of ``items`` items: lists of integer vertices, then an integer id.
+
+    A transcript has an entry per witness, and most entries name a few
+    vertices, so the check runs as C-level passes over the columns of
+    the entries, not as a Python call per entry.  When a pass meets
+    anything but exact lists, tuples and ints, the entry-by-entry loop
+    gives the answer, so the result never depends on which path ran.
+    """
     if not isinstance(seq, (list, tuple)):
         return False
+    if not seq:  # every component-family transcript: skip the passes' fixed cost
+        return True
+    if set(map(type, seq)) <= {list, tuple} and set(map(len, seq)) <= {items}:
+        columns = list(zip(*seq))  # item i of every entry
+        parts = list(chain.from_iterable(columns[:-1]))
+        if set(map(type, columns[-1])) <= {int} and set(map(type, parts)) <= {list, tuple} \
+                and set(map(type, chain.from_iterable(parts))) <= {int}:
+            return True
+    return _entries_loop(seq, items)
+
+
+def _entries_loop(seq, items: int) -> bool:
+    """``_entries`` one entry at a time, for any sequence the C-level pass does not accept."""
     for entry in seq:
         if not isinstance(entry, (list, tuple)) or len(entry) != items \
                 or type(entry[-1]) is not int:
@@ -304,12 +325,13 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
         one_each = all(k == 1 for k in profile.values())
         record("h-orbit-reps", one_each, "" if one_each else str(profile))
         imap = p.index_map()
+        dom_p, ran_p = p.dom(), p.ran()
         whole = all(
-            set(session.component_vertices(c)) <= p.dom() for c in imap
+            set(session.component_vertices(c)) <= dom_p for c in imap
         ) and all(
-            set(session.component_vertices(c)) <= p.ran() for c in imap.values()
+            set(session.component_vertices(c)) <= ran_p for c in imap.values()
         )
-        record("target-whole-components", whole and not (p.dom() & p.ran()))
+        record("target-whole-components", whole and not (dom_p & ran_p))
     elif cert.claim in (NKOMEGA_CLAIM, N2_CLAIM):
         imap = p.index_map()
         record("target-index-fixing",

@@ -85,6 +85,29 @@ def _unzigzag(u: int) -> int:
     return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
+class FreshComponents:
+    """Lowest component indices, in zig-zag order on Z, outside a set that only grows.
+
+    ``taken`` may only grow, so every index below the cursor stays taken
+    and no call scans from 0 again: n calls over a set of size t cost
+    O(n + t) set lookups together.
+    """
+
+    def __init__(self, taken: Iterable[int] = ()):
+        self.taken = set(taken)
+        self._u = 0
+
+    def take(self) -> int:
+        """The lowest index outside ``taken``; it joins ``taken``."""
+        taken, u = self.taken, self._u
+        while _unzigzag(u) in taken:
+            u += 1
+        self._u = u + 1
+        c = _unzigzag(u)
+        taken.add(c)
+        return c
+
+
 class GraphSession:
     """A finite, monotonically growing realization of one graph.
 
@@ -181,16 +204,6 @@ class GraphSession:
             if v not in avoid:
                 return v
         raise GraphError(f"component {component} exhausted")
-
-    def fresh_component(self, avoid_components: Iterable[int] = ()) -> int:
-        """Lowest unused component index (omega K_n), zig-zag order on Z."""
-        if self.kind.tag != OMEGA_KN:
-            raise GraphError("fresh components exist only for omega K_n")
-        avoid = set(avoid_components)
-        u = 0
-        while _unzigzag(u) in avoid:
-            u += 1
-        return _unzigzag(u)
 
     # -- adjacency ------------------------------------------------------------
 

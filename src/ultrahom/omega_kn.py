@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .certs import OMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
-from .graphs import GraphSession, _unzigzag, _zigzag
+from .graphs import FreshComponents, GraphSession, _unzigzag, _zigzag
 from .oracles import OmegaShiftOracle
-from .partial_iso import IsoBuilder, PartialIso, orbit_rep_profile, validate
+from .partial_iso import IsoBuilder, PartialIso, orbit_rep_profile, power, validate
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,34 @@ class WholeComponentIso:
     def __post_init__(self):
         iso = self.iso
         s = iso.session
-        if iso.dom() & iso.ran():
+        dom, ran = iso.dom(), iso.ran()
+        if dom & ran:
             raise HypothesisError("whole-disjoint", "domain meets range")
         imap = iso.index_map()
         for c in imap:
-            if not set(s.component_vertices(c)) <= iso.dom():
+            if not set(s.component_vertices(c)) <= dom:
                 raise HypothesisError("whole-dom", f"component {c} only partly in the domain")
         for c in imap.values():
-            if not set(s.component_vertices(c)) <= iso.ran():
+            if not set(s.component_vertices(c)) <= ran:
                 raise HypothesisError("whole-ran", f"component {c} only partly in the range")
         if _index_cycles(imap):
             raise HypothesisError("index-cycle-free", "induced index map has a cycle")
 
 
 def _index_cycles(imap: dict[int, int]) -> bool:
+    """True iff the map has a cycle; one pass, each index walked once."""
+    done: set[int] = set()
     for start in imap:
-        cur = start
-        while cur in imap:
-            cur = imap[cur]
-            if cur == start:
+        if start in done:
+            continue
+        path = {start}
+        cur = imap[start]
+        while cur in imap and cur not in done:
+            if cur in path:
                 return True
+            path.add(cur)
+            cur = imap[cur]
+        done |= path
     return False
 
 
@@ -82,28 +90,71 @@ def _index_chains(imap: dict[int, int]) -> list[list[int]]:
     return chains
 
 
-def in_orbit_rep_class(q: PartialIso, sigma) -> bool:
+def _one_rep_per_component(f: PartialIso | IsoBuilder, sigma: set[int]) -> bool:
+    """True iff every chain and cycle of f holds exactly one vertex of sigma, a subset of dom(f).
+
+    Walks each component once, back to its head (or round its cycle) and
+    on to its tail from its representative; a second representative is
+    met on the walk of the first, so the pass is linear in |f|.
+    """
+    fwd, bwd = f._fwd, f._bwd
+    seen: set[int] = set()
+    for v in sigma:
+        if v in seen:
+            return False
+        seen.add(v)
+        u = bwd.get(v)
+        while u is not None and u != v:
+            if u in seen:
+                return False
+            seen.add(u)
+            u = bwd.get(u)
+        if u is None:  # a chain: walk on to its tail
+            u = fwd.get(v)
+            while u is not None:
+                if u in seen:
+                    return False
+                seen.add(u)
+                u = fwd.get(u)
+    return len(seen) == len(fwd) + sum(1 for y in bwd if y not in fwd)
+
+
+def in_orbit_rep_class(q: PartialIso | IsoBuilder, sigma) -> bool:
     """Can q grow to an automorphism with no finite orbit and sigma as orbit reps?
 
     Requires dom(q) to be a union of components with sigma inside it
     hitting every component of q exactly once; the answer is then read
-    off the induced index map: no cycles.
+    off the induced index map: no cycles.  The index map and the
+    domain's share of each component come from one pass over q, or from
+    a builder, which keeps both; a failing requirement is then named by
+    the scan that names it for a frozen value.
     """
     s = q.session
     sigma = set(sigma)
-    for c in {s.component_of(v) for v in q.dom()}:
-        missing = set(s.component_vertices(c)) - q.dom()
-        if missing:
-            raise HypothesisError("dom-union-of-components",
-                                  f"component {c} missing vertex {min(missing)}")
-    if not sigma <= q.dom():
-        raise HypothesisError("sigma-in-dom", f"vertex {min(sigma - q.dom())} outside dom(q)")
-    profile = orbit_rep_profile(q, sigma)
-    for head, k in profile.items():
-        if k != 1:
-            raise HypothesisError("sigma-one-per-component",
-                                  f"component of {head} has {k} representatives")
-    return not _index_cycles(q.index_map())
+    comp, n = s.component_of, s.kind.n
+    if isinstance(q, IsoBuilder):
+        imap, in_dom = q.cmap, q.pairs_from
+    else:
+        imap, in_dom = {}, {}  # in_dom: component -> its vertices in dom(q)
+        for x, y in q._fwd.items():
+            c = comp(x)
+            imap[c] = comp(y)
+            in_dom[c] = in_dom.get(c, 0) + 1
+    if any(k != n for k in in_dom.values()):
+        dom = set(q._fwd)
+        for c in {comp(v) for v in dom}:
+            missing = set(s.component_vertices(c)) - dom
+            if missing:
+                raise HypothesisError("dom-union-of-components",
+                                      f"component {c} missing vertex {min(missing)}")
+    if not q._fwd.keys() >= sigma:
+        raise HypothesisError("sigma-in-dom", f"vertex {min(sigma - q._fwd.keys())} outside dom(q)")
+    if not _one_rep_per_component(q, sigma):
+        for head, k in orbit_rep_profile(q, sigma).items():
+            if k != 1:
+                raise HypothesisError("sigma-one-per-component",
+                                      f"component of {head} has {k} representatives")
+    return not _index_cycles(imap)
 
 
 @dataclass(frozen=True)
@@ -263,7 +314,7 @@ def build_from_partition(session: GraphSession, placement: SigmaPlacement,
 def _add_bijection(b: IsoBuilder, src: int, dst: int) -> None:
     """Add the position-sorted bijection L_src -> L_dst to b."""
     s = b.session
-    for x, y in zip(sorted(s.component_vertices(src)), sorted(s.component_vertices(dst))):
+    for x, y in zip(s.component_vertices(src), s.component_vertices(dst)):
         b.add(x, y)
 
 
@@ -277,6 +328,12 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     far; conjugate p by r^m f into a whole-component map u away from r;
     close up with one bridging bijection per gap so the chain count
     stays exactly |sigma|.
+
+    One builder grows through all three stages, frozen where a stage's
+    result is read as a value: the padded q, the marched r and h.  Each
+    fresh component is the lowest one in zig-zag order outside a set
+    that only grows, so one cursor serves every stage, and each stage is
+    linear in |q|.
     """
     s = q.session
     sigma = sorted(set(sigma))
@@ -288,70 +345,72 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     piso = p.iso
 
     # -- stage 0: absorb p's components, then equalize chain lengths ---------
-    internal_check(len(_index_chains(q.index_map())) * s.kind.n == len(sigma), "chain-count")
     b = IsoBuilder(q)
+    heads = b.cmap.keys() - b.cinv.keys()
+    internal_check(len(heads) * s.kind.n == len(sigma), "chain-count")
     p_comps = sorted({s.component_of(v) for v in piso.support()}, key=_zigzag)
+    fresh = FreshComponents(b.cmap.keys() | b.cinv.keys() | set(p_comps))
     for c in p_comps:
         if c in b.cmap:
             continue
         if c in b.cinv:
             # tail component: push the chain one fresh component further
-            nc = s.fresh_component(b.cmap.keys() | b.cinv.keys() | set(p_comps))
-            _add_bijection(b, c, nc)
+            _add_bijection(b, c, fresh.take())
         else:
             # fresh component: make it the new head of the first chain
-            _add_bijection(b, c, _index_chains(b.cmap)[0][0])
+            head = min(heads, key=_zigzag)
+            _add_bijection(b, c, head)
+            heads.remove(head)
+            heads.add(c)
 
     chains = _index_chains(b.cmap)
     m = max(len(ch) for ch in chains)
     for ch in chains:
         while len(ch) < m:
-            nc = s.fresh_component(b.cmap.keys() | b.cinv.keys() | set(p_comps))
+            nc = fresh.take()
             _add_bijection(b, ch[-1], nc)
             ch.append(nc)
     q = b.freeze()
-    internal_check(in_orbit_rep_class(q, sigma), "padded-class-membership")
+    internal_check(in_orbit_rep_class(b, sigma), "padded-class-membership")
 
     # -- stage 1: march each chain m components through moving indices -------
-    b = IsoBuilder(q)
-    # every component seen so far, with its f-index image and preimage
-    comps_seen = b.cmap.keys() | b.cinv.keys() | set(p_comps)
-    avoid = comps_seen | {f.index_image(c) for c in comps_seen} \
-        | {f.index_preimage(c) for c in comps_seen}
-    tails = [ch[-1] for ch in _index_chains(b.cmap)]
+    # avoid every component seen so far, with its f-index image and preimage
+    avoid = fresh.taken
+    avoid.update([f.index_image(c) for c in avoid] + [f.index_preimage(c) for c in avoid])
     marched: list[list[int]] = []
-    for tail in tails:
-        row = [tail]
+    for ch in chains:
+        row = [ch[-1]]
         for _ in range(m):
-            nc = s.fresh_component(avoid)
+            nc = fresh.take()
             internal_check(f.index_image(nc) != nc, "march-component-moves")
             _add_bijection(b, row[-1], nc)
-            avoid.update((nc, f.index_image(nc), f.index_preimage(nc)))
+            avoid.update((f.index_image(nc), f.index_preimage(nc)))
             row.append(nc)
         marched.append(row)
     r = b.freeze()
 
-    r_comps = {s.component_of(v) for v in r.support()}
+    r_comps = b.cmap.keys() | b.cinv.keys()
     for row in marched:
-        for j, c in enumerate(row[1:], start=1):
+        for c in row[1:]:
             internal_check(f.index_image(c) not in r_comps, "march-escapes-forward")
             internal_check(f.index_preimage(c) not in r_comps, "march-escapes-backward")
-    for x in sorted(q.dom()):
-        # a walk defined for m steps is defined at every j <= m
-        internal_check(r.chase(x, m) is not None, "march-depth")
+    # r^m, one walk per chain: (x)r^m is defined exactly where m steps remain past x
+    r_m = power(r, m)
+    for x in q.dom():
+        internal_check(r_m.apply(x) is not None, "march-depth")
 
     # -- stage 2: conjugate p through r^m f and close up ----------------------
     u_pairs = []
     for z in sorted(piso.dom()):
-        left = f.image(r.chase(z, m))
-        right = f.image(r.chase(piso.apply(z), m))
+        left = f.image(r_m.apply(z))
+        right = f.image(r_m.apply(piso.apply(z)))
         u_pairs.append((left, right))
     u = validate(s, u_pairs)
-    internal_check(not u.support() & r.support(), "conjugate-avoids-r")
-    internal_check(not _index_cycles(u.index_map()), "conjugate-cycle-free")
+    internal_check(not any(map(b.in_support, u.support())), "conjugate-avoids-r")
+    u_imap = u.index_map()
+    internal_check(not _index_cycles(u_imap), "conjugate-cycle-free")
 
-    b = IsoBuilder(r)
-    u_chains = _index_chains(u.index_map())
+    u_chains = _index_chains(u_imap)
     if u_chains:
         for left, right in zip(u_chains, u_chains[1:]):
             _add_bijection(b, left[-1], right[0])
@@ -360,10 +419,9 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
             b.add(x, y)
     h = b.freeze()
 
-    comps = h.components()
-    internal_check(len(comps.incomplete_components()) == len(sigma)
-                   and not comps.complete_components(), "chain-count-final")
-    internal_check(in_orbit_rep_class(h, sigma), "h-class-membership")
+    # b.count counts chains and cycles, and b is cycle-free when every one is a chain
+    internal_check(b.count == len(sigma) and b.cycle_free(), "chain-count-final")
+    internal_check(in_orbit_rep_class(b, sigma), "h-class-membership")
     internal_check(h.extends(q_in), "h-extends-q")
 
     data = {"m": m, "sigma": sigma}

@@ -374,8 +374,21 @@ class ComponentView:
 
 
 def cycle_free(f: PartialIso) -> bool:
-    """True iff f has no complete component (so f extends to a map with no finite orbit)."""
-    return not f.components().complete_components()
+    """True iff f has no complete component (so f extends to a map with no finite orbit).
+
+    One pass: walking forward from every chain head (dom - ran) reaches
+    each vertex of dom on a chain once, and a vertex of dom lies on a
+    cycle exactly when no such walk reaches it.
+    """
+    fwd, bwd = f._fwd, f._bwd
+    reached = 0
+    for x in fwd:
+        if x not in bwd:
+            v = x
+            while v in fwd:
+                reached += 1
+                v = fwd[v]
+    return reached == len(fwd)
 
 
 def orbit_rep_profile(f: PartialIso, sigma: Iterable[int]) -> dict[int, int]:
@@ -411,9 +424,11 @@ class IsoBuilder(_MapReads):
     ``add`` accepts and rejects exactly the pairs ``extend`` does, with
     the same ``IsoError`` reasons.
 
-    ``freeze`` returns the value at a stage boundary, where the map is
-    returned, certified or checked; a builder belongs to one stage.
-    ``dom()`` and ``ran()`` are live views that follow later adds.
+    ``freeze`` returns the value wherever the map must stay fixed: where
+    it is returned or certified, and where a later step reads it while
+    the builder grows on.  ``dom()`` and ``ran()`` are live views that
+    follow later adds.  Growth only adds pairs, so one builder may carry
+    a map through several stages.
     """
 
     def __init__(self, base: PartialIso):
@@ -435,8 +450,13 @@ class IsoBuilder(_MapReads):
         self.arrivals: list[int] = []         # support vertices in the order they joined
         self._cursor: dict[int, int] = {}
         self._perm: IndexPerm | None = None
-        for x, y in base._fwd.items():
-            self._record(x, y)
+        comp = self._comp
+        if comp is None:
+            for x, y in base._fwd.items():
+                self._record(x, y)
+        else:
+            for x, y in base._fwd.items():
+                self._record(x, y, comp(x), comp(y))
 
     # -- queries ---------------------------------------------------------------
 
@@ -549,11 +569,13 @@ class IsoBuilder(_MapReads):
             if clash:
                 _, x2, y2 = min(clash)
                 _raise_component_conflict(s, (x, y), (x2, y2))
+            self._record(x, y, cx, cy)
         else:
             _check_lazy_pair(s, fwd, bwd, x, y)
-        self._record(x, y)
+            self._record(x, y)
 
-    def _record(self, x: int, y: int) -> None:
+    def _record(self, x: int, y: int, cx: int | None = None, cy: int | None = None) -> None:
+        """Record (x, y); on a component graph cx and cy are the components of x and y."""
         fwd, bwd = self._fwd, self._bwd
         x_ends_chain = x in bwd
         y_heads_chain = y in fwd
@@ -592,8 +614,7 @@ class IsoBuilder(_MapReads):
             self.count += 1
         if size > self._longest:
             self._longest = size
-        if self._comp is not None:
-            cx, cy = self._comp(x), self._comp(y)
+        if cx is not None:
             self.pairs_from[cx] = self.pairs_from.get(cx, 0) + 1
             if cx not in self.cmap:
                 self.cmap[cx] = cy

@@ -14,6 +14,11 @@ from .errors import GraphError
 
 @dataclass(frozen=True)
 class IndexPerm:
+    """A permutation of 1..n.  Construction checks the images; products,
+    inverses and powers of valid permutations are valid, so they are
+    built by ``_of`` without the check.  ``cycles`` and ``order`` are
+    computed once per value."""
+
     images: tuple[int, ...]  # images[i-1] = image of i
 
     def __post_init__(self):
@@ -22,8 +27,15 @@ class IndexPerm:
             raise GraphError(f"not a permutation of 1..{n}: {self.images}")
 
     @staticmethod
+    def _of(images: tuple[int, ...]) -> "IndexPerm":
+        """The permutation with these images, which must already form a permutation."""
+        out = object.__new__(IndexPerm)
+        object.__setattr__(out, "images", images)
+        return out
+
+    @staticmethod
     def identity(n: int) -> "IndexPerm":
-        return IndexPerm(tuple(range(1, n + 1)))
+        return IndexPerm._of(tuple(range(1, n + 1)))
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "IndexPerm":
@@ -58,19 +70,22 @@ class IndexPerm:
         return self.images[i - 1]
 
     def __mul__(self, other: "IndexPerm") -> "IndexPerm":
-        return IndexPerm(tuple(other.images[x - 1] for x in self.images))
+        return IndexPerm._of(tuple(other.images[x - 1] for x in self.images))
 
     def inverse(self) -> "IndexPerm":
         img = [0] * self.n
         for i, x in enumerate(self.images, start=1):
             img[x - 1] = i
-        return IndexPerm(tuple(img))
+        return IndexPerm._of(tuple(img))
 
     def power(self, k: int) -> "IndexPerm":
-        out = IndexPerm.identity(self.n)
-        for _ in range(k % self.order()):
-            out = out * self
-        return out
+        """self^k for any integer k, in O(n): each point moves k places round its cycle."""
+        img = [0] * self.n
+        for cyc in self.cycles(include_fixed=True):
+            r = k % len(cyc)
+            for a, b in zip(cyc, cyc[r:] + cyc[:r]):
+                img[a - 1] = b
+        return IndexPerm._of(tuple(img))
 
     def is_identity(self) -> bool:
         return all(self(i) == i for i in range(1, self.n + 1))
@@ -79,20 +94,24 @@ class IndexPerm:
         return {i for i in range(1, self.n + 1) if self(i) != i}
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for i in range(1, self.n + 1):
-            if i in seen:
-                continue
-            cyc = [i]
-            j = self(i)
-            while j != i:
-                cyc.append(j)
-                j = self(j)
-            seen.update(cyc)
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+        all_cycles = self.__dict__.get("_cycles")
+        if all_cycles is None:
+            images = self.images
+            seen: set[int] = set()
+            found = []
+            for i in range(1, self.n + 1):
+                if i in seen:
+                    continue
+                cyc = [i]
+                j = images[i - 1]
+                while j != i:
+                    cyc.append(j)
+                    j = images[j - 1]
+                seen.update(cyc)
+                found.append(tuple(cyc))
+            all_cycles = tuple(found)
+            object.__setattr__(self, "_cycles", all_cycles)
+        return [c for c in all_cycles if include_fixed or len(c) > 1]
 
     def orbit(self, i: int) -> list[int]:
         cyc = [i]
@@ -103,9 +122,12 @@ class IndexPerm:
         return cyc
 
     def order(self) -> int:
-        out = 1
-        for cyc in self.cycles(include_fixed=True):
-            out = out * len(cyc) // gcd(out, len(cyc))
+        out = self.__dict__.get("_order")
+        if out is None:
+            out = 1
+            for cyc in self.cycles(include_fixed=True):
+                out = out * len(cyc) // gcd(out, len(cyc))
+            object.__setattr__(self, "_order", out)
         return out
 
     def cycle_notation(self) -> str:
@@ -120,7 +142,7 @@ class IndexPerm:
 
 def all_perms(n: int):
     for img in permutations(range(1, n + 1)):
-        yield IndexPerm(img)
+        yield IndexPerm._of(img)
 
 
 def closure(n: int, gens: list[IndexPerm], stop_at: int | None = None) -> set[IndexPerm]:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ultrahom.errors import GraphError
-from ultrahom.graphs import HENSON, GraphKind, GraphSession
+from ultrahom.graphs import HENSON, FreshComponents, GraphKind, GraphSession, _unzigzag
 
 
 def test_kind_parameter_ranges():
@@ -205,5 +205,26 @@ def test_random_sessions_replay_and_clique_checks_match_brute_force(kind):
 def test_fresh_in_component_deterministic(nk2):
     got = nk2.fresh_in_component(1, avoid={nk2.vertex(1, 0), nk2.vertex(1, 1)})
     assert got == nk2.vertex(1, 2)
-    s = GraphSession(GraphKind.omega_kn(2))
-    assert s.fresh_component({0, 1, -1}) == -2  # zig-zag order on Z
+    assert FreshComponents({0, 1, -1}).take() == -2  # zig-zag order on Z
+
+
+def _lowest_free_scan(avoid):
+    """Reference: scan zig-zag order on Z from 0 for the first index outside avoid."""
+    u = 0
+    while _unzigzag(u) in avoid:
+        u += 1
+    return _unzigzag(u)
+
+
+def test_fresh_component_cursor_matches_the_scan_from_zero():
+    rng = random.Random(13)
+    for _ in range(200):
+        spread = rng.randint(1, 40)
+        cursor = FreshComponents(rng.sample(range(-spread, spread), rng.randint(0, spread)))
+        for _ in range(rng.randint(1, 30)):
+            if rng.random() < 0.4:  # the set grows, around and below the cursor too
+                cursor.taken.update(rng.randint(-spread, spread) for _ in range(rng.randint(1, 5)))
+            want = _lowest_free_scan(set(cursor.taken))
+            got = cursor.take()
+            assert got == want
+            assert got in cursor.taken

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -6,12 +8,12 @@ import pytest
 from ultrahom.campaigns import omega_trial
 from ultrahom.certs import verify
 from ultrahom.errors import HypothesisError
-from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.graphs import GraphKind, GraphSession, _unzigzag
 from ultrahom.omega_kn import (OrbitPartition, SigmaPlacement, WholeComponentIso,
-                               build_from_partition, density_witness_omega,
-                               feasible_partition, in_orbit_rep_class)
+                               _index_cycles, _one_rep_per_component, build_from_partition,
+                               density_witness_omega, feasible_partition, in_orbit_rep_class)
 from ultrahom.oracles import OmegaShiftOracle
-from ultrahom.partial_iso import from_pairs, orbit_rep_profile
+from ultrahom.partial_iso import IsoBuilder, from_pairs, orbit_rep_profile, power
 
 
 def comp_bijection(s, a, b):
@@ -160,3 +162,164 @@ def test_density_witness_randomized_small():
 def test_density_witness_n3():
     cert = omega_trial(3, 3, random.Random(123))
     assert verify(cert).ok
+
+
+def _index_cycles_per_start(imap):
+    """Reference: walk the whole chain from every start (injective maps only)."""
+    for start in imap:
+        cur = start
+        while cur in imap:
+            cur = imap[cur]
+            if cur == start:
+                return True
+    return False
+
+
+def _in_orbit_rep_class_by_scans(q, sigma):
+    """Reference: the orbit-representative test as a scan per requirement."""
+    s = q.session
+    sigma = set(sigma)
+    for c in {s.component_of(v) for v in q.dom()}:
+        missing = set(s.component_vertices(c)) - q.dom()
+        if missing:
+            raise HypothesisError("dom-union-of-components",
+                                  f"component {c} missing vertex {min(missing)}")
+    if not sigma <= q.dom():
+        raise HypothesisError("sigma-in-dom", f"vertex {min(sigma - q.dom())} outside dom(q)")
+    for head, k in orbit_rep_profile(q, sigma).items():
+        if k != 1:
+            raise HypothesisError("sigma-one-per-component",
+                                  f"component of {head} has {k} representatives")
+    return not _index_cycles_per_start(q.index_map())
+
+
+def _random_partial_injection(rng, points):
+    """A random injective map on a subset of ``points``: chains, cycles and fixed points."""
+    points = list(points)
+    images = points[:]
+    rng.shuffle(images)
+    perm = dict(zip(points, images))
+    return {x: perm[x] for x in rng.sample(points, rng.randint(0, len(points)))}
+
+
+def _random_component_map(rng, s):
+    """Whole-component bijections along a random injective index map, some pairs dropped."""
+    imap = _random_partial_injection(rng, range(-rng.randint(1, 6), rng.randint(1, 7)))
+    pairs = []
+    n = s.kind.n
+    for a, b in imap.items():
+        tgt = list(range(n))
+        rng.shuffle(tgt)
+        pairs += [(s.vertex(a, i), s.vertex(b, tgt[i])) for i in range(n)]
+    if rng.random() < 0.3:  # components only partly in the domain
+        for _ in range(min(len(pairs), rng.randint(1, 2))):
+            pairs.pop(rng.randrange(len(pairs)))
+    return from_pairs(s, pairs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisError as e:
+        return e.clause, str(e)
+
+
+def test_index_cycles_one_pass_matches_the_walk_from_every_start():
+    rng = random.Random(5)
+    for _ in range(2000):
+        imap = _random_partial_injection(rng, range(rng.randint(0, 12)))
+        assert _index_cycles(imap) == _index_cycles_per_start(imap), imap
+
+
+def test_in_orbit_rep_class_names_the_same_failure_as_the_scans():
+    """Partial components, sigma outside dom, doubly hit chains, missed chains, index cycles."""
+    rng = random.Random(8)
+    reasons = set()
+    for _ in range(1500):
+        s = GraphSession(GraphKind.omega_kn(rng.choice((1, 2, 3))))
+        q = _random_component_map(rng, s)
+        pool = sorted(q.dom())
+        if rng.random() < 0.5 and pool:
+            # one representative per chain or cycle, then maybe one too many or too few
+            sigma = [min(c.vertices) for c in q.components().components]
+            sigma = [v if v in q.dom() else q.unapply(v) for v in sigma]
+            if rng.random() < 0.5:
+                sigma.append(rng.choice(pool))
+            if rng.random() < 0.3 and sigma:
+                sigma.pop(rng.randrange(len(sigma)))
+        else:
+            sigma = rng.sample(pool, rng.randint(0, len(pool)))
+        if rng.random() < 0.2:
+            sigma.append(s.vertex(rng.randint(-8, 8), 0))  # maybe outside dom(q)
+        want = _outcome(_in_orbit_rep_class_by_scans, q, sigma)
+        assert _outcome(in_orbit_rep_class, q, sigma) == want, (q, sigma)
+        assert _outcome(in_orbit_rep_class, IsoBuilder(q), sigma) == want, (q, sigma)
+        if q.dom().issuperset(sigma):
+            profile = orbit_rep_profile(q, sigma)
+            assert _one_rep_per_component(q, set(sigma)) == all(k == 1 for k in profile.values())
+        reasons.add(want[0] if isinstance(want, tuple) else want)
+    assert reasons == {True, False, "dom-union-of-components", "sigma-in-dom",
+                       "sigma-one-per-component"}
+
+
+def test_march_depth_reads_r_to_the_m_as_the_chase_does():
+    rng = random.Random(21)
+    for _ in range(300):
+        s = GraphSession(GraphKind.omega_kn(rng.choice((1, 2, 3))))
+        r = _random_component_map(rng, s)
+        for m in range(1, 9):
+            r_m = power(r, m)
+            for x in range(s.vertex(8, s.kind.n - 1) + 1):
+                assert (r_m.apply(x) is not None) == (r.chase(x, m) is not None), (r, x, m)
+
+
+def _calls_made(fn, *args):
+    """fn(*args) and the number of Python and built-in calls it made, counted by a profile hook."""
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls[0]
+
+
+def test_chained_witnesses_verify_and_build_linearly_in_q():
+    """The paper's g as a union h_0 <= h_1 <= ...: each step's q is the last step's h.
+
+    n = 3, a shift by one component with shuffled positions; q_0 is two
+    chains of two components with sigma on their heads, and each p maps
+    the lowest free component onto the next one, position by position.
+    |q| roughly doubles per step; past |q| = 250 the calls one build
+    makes may grow at most 2.5x per doubling (linear is 2x, and a build
+    that scans or chases per point of q grows 3-4x).
+    """
+    n = 3
+    s = GraphSession(GraphKind.omega_kn(n))
+    pos = list(range(n))
+    random.Random(1).shuffle(pos)
+    f = OmegaShiftOracle(s, 1, pos)
+    q = from_pairs(s, comp_bijection(s, 0, 1) + comp_bijection(s, -1, 2))
+    sigma = s.component_vertices(0) + s.component_vertices(-1)
+    sizes, counts = [], []
+    while len(q) < 2300:
+        used = {s.component_of(v) for v in q.support()}
+        a, b = [c for c in map(_unzigzag, range(2 * len(used) + 2)) if c not in used][:2]
+        p = WholeComponentIso(from_pairs(s, comp_bijection(s, a, b)))
+        cert, calls = _calls_made(density_witness_omega, f, q, p, sigma)
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert cert.q == [list(t) for t in q.pairs()]
+        sizes.append(len(q))
+        counts.append(calls)
+        q = from_pairs(s, cert.h)
+    assert sizes[-1] == 2268
+    for i in range(len(sizes) - 1):
+        if sizes[i] >= 250:
+            doublings = math.log2(sizes[i + 1] / sizes[i])
+            assert counts[i + 1] / counts[i] <= 2.5 ** doublings, (sizes, counts)

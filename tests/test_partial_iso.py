@@ -124,6 +124,21 @@ def test_components_match_brute_force(nk2):
         assert got == brute_components(pairs)
 
 
+def test_cycle_free_matches_brute_force_on_chains_and_cycles(nk2):
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        pts = list(range(rng.randint(0, 10)))
+        images = pts[:]
+        rng.shuffle(images)
+        dom = rng.sample(pts, rng.randint(0, len(pts)))  # a sub-map of a permutation: chains and cycles
+        pairs = [(nk2.vertex(1, x), nk2.vertex(1, images[x])) for x in dom]
+        want = not any(cyclic for _, cyclic in brute_components(pairs))
+        assert cycle_free(from_pairs(nk2, pairs)) == want, pairs
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_union_merges_at_most_two_components(nk2):
     rng = random.Random(8)
     for _ in range(150):

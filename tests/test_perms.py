@@ -59,3 +59,37 @@ def test_word_to_unreachable():
     a = IndexPerm.from_cycles(3, [(1, 2, 3)])
     with pytest.raises(GraphError):
         word_to(3, a, a, IndexPerm.from_cycles(3, [(1, 2)]))
+
+
+def _pointwise_power(p, k):
+    """Reference: apply p (or its inverse) |k| times to every point."""
+    n = p.n
+    inv = {p(i): i for i in range(1, n + 1)}
+    img = []
+    for i in range(1, n + 1):
+        v = i
+        for _ in range(abs(k)):
+            v = p(v) if k > 0 else inv[v]
+        img.append(v)
+    return tuple(img)
+
+
+def test_arithmetic_matches_pointwise_definitions_for_n_up_to_5():
+    for n in range(1, 6):
+        perms = list(all_perms(n))
+        ident = tuple(range(1, n + 1))
+        for p in perms:
+            for k in range(-7, 8):
+                assert p.power(k).images == _pointwise_power(p, k), (p, k)
+            order = next(k for k in range(1, 200) if _pointwise_power(p, k) == ident)
+            assert p.order() == order
+            inv = p.inverse()
+            assert all(inv(p(i)) == i and p(inv(i)) == i for i in range(1, n + 1))
+            assert p.cycles(include_fixed=True) == p.cycles(include_fixed=True)
+            assert sorted(i for c in p.cycles(include_fixed=True) for i in c) == list(ident)
+            assert all(len(c) > 1 for c in p.cycles())
+        for p in perms if n < 5 else perms[::7]:
+            for q in perms:
+                # right action: (i)(p * q) = ((i)p)q
+                assert (p * q).images == tuple(q(p(i)) for i in range(1, n + 1))
+                assert p * q == IndexPerm((p * q).images)  # a valid permutation, equal to a checked one

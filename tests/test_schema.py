@@ -6,6 +6,7 @@ and ``omega-kn`` n=3 trial 0, one per line in that order.
 """
 
 import json
+import random
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -272,3 +273,111 @@ def test_hostile_words_are_rejected_on_the_product_within_bounds(monkeypatch, tr
                      ["product-extends-target", "product-pair-sets-match"]), failing
     assert CountingDict.lookups <= len(json.dumps(doc))
     assert peak < 10 ** 6, peak
+
+
+def test_whole_component_target_check_reads_dom_and_ran_once(monkeypatch):
+    """target-whole-components builds dom(p) and ran(p) once, not once per component of p."""
+    doc = json.loads(run_trial("omega-kn", 3, 1, 0).to_json())
+    session = GraphSession(GraphKind.omega_kn(3))
+    calls = {"dom": 0, "ran": 0}
+    for name in calls:
+        real = getattr(PartialIso, name)
+
+        def counted(self, real=real, name=name):
+            calls[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(PartialIso, name, counted)
+    seen = []
+    for components in (10, 100, 1000):
+        doc["p"] = [[session.vertex(1000 + i, j), session.vertex(5000 + i, j)]
+                    for i in range(components) for j in range(3)]
+        for name in calls:
+            calls[name] = 0
+        report = verify(WitnessCertificate.from_json(json.dumps(doc)))
+        assert ("target-whole-components", True, "") in report.clauses
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] == seen[2], seen
+    assert seen[0]["dom"] <= 2 and seen[0]["ran"] <= 2, seen
+
+
+class _Pair(tuple):
+    """A tuple subclass: the entry loop accepts it, the C-level passes hand it to the loop."""
+
+
+def _ints_loop(seq):
+    if not isinstance(seq, (list, tuple)):
+        return False
+    for v in seq:
+        if type(v) is not int:
+            return False
+    return True
+
+
+def _entries_loop(seq, items):
+    """Reference: the transcript shape check one entry at a time."""
+    if not isinstance(seq, (list, tuple)):
+        return False
+    for entry in seq:
+        if not isinstance(entry, (list, tuple)) or len(entry) != items \
+                or type(entry[-1]) is not int:
+            return False
+        for part in entry[:-1]:
+            if not _ints_loop(part):
+                return False
+    return True
+
+
+def _hostile(rng, value):
+    """value, or with some chance one hostile stand-in for it."""
+    if rng.random() < 0.85:
+        return value
+    return rng.choice([True, 1.0, "1", None, {1: 2}, {1, 2}, [], [[1, 2]], (1,), (1, 2, 3),
+                       _Pair((1, 2)), _Pair(value) if isinstance(value, (list, tuple)) else 3,
+                       [value], (value,), 2 ** 70, -1])
+
+
+def _hostile_entries(rng, items):
+    def entry():
+        parts = [_hostile(rng, [_hostile(rng, rng.randint(0, 50)) for _ in range(rng.randint(0, 4))])
+                 for _ in range(items - 1)]
+        return _hostile(rng, rng.choice([list, tuple])(parts + [_hostile(rng, rng.randint(0, 50))]))
+
+    seq = [entry() for _ in range(rng.randint(0, 6))]
+    return rng.choice([seq, seq, seq, tuple(seq), _Pair(seq), {0: seq}, "seq", None])
+
+
+def test_transcript_shape_pass_matches_the_loop_on_hostile_shapes(monkeypatch):
+    """Bools, floats, big and nested values, tuple subclasses, wrong arity, non-list entries."""
+    from ultrahom import certs
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(4000):
+        for items in (2, 4):
+            seq = _hostile_entries(rng, items)
+            got = certs._entries(seq, items)
+            assert got == _entries_loop(seq, items), (seq, items)
+            # wrong arity: entries of one schema read as the other's
+            assert certs._entries(seq, 6 - items) == _entries_loop(seq, 6 - items), seq
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+    # the certificate-shape notes are the loop's, on real transcripts made hostile
+    docs = [json.loads(run_trial("henson", 3, 1, i).to_json()) for i in range(3)]
+    docs += [json.loads(line) for line in _v1_lines()[:3]]  # schema 1: (U, V, F, id)
+    notes = set()
+    for _ in range(400):
+        cert = WitnessCertificate.from_json(json.dumps(rng.choice(docs)))
+        entries = list(cert.transcript)
+        if entries:
+            i = rng.randrange(len(entries))
+            j = rng.randrange(len(entries[i]))
+            entries[i] = _hostile(rng, (*entries[i][:j], _hostile(rng, entries[i][j]),
+                                        *entries[i][j + 1:]))
+        cert.transcript = rng.choice([entries, tuple(entries)])
+        fast = certs.shape_problem(cert)
+        monkeypatch.setattr(certs, "_entries", _entries_loop)
+        assert certs.shape_problem(cert) == fast, cert.transcript
+        monkeypatch.undo()
+        notes.add(fast)
+    assert None in notes and len(notes) >= 3, notes
