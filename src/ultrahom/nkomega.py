@@ -329,8 +329,13 @@ def _absorb_into_dom(ctx: AFSigmaContext, b: IsoBuilder, pts, avoid=()) -> None:
         _class_extend(ctx, b, x, b.fresh(sq(s.component_of(x)), blocked))
 
 
-def _orbit_avoids(b: IsoBuilder, z: int, phi) -> bool:
-    return not any(v in phi for v in landing_orbit(b, z))
+def _orbit_avoids(b: IsoBuilder, z: int, phi: frozenset[int]) -> bool:
+    """Whether z's component in b misses phi: O(1) through b's chain marks once b is
+    marked with phi, unless z lies inside a chain or on a cycle."""
+    hits = b.chain_marks(z) if b.marked is phi else None
+    if hits is None:
+        return not any(v in phi for v in landing_orbit(b, z))
+    return hits == 0
 
 
 def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
@@ -387,7 +392,7 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     while True:
         x_len, x_val = walks.consumed(x), walks.value(x)
         internal_check(k <= x_len <= rho_len, "inner-i")
-        internal_check(not b.ran() & delta, "inner-ii")
+        internal_check(b.ran().isdisjoint(delta), "inner-ii")
         for u in established:
             if u != y:
                 internal_check(walks.consumed(u) == entry_prefix[u], "inner-iii")
@@ -445,6 +450,7 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
         specials = f.fixed_band_points()
     _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set() | specials, avoid=delta)
     phi = frozenset(b.dom())
+    b.mark(phi)
     window.fence(delta)
 
     lam = reduce_word([("a", 1)])
@@ -469,12 +475,14 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     One fresh pair per first-letter death point of x's walk; the other
     target points' landings are pinned by the exclusion windows around
     every choice.  ``window`` must have radius b_count(w); it fences
-    delta and carries its marks over from earlier growth of b.
+    delta and carries its centres over from earlier growth of b.  b is
+    marked with phi unless it already is, so a builder grown on from the
+    base word keeps its chain counts.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     theta = set(theta)
-    phi = set(phi)
+    phi = frozenset(phi)  # the same set when phi is one already, so b's marks carry over
     delta = set(delta)
     rep = check_word_condition(b, gamma, theta, phi, delta, w, f)
     if not rep.holds:
@@ -495,6 +503,8 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     if window.radius != B:
         raise HypothesisError("window-radius", f"the window must have radius b_count(w) = {B}")
     window.fence(delta)
+    if b.marked is not phi:
+        b.mark(phi)
     entry = {u: walks.consumed(u) for u in others}
     guard = 0
     internal_check(2 <= walks.consumed(x) + 1 <= W, "death-position")
@@ -511,7 +521,7 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
         guard += 1
         internal_check(guard <= W + 1, "fill-terminates")
 
-        internal_check(not b.ran() & delta, "fill-i")
+        internal_check(b.ran().isdisjoint(delta), "fill-i")
         for u in others:
             internal_check(walks.consumed(u) == entry[u]
                            and walks.value(u) not in b.dom(), "fill-ii")
@@ -519,7 +529,7 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
         internal_check(walks.consumed(x) > k, "fill-progress")
         if walks.consumed(x) < W:
             radius = B - b_count(walks.prefix(x))
-            for v in window.window(newval)[:2 * radius + 1]:
+            for v in window.window(newval, radius):
                 internal_check(v not in dom, "fill-iii")
         internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
         for u in others:
@@ -535,8 +545,8 @@ def build_covering_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
 
     One builder grows from q through the base word and every fill, and
     one window serves all their fresh choices: it fences delta once and
-    widens from the base steps' b-counts to b_count(w), so each centre's
-    window is marked once per covering word.
+    widens from the base steps' b-counts to b_count(w), so each centre
+    joins it once per covering word.
     """
     gamma = sorted(set(gamma))
     delta = sorted(set(delta))

@@ -314,8 +314,7 @@ def build_from_partition(session: GraphSession, placement: SigmaPlacement,
 def _add_bijection(b: IsoBuilder, src: int, dst: int) -> None:
     """Add the position-sorted bijection L_src -> L_dst to b."""
     s = b.session
-    for x, y in zip(s.component_vertices(src), s.component_vertices(dst)):
-        b.add(x, y)
+    b.add_pairs(src, dst, zip(s.component_vertices(src), s.component_vertices(dst)))
 
 
 def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,

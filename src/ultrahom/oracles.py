@@ -39,11 +39,6 @@ class OracleBase:
             raise GraphError(f"oracle exhausted: no preimage for {v}")
         return out
 
-    def iterate(self, v: int, k: int) -> int:
-        for _ in range(abs(k)):
-            v = self.image(v) if k > 0 else self.preimage(v)
-        return v
-
     def description(self) -> dict:
         raise NotImplementedError
 
@@ -207,6 +202,7 @@ class NKOracle(OracleBase):
                 self._cycle_pos[c] = (cyc, i)
         self._memo_fwd: dict[int, int] = {}
         self._memo_bwd: dict[int, int] = {}
+        self._band_place: dict[int, tuple[tuple[int, ...], int]] | None = None
 
     def index_perm(self) -> IndexPerm:
         return self.sigma
@@ -254,6 +250,60 @@ class NKOracle(OracleBase):
         return out
 
     # -- orbit structure -----------------------------------------------------
+
+    def _band_orbit_of(self, v: int) -> tuple[tuple[int, ...], int]:
+        """The band orbit through band vertex v, lowest vertex first, and v's index on it."""
+        if self._band_place is None:  # built on first use: verification never asks
+            self._band_place = {u: (orb, i) for orb in self.band_orbits()
+                                for i, u in enumerate(orb)}
+        return self._band_place[v]
+
+    def orbit_coord(self, v: int) -> tuple[int, int, int]:
+        """(key, s, period): v's f-orbit, v's place s on it, and its length (0 if infinite).
+
+        f adds 1 to s, modulo the period on a finite orbit.  The orbits:
+        a sigma-cycle (c_0 ... c_{L-1}) has one two-way infinite tail
+        orbit, keyed -c_0, on which (c_i, t) sits at
+        s = unzigzag(t - band_rows) * L + i (see ``_spine``); a band orbit
+        is a cycle, keyed by its lowest vertex; a fixed-tail vertex is its
+        own orbit, keyed by itself.  Keys of different orbits differ.
+        """
+        s = self.session
+        c, t = s.component_of(v), s.position_of(v)
+        if t < self.band_rows:
+            orb, i = self._band_orbit_of(v)
+            return orb[0], i, len(orb)
+        if c in self.fixed_tail:
+            return v, 0, 1
+        cyc, i = self._cycle_pos[c]
+        return -cyc[0], _unzigzag(t - self.band_rows) * len(cyc) + i, 0
+
+    def vertex_at(self, key: int, s: int) -> int:
+        """The vertex at place s (modulo the period) of the orbit ``key``; see ``orbit_coord``."""
+        if key < 0:
+            cyc, _ = self._cycle_pos[-key]
+            z, i = divmod(s, len(cyc))
+            return self.session.vertex(cyc[i], _zigzag(z) + self.band_rows)
+        if key in self._band_fwd:
+            orb, _ = self._band_orbit_of(key)
+            return orb[s % len(orb)]
+        return key
+
+    def tail_line(self, c: int) -> tuple[int, int, int] | None:
+        """(key, L, i): position band_rows + u of component c sits at
+        unzigzag(u) * L + i on the tail orbit ``key``; None for a fixed tail.
+
+        L is the length of c's sigma-cycle and i is c's index on it.
+        """
+        if c in self.fixed_tail:
+            return None
+        cyc, i = self._cycle_pos[c]
+        return -cyc[0], len(cyc), i
+
+    def iterate(self, v: int, k: int) -> int:
+        """(v)f^k in O(1), read off v's orbit coordinates."""
+        key, s, _ = self.orbit_coord(v)
+        return self.vertex_at(key, s + k)
 
     def fixed_components(self) -> set[int]:
         """Components whose tail is pointwise fixed (fix(f) infinite there)."""

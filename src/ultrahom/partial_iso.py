@@ -10,6 +10,7 @@ that ``IsoBuilder.add`` is tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, KeysView
 
@@ -419,8 +420,9 @@ class IsoBuilder(_MapReads):
     (so checking a new pair on a component graph costs two lookups),
     chain head and tail links with chain lengths, the longest component,
     the number of components, the total index permutation once it
-    exists, and per component a cursor at the lowest position outside
-    the support (it only moves forward, because the support only grows).
+    exists, per component a cursor at the lowest position outside the
+    support (it only moves forward, because the support only grows), and
+    per chain the number of its vertices in the set ``mark`` was given.
     ``add`` accepts and rejects exactly the pairs ``extend`` does, with
     the same ``IsoError`` reasons.
 
@@ -445,6 +447,8 @@ class IsoBuilder(_MapReads):
         self._head_of: dict[int, int] = {}    # chain tail -> chain head
         self._tail_of: dict[int, int] = {}    # chain head -> chain tail
         self._chain_len: dict[int, int] = {}  # chain head -> vertices on the chain
+        self.marked: frozenset[int] = frozenset()
+        self._marks: dict[int, int] | None = None  # chain head -> its vertices in marked
         self._longest = 0
         self.count = 0
         self.arrivals: list[int] = []         # support vertices in the order they joined
@@ -486,6 +490,25 @@ class IsoBuilder(_MapReads):
     def neighbour_preimages(self, y: int) -> set[int]:
         """The preimages of N(y) cap ran on a lazy graph, in O(degree)."""
         return self.session.mapped_neighbours(y, self._bwd)
+
+    def mark(self, marked: frozenset[int]) -> None:
+        """Count the vertices of ``marked`` on every chain; later adds keep the counts."""
+        self.marked = marked
+        self._marks = {chain[0]: sum(v in marked for v in chain) for chain in self.chains()}
+
+    def chain_marks(self, v: int) -> int | None:
+        """Marked vertices on v's component, in O(1) when v is outside the support
+        (v alone) or a chain's head or tail; None for v inside a chain or on a cycle."""
+        in_dom, in_ran = v in self._fwd, v in self._bwd
+        if in_dom and in_ran:
+            return None
+        if self._marks is None:  # nothing marked yet
+            return 0
+        if in_dom:
+            return self._marks[v]
+        if in_ran:
+            return self._marks[self._head_of[v]]
+        return int(v in self.marked)
 
     def index_perm(self) -> IndexPerm | None:
         """Total induced index permutation (n K_omega), or None while partial."""
@@ -574,6 +597,23 @@ class IsoBuilder(_MapReads):
             _check_lazy_pair(s, fwd, bwd, x, y)
             self._record(x, y)
 
+    def add_pairs(self, cx: int, cy: int, pairs: Iterable[tuple[int, int]]) -> None:
+        """Add pairs from component cx to component cy, no x and no y twice, as ``add``
+        would one by one, checking the component pair once.
+
+        Only a present pair or a clash goes pair by pair through ``add``,
+        which skips the one and names the other.
+        """
+        pairs = list(pairs)
+        fwd, bwd = self._fwd, self._bwd
+        if (self.cmap.get(cx, cy) != cy or self.cinv.get(cy, cx) != cx
+                or any(x in fwd or y in bwd for x, y in pairs)):
+            for x, y in pairs:
+                self.add(x, y)
+            return
+        for x, y in pairs:
+            self._record(x, y, cx, cy)
+
     def _record(self, x: int, y: int, cx: int | None = None, cy: int | None = None) -> None:
         """Record (x, y); on a component graph cx and cy are the components of x and y."""
         fwd, bwd = self._fwd, self._bwd
@@ -584,6 +624,7 @@ class IsoBuilder(_MapReads):
         if not y_heads_chain and y != x:
             self.arrivals.append(y)
         head_of, tail_of, chain_len = self._head_of, self._tail_of, self._chain_len
+        marked, marks = self.marked, self._marks  # marks is None until mark() is called
         if x == y:
             size = 1
             self.count += 1
@@ -591,9 +632,12 @@ class IsoBuilder(_MapReads):
             head = head_of.pop(x)
             tail = tail_of.pop(y)
             size = chain_len.pop(y)
+            hits = marks.pop(y) if marks is not None else 0
             if head != y:  # two chains join; otherwise the chain closes into a cycle
                 size += chain_len[head]
                 chain_len[head] = size
+                if marks is not None:
+                    marks[head] += hits
                 tail_of[head] = tail
                 head_of[tail] = head
                 self.count -= 1
@@ -602,15 +646,21 @@ class IsoBuilder(_MapReads):
             tail_of[head] = y
             head_of[y] = head
             size = chain_len[head] = chain_len[head] + 1
+            if marks is not None:
+                marks[head] += y in marked
         elif y_heads_chain:
             tail = tail_of.pop(y)
             tail_of[x] = tail
             head_of[tail] = x
             size = chain_len[x] = chain_len.pop(y) + 1
+            if marks is not None:
+                marks[x] = marks.pop(y) + (x in marked)
         else:
             tail_of[x] = y
             head_of[y] = x
             size = chain_len[x] = 2
+            if marks is not None:
+                marks[x] = (x in marked) + (y in marked)
             self.count += 1
         if size > self._longest:
             self._longest = size
@@ -626,65 +676,112 @@ class IsoBuilder(_MapReads):
         bwd[y] = x
 
 
+def _meets(pts: list[int], lo: int, hi: int) -> bool:
+    """Whether the sorted list pts holds a value in [lo, hi]."""
+    i = bisect_left(pts, lo)
+    return i < len(pts) and pts[i] <= hi
+
+
+def _within(pts: list[int] | None, s: int, period: int, radius: int) -> bool:
+    """Whether sorted orbit coordinates pts hold one at most radius from s along the
+    orbit: on a finite orbit of length period, distance is taken cyclically."""
+    if not pts:
+        return False
+    lo, hi = s - radius, s + radius
+    if not period:
+        return _meets(pts, lo, hi)
+    if 2 * radius + 1 >= period:  # the window covers the whole orbit
+        return True
+    if lo < 0:
+        return _meets(pts, 0, hi) or _meets(pts, lo + period, period - 1)
+    if hi >= period:
+        return _meets(pts, lo, period - 1) or _meets(pts, 0, hi - period)
+    return _meets(pts, lo, hi)
+
+
+def _clear(lists: list[list[int]], s: int, step: int, radius: int) -> int:
+    """Fewest steps k >= 0 such that s + k * step, on an infinite orbit, lies farther
+    than radius from every coordinate in the sorted lists.
+
+    Each pass jumps past the farthest coordinate, in the direction of
+    travel, whose reach covers the current point.
+    """
+    k = 0
+    while True:
+        t = s + k * step
+        lo, hi = t - radius, t + radius
+        hit = None
+        for pts in lists:
+            i = bisect_left(pts, lo)
+            if i < len(pts) and pts[i] <= hi:
+                h = pts[bisect_right(pts, hi) - 1] if step > 0 else pts[i]
+                if hit is None or (h > hit if step > 0 else h < hit):
+                    hit = h
+        if hit is None:
+            return k
+        if step > 0:
+            k = (hit + radius - s) // step + 1
+        else:
+            k = (s - hit + radius) // -step + 1
+
+
 class FreshWindow:
     """Lowest vertices outside the radius-B f-window of a growing map's support.
 
     A vertex v lies in the window {(u)f^i : u in S, |i| <= B} exactly when
-    (v)f^i is in S for some |i| <= B, because f is a bijection.  The
-    window of each centre (a support vertex, or a vertex ``fence`` adds)
-    is marked once, when it becomes a centre, so rejecting a candidate
-    costs one set lookup, not 2B oracle steps; a per-component cursor
-    skips the marked prefix.  The radius only widens: ``widen`` extends
-    every cached window from its two ends, so a centre costs 2B oracle
-    steps for the final B however often B grows.  The support, the fence
-    and the radius only grow, so the marked set only grows and the
-    cursors stay valid.  One window may serve a sequence of builders
-    whose maps extend one another.
+    v and some u in S share an f-orbit at distance at most B along it
+    (cyclically, on a finite orbit).  f gives that distance in closed form
+    through ``orbit_coord`` and ``tail_line`` (see ``NKOracle``), so each
+    centre (a support vertex, or a vertex ``fence`` adds) is kept as its
+    coordinate in a sorted list per orbit: testing a candidate is one
+    bisect and costs no oracle step, and ``widen`` only sets the radius.
+    The support, the fence and the radius only grow, so the covered set
+    only grows and the per-component cursors only move forward.  One
+    window may serve a sequence of builders whose maps extend one another.
     """
 
     def __init__(self, f):
         self.f = f
         self.radius = 0
-        self.marked: set[int] = set()
         self._centers: set[int] = set()
+        self._orbits: dict[int, list[int]] = {}  # orbit key -> sorted centre coordinates
         self._builder: IsoBuilder | None = None
         self._seen = 0
+        # component -> lowest uncovered band or fixed-tail position, and steps taken
+        # along its two tail rays
         self._cursor: dict[int, int] = {}
-        # v -> [v, (v)f, (v)f^-1, (v)f^2, (v)f^-2, ...]: a prefix of 2r+1 is the radius-r window
-        self._windows: dict[int, list[int]] = {}
+        self._rays: dict[int, list[int]] = {}
 
-    def window(self, v: int) -> list[int]:
-        """(v)f^i for |i| <= radius, in the order v, (v)f, (v)f^-1, (v)f^2, ..."""
-        out = self._windows.get(v)
-        if out is None:
-            out = self._windows[v] = [v]
-        if len(out) <= 2 * self.radius:
-            fw, bw = (out[-2], out[-1]) if len(out) > 1 else (v, v)
-            for _ in range(self.radius - len(out) // 2):
-                fw = self.f.image(fw)
-                bw = self.f.preimage(bw)
-                out += (fw, bw)
+    def window(self, v: int, radius: int | None = None) -> list[int]:
+        """(v)f^i for |i| <= radius (the window's own by default), in the order
+        v, (v)f, (v)f^-1, (v)f^2, ..."""
+        key, s, _ = self.f.orbit_coord(v)
+        at = self.f.vertex_at
+        out = [v]
+        for i in range(1, (self.radius if radius is None else radius) + 1):
+            out += (at(key, s + i), at(key, s - i))
         return out
 
     def widen(self, radius: int) -> None:
-        """Grow the radius to ``radius``, marking the new ends of every centre's window."""
+        """Grow the radius to ``radius``."""
         if radius < self.radius:
             raise GraphError(f"a window only widens: radius {radius} < {self.radius}")
-        if radius == self.radius:
-            return
         self.radius = radius
-        marked, windows = self.marked, self._windows
-        for v in self._centers:
-            start = len(windows[v])
-            marked.update(self.window(v)[start:])
 
     def fence(self, vertices: Iterable[int]) -> None:
         """Make ``vertices`` centres, whose windows later ``fresh`` calls avoid."""
-        marked, centers = self.marked, self._centers
+        centers, orbits, coord = self._centers, self._orbits, self.f.orbit_coord
         for v in vertices:
             if v not in centers:
                 centers.add(v)
-                marked.update(self.window(v))
+                key, s, _ = coord(v)
+                insort(orbits.setdefault(key, []), s)
+
+    def _covered(self, v: int, near: list[tuple[int, int, int]]) -> bool:
+        """Whether v lies in the window of a centre or of a coordinate in ``near``."""
+        key, s, period = self.f.orbit_coord(v)
+        return (_within(self._orbits.get(key), s, period, self.radius)
+                or _within(sorted(t for k, t, _ in near if k == key), s, period, self.radius))
 
     def fresh(self, b: IsoBuilder, comp: int, near: Iterable[int] = ()) -> int:
         """Lowest-position vertex of the component outside the window of b's support,
@@ -693,17 +790,30 @@ class FreshWindow:
             self._builder, self._seen = b, 0
         self.fence(b.arrivals[self._seen:])
         self._seen = len(b.arrivals)
-        marked = self.marked
-        vertex = b.session.vertex
+        f, vertex = self.f, b.session.vertex
+        near_coords = [f.orbit_coord(u) for u in near]
+        line = f.tail_line(comp)
+        # band positions, and a fixed tail (each vertex its own orbit), one by one
         p = self._cursor.get(comp, 0)
-        while vertex(comp, p) in marked:
+        while (p < f.band_rows or line is None) and self._covered(vertex(comp, p), []):
             p += 1
         self._cursor[comp] = p
-        # v is in the window of near exactly when near meets v's window; the engines add
-        # the v they accept to the support, which needs that window next anyway
-        near = set(near)
-        v = vertex(comp, p)
-        while v in marked or (near and not near.isdisjoint(self.window(v))):
+        while p < f.band_rows or line is None:
+            if not self._covered(vertex(comp, p), near_coords):
+                return vertex(comp, p)
             p += 1
-            v = vertex(comp, p)
-        return v
+        # the tail is one infinite orbit, on which position band_rows + u sits at
+        # unzigzag(u) * L + i: even u (z = 0, 1, ...) and odd u (z = -1, -2, ...) are
+        # two rays along it, each with a cursor past the centres' windows
+        key, length, i = line
+        radius = self.radius
+        centres = [self._orbits[key]] if key in self._orbits else []
+        near_pts = sorted(s for k, s, _ in near_coords if k == key)
+        rays = self._rays.setdefault(comp, [0, 0])
+        up = rays[0] = rays[0] + _clear(centres, i + rays[0] * length, length, radius)
+        down = rays[1] = rays[1] + _clear(centres, i - (rays[1] + 1) * length, -length, radius)
+        if near_pts:
+            both = centres + [near_pts]
+            up += _clear(both, i + up * length, length, radius)
+            down += _clear(both, i - (down + 1) * length, -length, radius)
+        return vertex(comp, f.band_rows + min(2 * up, 2 * down + 1))

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.oracles import NKOracle
+from ultrahom.perms import all_perms
 
 
 def chase_pairs(pairs, x, k):
@@ -94,6 +96,20 @@ def random_injection_in_clique(session: GraphSession, rng: random.Random,
     dom = pts[:size]
     ran = pts[size:2 * size]
     return [(session.vertex(1, a), session.vertex(1, b)) for a, b in zip(dom, ran)]
+
+
+def random_band_oracle(n: int, rng: random.Random, max_rows: int = 4) -> NKOracle:
+    """An n K_omega policy oracle with a random sigma, band and set of fixed tails."""
+    s = GraphSession(GraphKind.nk_omega(n))
+    sigma = rng.choice(list(all_perms(n)))
+    rows = rng.randint(0, max_rows)
+    pairs = []
+    for c in range(1, n + 1):
+        targets = list(range(rows))
+        rng.shuffle(targets)
+        pairs += [(s.vertex(c, t), s.vertex(sigma(c), u)) for t, u in enumerate(targets)]
+    fixed = [c for c in range(1, n + 1) if sigma(c) == c and rng.random() < 0.5]
+    return NKOracle(s, sigma, rows, pairs, fixed)
 
 
 @pytest.fixture

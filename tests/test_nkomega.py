@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from conftest import random_band_oracle
 from ultrahom import nkomega
 from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial
 from ultrahom.certs import verify
-from ultrahom.errors import GraphError, HypothesisError
+from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, amalgamate,
                               build_base_word, build_covering_word,
@@ -16,7 +17,7 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, ama
 from ultrahom.oracles import NKOracle
 from ultrahom.partial_iso import FreshWindow, IsoBuilder, from_pairs, index_perm_of
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
-from ultrahom.words import b_count, chase, check_word_condition, parse_word
+from ultrahom.words import b_count, chase, check_word_condition, landing_orbit, parse_word
 
 
 def simple_ctx(n=3, sf_cycles=((1, 2, 3),), sigma_comps=(1, 3)):
@@ -300,3 +301,85 @@ def test_n2_wrong_routing_rejected():
     q = simple_q(ctx, s)
     with pytest.raises(HypothesisError, match="routing"):
         density_witness_n2(ctx, q, IndexFixingIso(from_pairs(s, [])))
+
+
+def test_nk_iterate_and_orbit_coord_match_oracle_steps():
+    """(v)f^k in closed form against |k| image or preimage steps, for k in -60..60, on
+    band, fixed-tail and spine vertices; f adds 1 to the orbit coordinate."""
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(24):
+        n = 2 + trial % 4
+        f = random_band_oracle(n, rng, max_rows=3)
+        s, rows, fixed = f.session, f.band_rows, f.fixed_tail
+        for _ in range(6):
+            v = s.vertex(rng.randint(1, n), rng.randrange(rows + 8))
+            key, at, period = f.orbit_coord(v)
+            kind = "band" if s.position_of(v) < rows else \
+                "fixed" if s.component_of(v) in fixed else "spine"
+            seen.add(kind)
+            assert (period == 0) == (kind == "spine")
+            assert f.vertex_at(key, at) == v
+            nxt = f.orbit_coord(f.image(v))
+            assert nxt == (key, (at + 1) % period if period else at + 1, period)
+            fw, bw = v, v
+            assert f.iterate(v, 0) == v
+            for k in range(1, 61):
+                fw, bw = f.image(fw), f.preimage(bw)
+                assert f.iterate(v, k) == fw
+                assert f.iterate(v, -k) == bw
+    assert seen == {"band", "fixed", "spine"}
+
+
+def test_chain_marks_match_landing_orbit_on_random_growth():
+    """After every add (fresh pairs, growth at a head or a tail, joins by amalgamate,
+    cycle closures), each vertex's chain mark count equals phi's hits on its landing
+    orbit, and _orbit_avoids agrees with the walk at every kind of vertex."""
+    kinds = set()
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        f = nkomega_oracle(n, rng)
+        ctx, q, _ = nkomega_instance(f, rng)
+        s = f.session
+        b = IsoBuilder(q)
+        sq = b.index_perm()
+        phi = frozenset(v for v in b.support() if rng.random() < 0.5) | \
+            {s.vertex(rng.randint(1, n), rng.randrange(40)) for _ in range(6)}
+        b.mark(phi)
+        for _ in range(40):
+            tails = sorted(set(b.ran()) - set(b.dom()))
+            heads = sorted(set(b.dom()) - set(b.ran()))
+            move = rng.random()
+            try:
+                if move < 0.3 and tails and heads:
+                    x, y = rng.choice(tails), rng.choice(heads)
+                    if b.component(x) == b.component(y):
+                        b.add(x, y)  # closes the chain into a cycle
+                    else:
+                        amalgamate(ctx, b, x, y)
+                elif move < 0.5 and tails:
+                    x = rng.choice(tails)
+                    b.add(x, b.fresh(sq(s.component_of(x))))
+                elif move < 0.7 and heads:
+                    y = rng.choice(heads)
+                    b.add(b.fresh(sq.inverse()(s.component_of(y))), y)
+                else:
+                    c = rng.randint(1, n)
+                    x = b.fresh(c)
+                    b.add(x, b.fresh(sq(c), {x}))
+            except (HypothesisError, IsoError):
+                continue
+            outside = {s.vertex(rng.randint(1, n), rng.randrange(60)) for _ in range(4)}
+            for z in sorted(b.support() | (outside - b.support())):
+                hits = len(phi & set(landing_orbit(b, z)))
+                got = b.chain_marks(z)
+                inside = z in b.dom() and z in b.ran()
+                kinds.add("outside" if not b.in_support(z) else
+                          "head" if z not in b.ran() else "tail" if z not in b.dom() else
+                          "cycle" if b.component(z).complete else "mid-chain")
+                assert (got is None) == inside
+                if got is not None:
+                    assert got == hits
+                assert nkomega._orbit_avoids(b, z, phi) == (hits == 0)
+    assert kinds == {"outside", "head", "tail", "mid-chain", "cycle"}

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from conftest import (CountingDict, brute_components, brute_compose, chase_pairs,
-                      random_injection_in_clique)
+                      random_band_oracle, random_injection_in_clique)
 from ultrahom.campaigns import nkomega_instance, nkomega_oracle
 from ultrahom.errors import GraphError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.oracles import NKOracle
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
                                   compose, cycle_free, empty, extend, from_pairs,
                                   identity_on, index_perm_of, invert,
                                   orbit_rep_profile, power, validate)
+from ultrahom.perms import IndexPerm
 
 
 def test_validate_empty_and_single(nk3, h3):
@@ -404,3 +406,123 @@ def test_huge_exponents_cost_lookups_bounded_by_the_map(nk2):
             assert CountingDict.lookups <= 4 * len(pairs)
             src = dict(fwd if k > 0 else bwd)
             assert p._fwd == {x: f.chase(x, k) for x in src if f.chase(x, k) is not None}
+
+
+def _stepped_window(f, v, r):
+    """v, (v)f, (v)f^-1, (v)f^2, ... out to radius r, one oracle step at a time."""
+    out, fw, bw = [v], v, v
+    for _ in range(r):
+        fw, bw = f.image(fw), f.preimage(bw)
+        out += (fw, bw)
+    return out
+
+
+def _hand_built_oracles():
+    """NKOracles with band orbits of lengths 1, 2, 3, 4 and 8, fixed tails and spines."""
+    s2 = GraphSession(GraphKind.nk_omega(2))
+    v2 = s2.vertex
+    swap = IndexPerm.from_cycles(2, [(1, 2)])
+    ring = [v2(1 + i % 2, i // 2) for i in range(8)]  # one band orbit of length 8
+    yield NKOracle(s2, swap, 4, list(zip(ring, ring[1:] + ring[:1])))
+    quads = [[v2(1, 0), v2(2, 0), v2(1, 1), v2(2, 1)], [v2(1, 2), v2(2, 3), v2(1, 3), v2(2, 2)]]
+    yield NKOracle(s2, swap, 4, [(x, y) for q in quads for x, y in zip(q, q[1:] + q[:1])])
+    s3 = GraphSession(GraphKind.nk_omega(3))
+    v3 = s3.vertex
+    sig = IndexPerm.from_cycles(3, [(1, 2)])
+    band = [(v3(1, 0), v3(2, 1)), (v3(2, 1), v3(1, 0)),      # length 2
+            (v3(1, 1), v3(2, 2)), (v3(2, 2), v3(1, 2)), (v3(1, 2), v3(2, 0)),
+            (v3(2, 0), v3(1, 1)),                            # length 4
+            (v3(3, 0), v3(3, 0)),                            # a fixed band point
+            (v3(3, 1), v3(3, 2)), (v3(3, 2), v3(3, 1))]      # length 2
+    yield NKOracle(s3, sig, 3, band, fixed_tail=[3])
+    yield NKOracle(s3, sig, 3, band)
+    s4 = GraphSession(GraphKind.nk_omega(4))
+    v4 = s4.vertex
+    cyc3 = IndexPerm.from_cycles(4, [(1, 2, 3)])
+    band = [(v4(c, t), v4(c % 3 + 1, t)) for c in (1, 2, 3) for t in range(2)]  # length 3
+    band += [(v4(4, 0), v4(4, 1)), (v4(4, 1), v4(4, 0))]
+    yield NKOracle(s4, cyc3, 2, band, fixed_tail=[4])
+
+
+def test_fresh_window_matches_f_closure_on_band_and_fixed_tail_oracles():
+    """Band orbits shorter and longer than 2B + 1, fixed tails and spines: every fresh
+    choice against the closure of support, fence and near, and every window against
+    one oracle step at a time."""
+    rng = random.Random(7)
+    oracles = list(_hand_built_oracles())
+    oracles += [random_band_oracle(2 + i % 4, rng) for i in range(20)]
+    periods_vs_width = set()
+    for f in oracles:
+        s = f.session
+        n = s.kind.n
+        # one centre at each band and near-band vertex, at every radius: windows that
+        # wrap round a finite orbit, cover it whole, or stop short
+        for u in range(n * (f.band_rows + 2)):
+            for radius in range(5):
+                window = FreshWindow(f)
+                window.widen(radius)
+                window.fence([u])
+                for c in range(1, n + 1):
+                    want = s.fresh_in_component(c, _f_closure(f, {u}, radius))
+                    assert window.fresh(IsoBuilder(empty(s)), c) == want
+        for _ in range(3):
+            b = IsoBuilder(empty(s))  # every pair stays in its component: always valid
+            radius = rng.randint(0, 3)
+            window = FreshWindow(f)
+            window.widen(radius)
+            fenced: set[int] = set()
+            for _ in range(20):
+                if rng.random() < 0.25:
+                    radius += rng.randint(0, 2)
+                    window.widen(radius)
+                if rng.random() < 0.2:
+                    extra = {s.vertex(rng.randint(1, n), rng.randrange(12))
+                             for _ in range(rng.randint(1, 3))}
+                    window.fence(extra)
+                    fenced |= extra
+                near = {s.vertex(rng.randint(1, n), rng.randrange(12))
+                        for _ in range(rng.randint(0, 3))}
+                c = rng.randint(1, n)
+                want = s.fresh_in_component(c, _f_closure(f, b.support() | fenced | near, radius))
+                got = window.fresh(b, c, near)
+                assert got == want
+                period = f.orbit_coord(got)[2]
+                if period > 1:
+                    periods_vs_width.add(period < 2 * radius + 1)
+                for v in (got, rng.choice(sorted(b.support() | near | {got}))):
+                    r = rng.randint(0, radius)
+                    assert window.window(v) == _stepped_window(f, v, radius)
+                    assert window.window(v, r) == window.window(v)[:2 * r + 1]
+                    assert set(window.window(v, r)) == _f_closure(f, {v}, r)
+                b.add(b.fresh(c, {got}), got)
+    assert periods_vs_width == {True, False}
+
+
+def test_add_pairs_matches_add_pair_by_pair():
+    """A component bijection added at once against the same pairs added one by one:
+    the same map and structure, or the same IsoError."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        s = GraphSession(GraphKind.omega_kn(rng.randint(1, 4)))
+        n = s.kind.n
+        ref = IsoBuilder(empty(s))
+        b = IsoBuilder(empty(s))
+        for _ in range(12):
+            cx, cy = rng.randint(-3, 3), rng.randint(-3, 3)
+            xs = s.component_vertices(cx)
+            ys = rng.sample(s.component_vertices(cy), n)
+            pairs = list(zip(xs, ys))[:rng.randint(1, n)]
+            try:
+                for x, y in pairs:
+                    ref.add(x, y)
+            except IsoError as e:
+                with pytest.raises(IsoError) as got:
+                    b.add_pairs(cx, cy, pairs)
+                assert (got.value.reason, got.value.pairs) == (e.reason, e.pairs)
+                ref, b = IsoBuilder(ref.freeze()), IsoBuilder(b.freeze())
+                continue
+            b.add_pairs(cx, cy, pairs)
+            assert list(b.freeze()._fwd.items()) == list(ref.freeze()._fwd.items())
+            assert (b.cmap, b.cinv, b.pairs_from, b.count, b.longest_component()) == \
+                (ref.cmap, ref.cinv, ref.pairs_from, ref.count, ref.longest_component())
+            assert (b._first_from, b._first_into) == (ref._first_from, ref._first_into)
