@@ -528,7 +528,7 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
         newval = walks.value(x)
         internal_check(walks.consumed(x) > k, "fill-progress")
         if walks.consumed(x) < W:
-            radius = B - b_count(walks.prefix(x))
+            radius = B - walks.b_consumed(x)
             for v in window.window(newval, radius):
                 internal_check(v not in dom, "fill-iii")
         internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
@@ -540,19 +540,21 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     internal_check(rep.holds, "word-condition-exit", str(rep))
 
 
-def build_covering_word(ctx: AFSigmaContext, q: PartialIso, gamma, delta):
+def build_covering_word(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, gamma, delta):
     """Base word plus one fill round per target point: the full word condition.
 
-    One builder grows from q through the base word and every fill, and
-    one window serves all their fresh choices: it fences delta once and
-    widens from the base steps' b-counts to b_count(w), so each centre
-    joins it once per covering word.
+    One builder grows from q through the base word and every fill: q
+    itself when it is an ``IsoBuilder``, so a caller can grow it on,
+    and a new one otherwise, leaving q unchanged.  One window serves all
+    their fresh choices: it fences delta once and widens from the base
+    steps' b-counts to b_count(w), so each centre joins it once per
+    covering word.  Returns (h, w, phi) with h the builder's value.
     """
     gamma = sorted(set(gamma))
     delta = sorted(set(delta))
     if set(gamma) & set(delta):
         raise HypothesisError("gamma-delta-disjoint")
-    b = IsoBuilder(q)
+    b = q if isinstance(q, IsoBuilder) else IsoBuilder(q)
     window = FreshWindow(ctx.f)
     w, phi = build_base_word(ctx, b, gamma, delta, window)
     window.widen(b_count(w))
@@ -584,18 +586,16 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     sq = check_admissible(ctx, q)
     if not ctx.sigma_set() <= q.dom():
         raise HypothesisError("sigma-in-dom")
-    q_in = q
     piso = p.iso
     d_pts = sorted(piso.dom())
-    b = IsoBuilder(q)
-    _absorb_into_dom(ctx, b, piso.support())
-    q = b.freeze()
     k = sq.order()
 
-    q1, w1, _ = build_covering_word(ctx, q, d_pts, ())
-    vals1 = {x: chase(w1, x, q1, f) for x in d_pts}
+    # one builder carries q through the absorb, covering word 1 and the w1 landing
+    b = IsoBuilder(q)
+    _absorb_into_dom(ctx, b, piso.support())
+    _, w1, _ = build_covering_word(ctx, b, d_pts, ())
+    vals1 = {x: chase(w1, x, b, f) for x in d_pts}
     internal_check(all(v is not None for v in vals1.values()), "w1-defined")
-    b = IsoBuilder(q1)
     for x in d_pts:
         v = vals1[x]
         if v not in b.ran():
@@ -656,7 +656,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     data = {"k": k, "w1": str(w1), "w2": str(w2), "sigma": list(ctx.sigma)}
     product = evaluate(claim_word(NKOMEGA_CLAIM, data), h, f)
     internal_check(product.extends(piso), "product-extends-target")
-    internal_check(h.extends(q_in), "h-extends-q")
+    internal_check(h.extends(q), "h-extends-q")
     data["product_pairs"] = [list(t) for t in product.pairs()]
 
     return WitnessCertificate(
@@ -664,7 +664,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
         claim=NKOMEGA_CLAIM,
         transcript=[],
         oracle=f.description(),
-        q=[list(t) for t in q_in.pairs()],
+        q=[list(t) for t in q.pairs()],
         p=[list(t) for t in piso.pairs()],
         h=[list(t) for t in h.pairs()],
         data=data,

@@ -202,6 +202,7 @@ class NKOracle(OracleBase):
                 self._cycle_pos[c] = (cyc, i)
         self._memo_fwd: dict[int, int] = {}
         self._memo_bwd: dict[int, int] = {}
+        self._memo_coord: dict[int, tuple[int, int, int]] = {}
         self._band_place: dict[int, tuple[tuple[int, ...], int]] | None = None
 
     def index_perm(self) -> IndexPerm:
@@ -267,16 +268,23 @@ class NKOracle(OracleBase):
         s = unzigzag(t - band_rows) * L + i (see ``_spine``); a band orbit
         is a cycle, keyed by its lowest vertex; a fixed-tail vertex is its
         own orbit, keyed by itself.  Keys of different orbits differ.
+        Memoized per vertex, like ``try_image``.
         """
+        out = self._memo_coord.get(v)
+        if out is not None:
+            return out
         s = self.session
         c, t = s.component_of(v), s.position_of(v)
         if t < self.band_rows:
             orb, i = self._band_orbit_of(v)
-            return orb[0], i, len(orb)
-        if c in self.fixed_tail:
-            return v, 0, 1
-        cyc, i = self._cycle_pos[c]
-        return -cyc[0], _unzigzag(t - self.band_rows) * len(cyc) + i, 0
+            out = orb[0], i, len(orb)
+        elif c in self.fixed_tail:
+            out = v, 0, 1
+        else:
+            cyc, i = self._cycle_pos[c]
+            out = -cyc[0], _unzigzag(t - self.band_rows) * len(cyc) + i, 0
+        self._memo_coord[v] = out
+        return out
 
     def vertex_at(self, key: int, s: int) -> int:
         """The vertex at place s (modulo the period) of the orbit ``key``; see ``orbit_coord``."""

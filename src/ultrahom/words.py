@@ -10,6 +10,7 @@ distinct types; conversion is always explicit through ``evaluate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import GraphError, HypothesisError
@@ -256,9 +257,11 @@ class WordWalks:
     """
 
     def __init__(self, w: FreeWord, p, f, points: Iterable[int]):
-        self.w = w
         self._steps = _steps(w.syllables, p, f)
         self._letters = w.letters()
+        # b-letters among the first k letters, for every k
+        self._b_before = list(accumulate((letter == "b" for letter, _ in self._letters),
+                                         initial=0))
         self._at: dict[int, tuple[int, int]] = {}
         # walks stopped on 'a' (slot 0) or 'a^-1' (slot 1), by the value they wait at
         self._waiting: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
@@ -285,8 +288,9 @@ class WordWalks:
     def values(self) -> set[int]:
         return {v for _, v in self._at.values()}
 
-    def prefix(self, u: int) -> FreeWord:
-        return self.w.prefix(self._at[u][0])
+    def b_consumed(self, u: int) -> int:
+        """Letters b and b^-1 in u's largest defined prefix: b_count of that prefix."""
+        return self._b_before[self._at[u][0]]
 
     def next_letter(self, u: int) -> Syllable | None:
         """The first letter of u's walk that is undefined, as (letter, sign); None once complete."""
@@ -294,13 +298,27 @@ class WordWalks:
         return self._letters[k] if k < len(self._letters) else None
 
 
+def _cycle_places(perm: IndexPerm) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Each index's cycle of perm and its place on it: (i)perm^e is cyc[(place + e) % len]."""
+    return {c: (cyc, i) for cyc in perm.cycles(include_fixed=True) for i, c in enumerate(cyc)}
+
+
 def word_index_image(w: FreeWord, p_index: IndexPerm, f_index: IndexPerm) -> IndexPerm:
-    """Image of the word in the index-permutation group (a -> p_index, b -> f_index)."""
-    out = IndexPerm.identity(p_index.n)
-    for letter, exp in w.syllables:
-        base = p_index if letter == "a" else f_index
-        out = out * base.power(exp)
-    return out
+    """Image of the word in the index-permutation group (a -> p_index, b -> f_index).
+
+    Each index is carried through the syllables one at a time, each
+    power read off a cycle-place table: O(n * syllables), and no
+    permutation is built along the way.
+    """
+    places = {"a": _cycle_places(p_index), "b": _cycle_places(f_index)}
+    sylls = [(places[letter], exp) for letter, exp in w.syllables]
+    images = []
+    for c in range(1, p_index.n + 1):
+        for place, exp in sylls:
+            cyc, i = place[c]
+            c = cyc[(i + exp) % len(cyc)]
+        images.append(c)
+    return IndexPerm._of(tuple(images))
 
 
 @dataclass

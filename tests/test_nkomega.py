@@ -14,7 +14,7 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, ama
                               density_witness_n2, density_witness_nkomega,
                               escape_exponents, extend_word_domain,
                               piccard_partner)
-from ultrahom.oracles import NKOracle
+from ultrahom.oracles import NKOracle, oracle_from_description
 from ultrahom.partial_iso import FreshWindow, IsoBuilder, from_pairs, index_perm_of
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
 from ultrahom.words import b_count, chase, check_word_condition, landing_orbit, parse_word
@@ -329,6 +329,43 @@ def test_nk_iterate_and_orbit_coord_match_oracle_steps():
                 assert f.iterate(v, k) == fw
                 assert f.iterate(v, -k) == bw
     assert seen == {"band", "fixed", "spine"}
+
+
+def test_memoized_orbit_coord_matches_a_fresh_oracle():
+    """Each vertex, asked in random order and asked twice, gets the coordinate a new
+    oracle with nothing memoized gives, on band, fixed-tail and spine vertices."""
+    rng = random.Random(12)
+    seen = set()
+    for trial in range(24):
+        n = 2 + trial % 4
+        f = random_band_oracle(n, rng, max_rows=3)
+        s, rows, desc = f.session, f.band_rows, f.description()
+        verts = [s.vertex(c, t) for c in range(1, n + 1) for t in range(rows + 6)]
+        asks = verts + rng.sample(verts, len(verts))
+        rng.shuffle(asks)
+        first = {}
+        for v in asks:
+            got = f.orbit_coord(v)
+            assert got == oracle_from_description(s, desc).orbit_coord(v)
+            assert first.setdefault(v, got) is got  # the second answer is the memo's
+            seen.add("band" if s.position_of(v) < rows else
+                     "fixed" if s.component_of(v) in f.fixed_tail else "spine")
+    assert seen == {"band", "fixed", "spine"}
+
+
+def test_covering_word_grows_a_given_builder_and_leaves_a_map_unchanged():
+    ctx, s, f = simple_ctx()
+    q = simple_q(ctx, s)
+    before = q.pairs()
+    gamma = [s.vertex(1, 5), s.vertex(2, 7)]
+    delta = [s.vertex(1, 20)]
+    h, w, phi = build_covering_word(ctx, q, gamma, delta)
+    assert q.pairs() == before
+    b = IsoBuilder(q)
+    hb, wb, phib = build_covering_word(ctx, b, gamma, delta)
+    assert (hb.pairs(), wb, phib) == (h.pairs(), w, phi)
+    assert b.pairs() == h.pairs() and len(h) > len(q)
+    assert q.pairs() == before
 
 
 def test_chain_marks_match_landing_orbit_on_random_growth():

@@ -10,7 +10,7 @@ from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import FrozenOracle, NKOracle
 from ultrahom.partial_iso import IsoBuilder, PartialIso, from_pairs, identity_on, compose
-from ultrahom.perms import IndexPerm
+from ultrahom.perms import IndexPerm, all_perms
 from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
                             concat, empty_word, evaluate, landing_orbit,
                             largest_defined_prefix, parse_word, reduce_word,
@@ -147,6 +147,35 @@ def test_word_index_image(nk2):
     assert not word_index_image(parse_word("a"), sq, sf).is_identity()
 
 
+def _index_image_by_products(w, sq, sf):
+    """Reference: one IndexPerm power per syllable, multiplied left to right."""
+    out = IndexPerm.identity(sq.n)
+    for letter, exp in w.syllables:
+        out = out * (sq if letter == "a" else sf).power(exp)
+    return out
+
+
+def test_word_index_image_matches_syllable_products():
+    """Every pair of permutations for n <= 4 and random pairs for n = 5..8, on random
+    reduced words with negative exponents and exponents above the orders."""
+    rng = random.Random(31)
+    pairs = [(a, b) for n in range(1, 5) for a in all_perms(n) for b in all_perms(n)]
+    for n in range(5, 9):
+        pairs += [(IndexPerm(tuple(rng.sample(range(1, n + 1), n))),
+                   IndexPerm(tuple(rng.sample(range(1, n + 1), n)))) for _ in range(60)]
+    negative = above_order = 0
+    for sq, sf in pairs:
+        top = 2 * max(sq.order(), sf.order()) + 2
+        for _ in range(3):
+            w = reduce_word([(rng.choice("ab"), rng.choice([-1, 1]) * rng.randint(1, top))
+                             for _ in range(rng.randint(0, 9))])
+            assert word_index_image(w, sq, sf) == _index_image_by_products(w, sq, sf)
+            negative += any(e < 0 for _, e in w.syllables)
+            above_order += any(abs(e) > (sq if l == "a" else sf).order()
+                               for l, e in w.syllables)
+    assert negative > 500 and above_order > 500
+
+
 def test_check_word_condition_vacuous_and_failures(nk2):
     v = nk2.vertex
     f = NKOracle(nk2, IndexPerm.from_cycles(2, [(1, 2)]))
@@ -226,7 +255,7 @@ def test_word_walks_follow_a_growing_map():
             p = b.freeze()
             for u in points:
                 pre = largest_defined_prefix(w, p, f, u)
-                assert walks.prefix(u) == pre
+                assert walks.b_consumed(u) == b_count(w.prefix(walks.consumed(u)))
                 assert walks.consumed(u) == len(pre) == _walk_oracle(w, p, f, u)[0]
                 assert walks.value(u) == chase(pre, u, p, f) == _walk_oracle(w, p, f, u)[1]
                 if len(pre) < len(w):
