@@ -8,6 +8,12 @@ transcript, rebuilds the oracle from its description, evaluates the
 claimed product pointwise and confirms it extends the target.  This
 module must never import the engine modules; it relies only on the
 graph, partial-isomorphism, word and oracle layers.
+
+Schema 3 writes every map (q, p, h and the oracle's finite map) as the
+vertex lists of ``partial_iso.chain_lists`` and each transcript entry as
+its bare U, the witness ids being 0, 1, ... in order.  Schemas 1 and 2
+wrote maps as pairs and entries as (U, V, F, id) and (U, id); they are
+still read.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from itertools import chain
 from .errors import GraphError
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
 from .oracles import oracle_from_description
-from .partial_iso import cycle_free, orbit_rep_profile, validate
+from .partial_iso import chain_pairs, validate
 from .words import FreeWord, Syllable, evaluate, parse_word, walk
 
-SCHEMA_VERSION = 2
-# items per transcript entry, by schema: (U, V, F, id) in 1, (U, id) in 2
+SCHEMA_VERSION = 3
+SCHEMAS = (1, 2, 3)
+# items per transcript entry of the pair-map schemas: (U, V, F, id) in 1, (U, id) in 2
 _ENTRY_ITEMS = {1: 4, 2: 2}
 
 HENSON_CLAIM = "henson_conjugation"      # h^m f h^{2l} f^-1 h^-m  extends target
@@ -76,13 +83,15 @@ def product_miss(word: list[Syllable], pairs, h, f) -> tuple[int, int, int | Non
 
 @dataclass
 class WitnessCertificate:
+    """One record, field for field: maps and transcript in the encoding of ``schema``."""
+
     family: GraphKind
     claim: str
     transcript: list
     oracle: dict
-    q: list[tuple[int, int]]
-    p: list[tuple[int, int]]
-    h: list[tuple[int, int]]
+    q: list
+    p: list
+    h: list
     data: dict = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
@@ -91,11 +100,11 @@ class WitnessCertificate:
             "schema": self.schema,
             "family": self.family.to_dict(),
             "claim": self.claim,
-            "transcript": [[*map(list, entry[:-1]), entry[-1]] for entry in self.transcript],
+            "transcript": self.transcript,
             "oracle": self.oracle,
-            "q": [list(t) for t in self.q],
-            "p": [list(t) for t in self.p],
-            "h": [list(t) for t in self.h],
+            "q": self.q,
+            "p": self.p,
+            "h": self.h,
             "data": self.data,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -111,23 +120,46 @@ class WitnessCertificate:
         except json.JSONDecodeError as e:
             raise GraphError(f"not JSON: {e}") from None
         if not isinstance(d, dict) or not _is_int(d.get("schema")) \
-                or d["schema"] not in _ENTRY_ITEMS:
+                or d["schema"] not in SCHEMAS:
             schema = d.get("schema") if isinstance(d, dict) else None
             raise GraphError(f"unsupported certificate schema {schema}")
         try:
             return WitnessCertificate(
                 family=GraphKind.from_dict(d["family"]),
                 claim=d["claim"],
-                transcript=[(*map(tuple, entry[:-1]), entry[-1]) for entry in d["transcript"]],
+                transcript=d["transcript"],
                 oracle=d["oracle"],
-                q=[tuple(t) for t in d["q"]],
-                p=[tuple(t) for t in d["p"]],
-                h=[tuple(t) for t in d["h"]],
+                q=d["q"],
+                p=d["p"],
+                h=d["h"],
                 data=d.get("data", {}),
                 schema=d["schema"],
             )
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise GraphError(f"malformed certificate: {type(e).__name__}: {e}") from None
+
+    def replay(self) -> GraphSession:
+        """The session the transcript replays; a fresh one for a component family.
+
+        Raises GraphError where the transcript does not replay.
+        """
+        if not self.family.is_lazy:
+            return GraphSession(self.family)
+        if self.schema in _ENTRY_ITEMS:
+            return GraphSession.replay(self.family, self.transcript)
+        return GraphSession.replay_sets(self.family, self.transcript)
+
+    def map_pairs(self, name: str) -> list:
+        """Map ``name`` (q, p or h) as pairs; raises IsoError on a schema-3 vertex repeat."""
+        lists = getattr(self, name)
+        return lists if self.schema in _ENTRY_ITEMS else chain_pairs(lists, name)
+
+    def oracle_pairs(self):
+        """The oracle's finite map as a schema-1 or -2 record holds it, as pairs; None for
+        schema 3, whose vertex lists ``oracle_from_description`` reads itself."""
+        if self.schema not in _ENTRY_ITEMS:
+            return None
+        return self.oracle.get("band_pairs" if self.oracle["kind"] == "nk_policy" else "pairs", ())
 
 
 @dataclass
@@ -204,6 +236,23 @@ def _entries_loop(seq, items: int) -> bool:
     return True
 
 
+def _int_lists(seq, shortest: int) -> bool:
+    """A list of lists (or tuples) of exact ints, each of at least ``shortest`` items."""
+    if type(seq) not in (list, tuple):
+        return False
+    for part in seq:
+        if type(part) not in (list, tuple) or len(part) < shortest:
+            return False
+        for v in part:
+            if type(v) is not int:
+                return False
+    return True
+
+
+def _vertex_lists(seq) -> bool:
+    return _int_lists(seq, 2)
+
+
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
@@ -216,26 +265,30 @@ _DATA_KEYS = {
     N2_CLAIM: (("word", _is_str),),
 }
 _OPTIONAL_DATA = {"sigma": _ints, "product_pairs": _pairs}
+# per oracle kind: (key, check, required); a map's check is the schema's (_MAP_CHECKS)
 _ORACLE_KEYS = {
-    "lazy_fresh": (("pairs", _pairs, True),),
-    "frozen": (("pairs", _pairs, True),),
+    "lazy_fresh": (("pairs", None, True),),
+    "frozen": (("pairs", None, True),),
     "omega_shift": (("step", _is_int, True), ("pos_perm", _ints, True)),
     "nk_policy": (("sigma", _ints, True), ("band_rows", _is_int, False),
-                  ("band_pairs", _pairs, False), ("fixed_tail", _ints, False)),
+                  ("band_pairs", None, False), ("fixed_tail", _ints, False)),
 }
+# per schema: the check of a map, and how the shape note names it
+_MAP_CHECKS = {1: (_pairs, "integer pairs"), 2: (_pairs, "integer pairs"),
+               3: (_vertex_lists, "lists of at least two integer vertices")}
 
 
 def shape_problem(cert: WitnessCertificate) -> str | None:
     """The first way the certificate departs from the schema's shape, or None.
 
-    Checks types, pair arity, the claim against the family, and the data
-    keys each claim needs, in one pass linear in the certificate's size,
-    so that the clauses after it can read every field without raising.
+    Checks types, map and entry arity, the claim against the family, and
+    the data keys each claim needs, in one pass linear in the
+    certificate's size, so that the clauses after it can read every field
+    without raising.
     Words are only checked to be strings here; ``verify`` parses them
     with the other inputs.
     """
-    items = _ENTRY_ITEMS.get(cert.schema) if _is_int(cert.schema) else None
-    if items is None:
+    if not _is_int(cert.schema) or cert.schema not in SCHEMAS:
         return f"unsupported schema {cert.schema!r}"
     fam = cert.family
     if not isinstance(fam, GraphKind) or not (fam.n is None or _is_int(fam.n)):
@@ -244,18 +297,20 @@ def shape_problem(cert: WitnessCertificate) -> str | None:
         return f"unknown claim form {cert.claim!r}"
     if fam.tag not in CLAIM_FAMILIES[cert.claim]:
         return f"claim {cert.claim} cannot be made over family {fam.tag}"
-    if not _entries(cert.transcript, items):
-        form = "(U, id)" if items == 2 else "(U, V, F, id)"
+    items = _ENTRY_ITEMS.get(cert.schema)
+    if not (_entries(cert.transcript, items) if items else _int_lists(cert.transcript, 0)):
+        form = {1: "(U, V, F, id)", 2: "(U, id)"}.get(cert.schema, "U")
         return f"transcript entries of schema {cert.schema} must be {form} with integer vertices"
+    map_ok, map_form = _MAP_CHECKS[cert.schema]
     for name in ("q", "p", "h"):
-        if not _pairs(getattr(cert, name)):
-            return f"{name} must be a list of integer pairs"
+        if not map_ok(getattr(cert, name)):
+            return f"{name} must be a list of {map_form}"
     oracle = cert.oracle
     if not isinstance(oracle, dict) or not isinstance(oracle.get("kind"), str):
         return "oracle must be an object with a string kind"
     for key, ok, required in _ORACLE_KEYS.get(oracle["kind"], ()):
         if key in oracle:
-            if not ok(oracle[key]):
+            if not (ok or map_ok)(oracle[key]):
                 return f"oracle field {key} has the wrong type"
         elif required:
             return f"oracle {oracle['kind']} lacks {key}"
@@ -288,18 +343,17 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
         return VerificationReport(False, clauses)
 
     try:
-        session = (GraphSession.replay(cert.family, cert.transcript)
-                   if cert.family.is_lazy else GraphSession(cert.family))
+        session = cert.replay()
         record("transcript-replay", True)
     except GraphError as e:
         record("transcript-replay", False, str(e))
         return VerificationReport(False, clauses)
 
     try:
-        q = validate(session, cert.q)
-        p = validate(session, cert.p)
-        h = validate(session, cert.h)
-        f = oracle_from_description(session, cert.oracle)
+        q = validate(session, cert.map_pairs("q"))
+        p = validate(session, cert.map_pairs("p"))
+        h = validate(session, cert.map_pairs("h"))
+        f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
         word = claim_word(cert.claim, cert.data)
         record("inputs-validate", True)
     except ValueError as e:  # GraphError, IsoError, or a word that does not parse
@@ -309,19 +363,20 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     extends = h.extends(q)
     record("h-extends-q", extends, "" if extends else "h does not extend q")
 
+    # h's components, one list each: a chain, or a cycle closed by its first vertex
+    h_lists = h.chain_lists() if cert.schema in _ENTRY_ITEMS else cert.h
     if cert.claim == HENSON_CLAIM:
-        record("h-cycle-free", cycle_free(h))
+        record("h-cycle-free", all(vs[0] != vs[-1] for vs in h_lists))
         dom_p, ran_p = p.dom(), p.ran()
         separated = not (dom_p & ran_p) and session.first_edge(dom_p, ran_p) is None
         record("target-separated", separated, "" if separated else "target class violated")
     elif cert.claim == OMEGA_CLAIM:
         sigma = cert.data.get("sigma", [])
-        profile = orbit_rep_profile(h, sigma)
-        comps = h.components()
-        record("h-component-count",
-               len(comps.incomplete_components()) == len(sigma)
-               and not comps.complete_components(),
-               f"{len(comps.incomplete_components())} chains for |sigma|={len(sigma)}")
+        chains = sum(vs[0] != vs[-1] for vs in h_lists)
+        record("h-component-count", chains == len(sigma) == len(h_lists),
+               f"{chains} chains for |sigma|={len(sigma)}")
+        reps = set(sigma)
+        profile = {vs[0]: len(reps.intersection(vs)) for vs in h_lists}
         one_each = all(k == 1 for k in profile.values())
         record("h-orbit-reps", one_each, "" if one_each else str(profile))
         imap = p.index_map()
@@ -341,7 +396,9 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     record("product-extends-target", bad is None,
            "" if bad is None else f"at {bad[0]}: expected {bad[1]}, got {bad[2]}")
 
-    if cert.claim == NKOMEGA_CLAIM and "product_pairs" in cert.data:
+    # schema 3 writes no product pairs: the product is re-derived above
+    if cert.claim == NKOMEGA_CLAIM and cert.schema in _ENTRY_ITEMS \
+            and "product_pairs" in cert.data:
         same = list(evaluate(word, h, f).pairs()) == sorted(map(tuple, cert.data["product_pairs"]))
         record("product-pair-sets-match", same, "" if same else "pair sets differ")
 

@@ -17,7 +17,7 @@ from .graphs import GraphKind, GraphSession
 from .nkomega import StabVerdict, classify_stabilizing, piccard_partner
 from .omega_kn import SigmaPlacement, feasible_partition
 from .oracles import oracle_from_description
-from .partial_iso import compose, from_pairs
+from .partial_iso import chain_pairs, compose, from_pairs
 from .perms import IndexPerm
 
 USAGE_ERROR = 2
@@ -86,8 +86,7 @@ def cmd_oracle(args) -> int:
     if kind.is_lazy and state["oracle"]["kind"] == "lazy_fresh":
         from .oracles import LazyOracle
 
-        f = LazyOracle(session, from_pairs(session,
-                                           [tuple(p) for p in state["oracle"]["pairs"]]))
+        f = LazyOracle(session, from_pairs(session, chain_pairs(state["oracle"]["pairs"])))
     else:
         f = oracle_from_description(session, state["oracle"])
     out = f.preimage(args.vertex) if args.inverse else f.image(args.vertex)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import GraphError
 
@@ -128,6 +128,8 @@ class GraphSession:
     def __init__(self, kind: GraphKind):
         self.kind = kind
         self._lazy = kind.is_lazy
+        # the clique size no witness set U may hold: K_{n-1} on the K_n-free family
+        self._forbidden_clique = kind.n - 1 if kind.tag == HENSON else 0
         self._adj: dict[int, set[int]] = {}
         self._transcript: list[tuple[tuple[int, ...], int]] = []
 
@@ -178,6 +180,17 @@ class GraphSession:
             return _unzigzag(v // n)
         if self.kind.tag == NK_OMEGA:
             return v % n + 1
+        raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
+
+    def component_key(self) -> Callable[[int], int]:
+        """A function that names each vertex's component by an integer, one per
+        component but not its index, in one arithmetic step: for checks that only
+        compare components."""
+        n = self.kind.n
+        if self.kind.tag == OMEGA_KN:
+            return lambda v: v // n
+        if self.kind.tag == NK_OMEGA:
+            return lambda v: v % n
         raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
 
     def position_of(self, v: int) -> int:
@@ -346,16 +359,20 @@ class GraphSession:
         if not self._lazy:
             raise GraphError("witnesses exist only for the random / K_n-free families")
         members = set(U)
-        fences = (set(V), set(forbidden)) if V or forbidden else ()
-        if fences and members & fences[0]:
-            raise GraphError(f"U and V overlap: {sorted(members & fences[0])}")
         adj = self._adj
         known = adj.keys()
-        for part in (members, *fences):
-            if not known >= part:
-                raise GraphError(f"unknown vertex {min(part - known)}")
+        if V or forbidden:
+            fences = set(V), set(forbidden)
+            if members & fences[0]:
+                raise GraphError(f"U and V overlap: {sorted(members & fences[0])}")
+            for part in (members, *fences):
+                if not known >= part:
+                    raise GraphError(f"unknown vertex {min(part - known)}")
+        elif not known >= members:
+            raise GraphError(f"unknown vertex {min(members - known)}")
         verts = sorted(members)
-        if self.kind.tag == HENSON and not self._clique_free(verts, members, self.kind.n - 1):
+        clique = self._forbidden_clique
+        if clique and len(verts) >= clique and not self._clique_free(verts, members, clique):
             raise GraphError("forbidden clique in U")
         w = len(adj)
         adj[w] = members
@@ -400,6 +417,16 @@ class GraphSession:
                                  " expected (U, id) or (U, V, F, id)")
             if got != w:
                 raise GraphError(f"transcript replay diverged: expected id {w}, got {got}")
+        return s
+
+    @staticmethod
+    def replay_sets(kind: GraphKind, sets: Iterable[Iterable[int]]) -> "GraphSession":
+        """Rebuild a session from the U of each witness call in order, as schema-3
+        certificates write the transcript: call w makes vertex w, so no id is checked."""
+        s = GraphSession(kind)
+        witness = s.alice_witness
+        for U in sets:
+            witness(U)
         return s
 
     @staticmethod

@@ -247,10 +247,10 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     return WitnessCertificate(
         family=s.kind,
         claim=HENSON_CLAIM,
-        transcript=s.transcript(),
+        transcript=[U for U, _ in s.transcript()],
         oracle=f.description(),
-        q=[list(t) for t in q_in.pairs()],
-        p=[list(t) for t in piso.pairs()],
-        h=[list(t) for t in h.pairs()],
+        q=q_in.chain_lists(),
+        p=piso.chain_lists(),
+        h=h.chain_lists(),
         data=data,
     )

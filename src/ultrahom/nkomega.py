@@ -17,7 +17,7 @@ from .oracles import NKOracle
 from .partial_iso import FreshWindow, IsoBuilder, PartialIso, invert
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
 from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
-                    concat, empty_word, evaluate, landing_orbit, reduce_word,
+                    concat, empty_word, landing_orbit, reduce_word,
                     swap_a_sign, word_index_image)
 
 # Largest equal per-component count the engines' stabilized-set search tries.
@@ -654,19 +654,18 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     h = h.freeze()
 
     data = {"k": k, "w1": str(w1), "w2": str(w2), "sigma": list(ctx.sigma)}
-    product = evaluate(claim_word(NKOMEGA_CLAIM, data), h, f)
-    internal_check(product.extends(piso), "product-extends-target")
+    miss = product_miss(claim_word(NKOMEGA_CLAIM, data), piso.pairs(), h, f)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
     internal_check(h.extends(q), "h-extends-q")
-    data["product_pairs"] = [list(t) for t in product.pairs()]
 
     return WitnessCertificate(
         family=s.kind,
         claim=NKOMEGA_CLAIM,
         transcript=[],
         oracle=f.description(),
-        q=[list(t) for t in q.pairs()],
-        p=[list(t) for t in piso.pairs()],
-        h=[list(t) for t in h.pairs()],
+        q=q.chain_lists(),
+        p=piso.chain_lists(),
+        h=h.chain_lists(),
         data=data,
     )
 
@@ -764,7 +763,7 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
 
     raw = [("b", m1), ("a", 1), ("b", m2), ("a", 2), ("b", -m4), ("a", 1), ("b", -m3)]
     data = {"word": str(reduce_word([syl for syl in raw if syl[1] != 0])),
-            "exponents": [m1, m2, m3, m4], "sigma": list(ctx.sigma)}
+            "sigma": list(ctx.sigma)}
     miss = product_miss(claim_word(N2_CLAIM, data), piso.pairs(), h, f)
     internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
     internal_check(h.extends(q_in), "h-extends-q")
@@ -774,8 +773,8 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
         claim=N2_CLAIM,
         transcript=[],
         oracle=f.description(),
-        q=[list(t) for t in q_in.pairs()],
-        p=[list(t) for t in piso.pairs()],
-        h=[list(t) for t in h.pairs()],
+        q=q_in.chain_lists(),
+        p=piso.chain_lists(),
+        h=h.chain_lists(),
         data=data,
     )

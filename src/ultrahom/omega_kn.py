@@ -432,8 +432,8 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
         claim=OMEGA_CLAIM,
         transcript=[],
         oracle=f.description(),
-        q=[list(t) for t in q_in.pairs()],
-        p=[list(t) for t in piso.pairs()],
-        h=[list(t) for t in h.pairs()],
+        q=q_in.chain_lists(),
+        p=piso.chain_lists(),
+        h=h.chain_lists(),
         data=data,
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .errors import GraphError, internal_check
 from .graphs import GraphSession, NK_OMEGA, OMEGA_KN, _unzigzag, _zigzag
-from .partial_iso import IsoBuilder, PartialIso, empty as empty_iso, validate
+from .partial_iso import (IsoBuilder, PartialIso, chain_lists, chain_pairs, empty as empty_iso,
+                          validate)
 from .partial_iso import extend  # noqa: F401  (perfbench's tracer test patches this binding)
 from .perms import IndexPerm
 
@@ -60,7 +61,7 @@ class FrozenOracle(OracleBase):
         return self.iso.pairs()
 
     def description(self) -> dict:
-        return {"kind": "frozen", "pairs": [list(p) for p in self.iso.pairs()]}
+        return {"kind": "frozen", "pairs": self.iso.chain_lists()}
 
 
 class LazyOracle(OracleBase):
@@ -104,7 +105,7 @@ class LazyOracle(OracleBase):
         return x
 
     def description(self) -> dict:
-        return {"kind": "lazy_fresh", "pairs": [list(p) for p in self.cache.pairs()]}
+        return {"kind": "lazy_fresh", "pairs": self.cache.chain_lists()}
 
 
 class OmegaShiftOracle(OracleBase):
@@ -378,21 +379,29 @@ class NKOracle(OracleBase):
             "kind": "nk_policy",
             "sigma": list(self.sigma.images),
             "band_rows": self.band_rows,
-            "band_pairs": [[x, y] for x, y in sorted(self._band_fwd.items())],
+            "band_pairs": chain_lists(self._band_fwd, self._band_bwd),
             "fixed_tail": sorted(self.fixed_tail),
         }
 
 
-def oracle_from_description(session: GraphSession, desc: dict) -> OracleBase:
-    """Rebuild the oracle a certificate describes; lazy caches become frozen maps."""
+def oracle_from_description(session: GraphSession, desc: dict, pairs=None) -> OracleBase:
+    """Rebuild the oracle a certificate describes; lazy caches become frozen maps.
+
+    A description holds its finite map (``pairs``, or the ``band_pairs``
+    of an ``nk_policy``) as the vertex lists ``description`` writes.
+    ``pairs`` gives that map as pairs instead, the way schema-1 and
+    schema-2 certificates wrote it.
+    """
     kind = desc.get("kind")
     if kind in ("lazy_fresh", "frozen"):
-        return FrozenOracle(session, [tuple(p) for p in desc["pairs"]])
+        return FrozenOracle(session, chain_pairs(desc["pairs"], "the oracle")
+                            if pairs is None else pairs)
     if kind == "omega_shift":
         return OmegaShiftOracle(session, desc["step"], desc.get("pos_perm"))
     if kind == "nk_policy":
         return NKOracle(session, IndexPerm(tuple(desc["sigma"])),
                         desc.get("band_rows", 0),
-                        [tuple(p) for p in desc.get("band_pairs", ())],
+                        chain_pairs(desc.get("band_pairs", ()), "the oracle")
+                        if pairs is None else pairs,
                         desc.get("fixed_tail", ()))
     raise GraphError(f"unknown oracle description kind {kind!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 from typing import Iterable, KeysView
 
 from .errors import GraphError, IsoError
@@ -27,6 +28,10 @@ class _MapReads:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._fwd.items()))
+
+    def chain_lists(self) -> list[list[int]]:
+        """The map as certificate vertex lists (see ``chain_lists``)."""
+        return chain_lists(self._fwd, self._bwd)
 
     def apply(self, x: int) -> int | None:
         return self._fwd.get(x)
@@ -167,9 +172,13 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
     injective induced index map, checkable pair by pair."""
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-    cmap: dict[int, tuple[int, tuple[int, int]]] = {}
-    cinv: dict[int, tuple[int, tuple[int, int]]] = {}
-    comp = session.component_of
+    # by component key: the key its pairs go to (come from), and the x of the
+    # latest such pair; a conflict names that pair, (x, fwd[x])
+    cmap: dict[int, int] = {}
+    cinv: dict[int, int] = {}
+    last_from: dict[int, int] = {}
+    last_into: dict[int, int] = {}
+    comp = session.component_key()
     for x, y in pairs:
         if x < 0 or y < 0:  # no vertex of a component graph has a negative id
             raise GraphError(f"unknown vertex {x if x < 0 else y}")
@@ -181,14 +190,13 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
         if y in bwd:
             raise IsoError("not-injective", [(bwd[y], y), (x, y)], "two preimages for one point")
         cx, cy = comp(x), comp(y)
-        seen = cmap.get(cx)
-        if seen is not None and seen[0] != cy:
-            _raise_component_conflict(session, seen[1], (x, y))
-        hit = cinv.get(cy)
-        if hit is not None and hit[0] != cx:
-            _raise_component_conflict(session, hit[1], (x, y))
-        cmap[cx] = (cy, (x, y))
-        cinv[cy] = (cx, (x, y))
+        if cmap.setdefault(cx, cy) != cy:
+            x2 = last_from[cx]
+            _raise_component_conflict(session, (x2, fwd[x2]), (x, y))
+        if cinv.setdefault(cy, cx) != cx:
+            x2 = last_into[cy]
+            _raise_component_conflict(session, (x2, fwd[x2]), (x, y))
+        last_from[cx] = last_into[cy] = x
         fwd[x] = y
         bwd[y] = x
     return PartialIso(session, fwd, bwd)
@@ -205,6 +213,77 @@ def _raise_component_conflict(session, p1, p2):
     raise IsoError("component-collision", [p1, p2],
                    f"components {c1} and {c2} both mapped into {d1};"
                    " induced index map not injective")
+
+
+def chain_lists(fwd: dict[int, int], bwd: dict[int, int]) -> list[list[int]]:
+    """A finite partial bijection as vertex lists, the way certificates write maps.
+
+    Each chain is listed head first.  Each cycle is rotated to start at
+    its least vertex and closed by repeating that vertex, so a fixed
+    point is [x, x].  Lists are sorted by their first vertex, which no
+    two lists share, so the lists are determined by the map.  One walk
+    per component: linear in the map, plus the sort of the heads.
+    """
+    out = []
+    reached = 0
+    for x in fwd:
+        if x not in bwd:  # a chain head
+            verts = [x]
+            v = fwd[x]
+            while v is not None:
+                verts.append(v)
+                v = fwd.get(v)
+            reached += len(verts) - 1
+            out.append(verts)
+    if reached < len(fwd):  # a vertex of dom that no chain reached lies on a cycle
+        on_chains = set().union(*out)
+        for x in fwd:
+            if x in on_chains:
+                continue
+            verts = [x]
+            v = fwd[x]
+            while v != x:
+                verts.append(v)
+                v = fwd[v]
+            on_chains.update(verts)
+            i = verts.index(min(verts))
+            verts = verts[i:] + verts[:i]
+            verts.append(verts[0])
+            out.append(verts)
+    out.sort()
+    return out
+
+
+def chain_pairs(lists, name: str = "map") -> list[tuple[int, int]]:
+    """The pairs that ``chain_lists`` vertex lists describe, in time linear in the lists.
+
+    A list that ends on its first vertex is a cycle; any other list is a
+    chain.  Raise IsoError when a list has fewer than two vertices, or
+    when a vertex appears twice: on two lists, twice on one list, as a
+    chain's tail that heads another list, or as a repeat that does not
+    close its list.  ``name`` names the map in the message.
+
+    Each list's pairs come from ``itertools.pairwise``, so the one Python
+    step per list checks its length and whether it closes: a lazy
+    oracle's map is hundreds of lists of two or three vertices.
+    """
+    pairs = list(chain.from_iterable(map(pairwise, lists)))
+    closed = 0
+    for verts in lists:
+        if len(verts) < 2:
+            raise IsoError("short-list", (), f"{name} holds a list of {len(verts)} vertices")
+        if verts[0] == verts[-1]:
+            closed += 1
+    # a list of k vertices gives k - 1 pairs, and each cycle repeats its first
+    # vertex once at its end; any other repeat is a fault
+    if len(set(chain.from_iterable(lists))) < len(pairs) + len(lists) - closed:
+        seen: set[int] = set()
+        for verts in lists:
+            for v in (verts[:-1] if verts[-1] == verts[0] else verts):
+                if v in seen:
+                    raise IsoError("repeated-vertex", (), f"vertex {v} appears twice in {name}")
+                seen.add(v)
+    return pairs
 
 
 def empty(session: GraphSession) -> PartialIso:
@@ -366,12 +445,6 @@ class ComponentView:
             if v in c.vertices:
                 return c
         raise KeyError(v)
-
-    def complete_components(self) -> list[Component]:
-        return [c for c in self.components if c.complete]
-
-    def incomplete_components(self) -> list[Component]:
-        return [c for c in self.components if not c.complete]
 
 
 def cycle_free(f: PartialIso) -> bool:

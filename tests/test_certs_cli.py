@@ -94,19 +94,31 @@ def test_claim_words_are_the_four_products_unreduced():
         claim_word(N2_CLAIM, {"word": "a^x"})
 
 
+def _old_nkomega_product(cert):
+    """w1(h) * h^k * w2(h)^-1 built from its three factors, and evaluate(claim_word)."""
+    session = GraphSession(cert.family)
+    h = validate(session, cert.map_pairs("h"))
+    f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
+    w1, w2, k = parse_word(cert.data["w1"]), parse_word(cert.data["w2"]), cert.data["k"]
+    old = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
+    return old, evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f), session
+
+
 def test_nkomega_claim_word_realizes_the_old_product_on_the_golden_set():
     """evaluate(claim_word) equals w1(h) * h^k * w2(h)^-1 built from its three factors."""
     for n, count in ((3, 6), (4, 2)):  # test_golden.GOLDEN_SET's nkomega trials
         for index in range(count):
             cert = run_trial("nkomega", n, 1, index)
-            session = GraphSession(cert.family)
-            h = validate(session, cert.h)
-            f = oracle_from_description(session, cert.oracle)
-            w1, w2, k = (parse_word(cert.data["w1"]), parse_word(cert.data["w2"]),
-                         cert.data["k"])
-            old = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
-            assert evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f) == old
-            assert old.pairs() == tuple(sorted(map(tuple, cert.data["product_pairs"])))
+            old, product, session = _old_nkomega_product(cert)
+            assert product == old
+            assert old.extends(validate(session, cert.map_pairs("p")))
+    # a schema-2 record carries the engine's product pairs
+    line = (Path(__file__).parent / "data" / "certs_v2.jsonl").read_text().splitlines()[3]
+    cert = WitnessCertificate.from_json(line)
+    assert cert.claim == NKOMEGA_CLAIM
+    old, product, _ = _old_nkomega_product(cert)
+    assert product == old
+    assert old.pairs() == tuple(sorted(map(tuple, cert.data["product_pairs"])))
 
 
 def test_brute_force_word_eval_basics():
@@ -256,7 +268,7 @@ def test_shape_rejects_string_exponent():
 def test_shape_rejects_one_element_pair():
     data = _omega_record()
     data["h"][0] = data["h"][0][:1]
-    assert "h must be a list of integer pairs" in _shape_note(data)
+    assert "h must be a list of lists of at least two integer vertices" in _shape_note(data)
 
 
 def test_shape_rejects_unhashable_claim():
@@ -323,7 +335,7 @@ def test_large_band_rows_is_rejected_before_the_band_is_built(monkeypatch):
 
 def test_target_with_an_edge_across_is_not_separated():
     cert = henson_trial(3, random.Random(3))
-    U, w = next(e for e in cert.transcript if e[0])
+    w, U = next((w, U) for w, U in enumerate(cert.transcript) if U)
     tampered = WitnessCertificate.from_json(cert.to_json())
     tampered.p = [(U[0], w)]  # an edge from the domain into the range
     report = verify(tampered)

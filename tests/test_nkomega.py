@@ -6,7 +6,7 @@ from conftest import random_band_oracle
 from ultrahom import nkomega
 from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial
 from ultrahom.certs import verify
-from ultrahom.errors import GraphError, HypothesisError, IsoError
+from ultrahom.errors import GraphError, HypothesisError, InternalCheckError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, amalgamate,
                               build_base_word, build_covering_word,
@@ -420,3 +420,22 @@ def test_chain_marks_match_landing_orbit_on_random_growth():
                     assert got == hits
                 assert nkomega._orbit_avoids(b, z, phi) == (hits == 0)
     assert kinds == {"outside", "head", "tail", "mid-chain", "cycle"}
+
+
+def test_product_check_walks_every_target_pair_and_stops_a_missed_one(monkeypatch):
+    """The engine checks its product with certs.product_miss at each pair of p, as
+    verify does, and a miss stops the build before any certificate is made."""
+    rng = random.Random(5)
+    ctx, q, p = nkomega_instance(nkomega_oracle(3, rng), rng, pair_comps=[1, 2, 3])
+    real, asked = nkomega.product_miss, []
+
+    def recording(word, pairs, h, f):
+        asked.append(list(pairs))
+        return real(word, pairs, h, f)
+
+    monkeypatch.setattr(nkomega, "product_miss", recording)
+    assert verify(density_witness_nkomega(ctx, q, p)).ok
+    assert asked == [list(p.iso.pairs())]
+    monkeypatch.setattr(nkomega, "product_miss", lambda word, pairs, h, f: (0, 1, None))
+    with pytest.raises(InternalCheckError, match="product-extends-target"):
+        density_witness_nkomega(ctx, q, p)

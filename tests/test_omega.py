@@ -314,10 +314,10 @@ def test_chained_witnesses_verify_and_build_linearly_in_q():
         cert, calls = _calls_made(density_witness_omega, f, q, p, sigma)
         report = verify(cert)
         assert report.ok, str(report)
-        assert cert.q == [list(t) for t in q.pairs()]
+        assert cert.q == q.chain_lists()
         sizes.append(len(q))
         counts.append(calls)
-        q = from_pairs(s, cert.h)
+        q = from_pairs(s, cert.map_pairs("h"))
     assert sizes[-1] == 2268
     for i in range(len(sizes) - 1):
         if sizes[i] >= 250:

@@ -9,7 +9,7 @@ from ultrahom.errors import GraphError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import NKOracle
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
-                                  compose, cycle_free, empty, extend, from_pairs,
+                                  chain_pairs, compose, cycle_free, empty, extend, from_pairs,
                                   identity_on, index_perm_of, invert,
                                   orbit_rep_profile, power, validate)
 from ultrahom.perms import IndexPerm
@@ -228,7 +228,7 @@ def _assert_builder_matches(b, s):
     assert b.count == len(view.components)
     assert b.cycle_free() == cycle_free(frozen)
     assert b.index_perm() == index_perm_of(frozen, s.kind.n)
-    assert sorted(b.chains()) == sorted(c.vertices for c in view.incomplete_components())
+    assert sorted(b.chains()) == sorted(c.vertices for c in view.components if not c.complete)
     for c in view.components:
         assert b.component(c.vertices[-1]) == view.find(c.vertices[-1])
     support = frozen.support()
@@ -364,6 +364,51 @@ def _chains_and_cycles(rng):
             pairs.append((block[-1], block[0]))
     rng.shuffle(pairs)
     return pairs
+
+
+def test_chain_lists_round_trip_and_match_pointwise_components(nk2):
+    """Chains head first, cycles closed from their least vertex, fixed points [x, x],
+    sorted by first vertex; chain_pairs gives the pairs back, from a value or a builder."""
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        pairs = _chains_and_cycles(rng) + [(v, v) for v in range(40, 40 + rng.randint(0, 2))]
+        want = [list(c) + [c[0]] * cyclic for c, cyclic in brute_components(pairs)]
+        f = PartialIso(nk2, dict(pairs), {y: x for x, y in pairs})
+        lists = f.chain_lists()
+        assert lists == want, pairs
+        assert IsoBuilder(f).chain_lists() == want
+        assert sorted(chain_pairs(lists)) == sorted(pairs)
+        kinds.update("fixed" if len(c) == 2 and c[0] == c[1] else
+                     "cycle" if c[0] == c[-1] else "chain" for c in lists)
+    assert kinds == {"chain", "cycle", "fixed"}
+
+
+def test_chain_pairs_rejects_every_repeated_vertex():
+    """A vertex inserted anywhere into valid lists raises exactly when some vertex is then
+    on two lists or twice on one list, a list's closing repeat not counting."""
+    def repeated(lists):
+        bodies = [v for vs in lists for v in (vs[:-1] if vs[-1] == vs[0] else vs)]
+        return len(set(bodies)) < len(bodies)
+
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        pairs = _chains_and_cycles(rng) + [(50, 50)]
+        lists = PartialIso(None, dict(pairs), {y: x for x, y in pairs}).chain_lists()
+        i = rng.randrange(len(lists))
+        k = rng.randint(0, len(lists[i]))
+        lists[i].insert(k, rng.choice(rng.choice(lists)))
+        if repeated(lists):
+            with pytest.raises(IsoError, match="repeated-vertex"):
+                chain_pairs(lists)
+        else:  # the insertion closed a chain into a cycle
+            chain_pairs(lists)
+        outcomes.add(repeated(lists))
+    assert outcomes == {True, False}
+    for short in ([], [7]):
+        with pytest.raises(IsoError, match="short-list"):
+            chain_pairs([[1, 2], short])
 
 
 def _naive_power(pairs, k):

@@ -1,8 +1,11 @@
-"""Certificate schema 2: transcript entries are (U, id); schema 1 is still read.
+"""Certificate schema 3: maps as vertex lists, transcript entries as bare U.
 
-``data/certs_v1.jsonl`` holds schema-1 certificates written before the
-schema changed: seed 1 ``henson`` n=3 trials 0-2, ``nkomega`` n=3 trial 0
-and ``omega-kn`` n=3 trial 0, one per line in that order.
+Schemas 1 and 2 are still read.  ``data/certs_v1.jsonl`` holds schema-1
+certificates and ``data/certs_v2.jsonl`` schema-2 ones, each written
+before the schema after it: seed 1 ``henson`` n=3 trials 0-2,
+``nkomega`` n=3 trial 0 and ``omega-kn`` n=3 trial 0, one per line in
+that order; the schema-2 file adds ``n2`` n=2 trial 0, so that every
+claim form is covered.
 """
 
 import json
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingDict
+from conftest import CountingDict, brute_components
 from perfbench.workloads import henson_wide_instance, stream
 from ultrahom import partial_iso
 from ultrahom.campaigns import run_trial
@@ -22,21 +25,29 @@ from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import density_witness_henson
 from ultrahom.partial_iso import PartialIso
 
-V1_PATH = Path(__file__).parent / "data" / "certs_v1.jsonl"
+DATA = Path(__file__).parent / "data"
+V1_PATH, V2_PATH = DATA / "certs_v1.jsonl", DATA / "certs_v2.jsonl"
 V1_TRIALS = (("henson", 3, 0), ("henson", 3, 1), ("henson", 3, 2),
              ("nkomega", 3, 0), ("omega-kn", 3, 0))
+V2_TRIALS = V1_TRIALS + (("n2", 2, 0),)
 HENSON_CLAUSES = ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
                   "h-cycle-free", "target-separated", "product-extends-target"]
+INDEX_FIXING_CLAUSES = ["certificate-shape", "transcript-replay", "inputs-validate",
+                        "h-extends-q", "target-index-fixing", "product-extends-target"]
 V1_CLAUSES = (HENSON_CLAUSES, HENSON_CLAUSES, HENSON_CLAUSES,
-              ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
-               "target-index-fixing", "product-extends-target", "product-pair-sets-match"],
+              INDEX_FIXING_CLAUSES + ["product-pair-sets-match"],
               ["certificate-shape", "transcript-replay", "inputs-validate", "h-extends-q",
                "h-component-count", "h-orbit-reps", "target-whole-components",
                "product-extends-target"])
+V2_CLAUSES = V1_CLAUSES + (INDEX_FIXING_CLAUSES,)
 
 
 def _v1_lines() -> list[str]:
     return V1_PATH.read_text().splitlines()
+
+
+def _v2_lines() -> list[str]:
+    return V2_PATH.read_text().splitlines()
 
 
 def _failing(doc: dict) -> list[tuple[str, str]]:
@@ -50,27 +61,54 @@ def _first_entry_with_u(doc: dict) -> int:
     return next(i for i, entry in enumerate(doc["transcript"]) if entry[0])
 
 
-def test_schema_1_certificates_still_verify_with_the_same_clauses():
-    lines = _v1_lines()
-    assert len(lines) == len(V1_TRIALS)
-    for line, clauses in zip(lines, V1_CLAUSES):
+def _assert_old_records_verify(lines: list[str], schema: int, clause_lists) -> None:
+    assert len(lines) == len(clause_lists)
+    for line, clauses in zip(lines, clause_lists):
         cert = WitnessCertificate.from_json(line)
-        assert cert.schema == 1
+        assert cert.schema == schema
         report = verify(cert)
         assert report.ok, str(report)
         assert [name for name, _, _ in report.clauses] == clauses
-        assert cert.to_json() == line  # a schema-1 record round-trips as it was written
+        assert cert.to_json() == line  # an old record round-trips as it was written
 
 
-def test_new_certificate_is_the_schema_1_one_projected():
-    """Schema 2 changes the schema number and drops V and F; no other byte moves."""
-    assert SCHEMA_VERSION == 2
-    for line, (family, n, index) in zip(_v1_lines(), V1_TRIALS):
-        doc = json.loads(line)
+def test_schema_1_certificates_still_verify_with_the_same_clauses():
+    _assert_old_records_verify(_v1_lines(), 1, V1_CLAUSES)
+
+
+def test_schema_2_certificates_still_verify_with_the_same_clauses():
+    _assert_old_records_verify(_v2_lines(), 2, V2_CLAUSES)
+
+
+def _reference_lists(pairs) -> list[list[int]]:
+    """Schema-3 vertex lists by pointwise chasing: chains head first, cycles closed
+    from their least vertex, sorted by first vertex."""
+    return [list(c) + [c[0]] * cyclic for c, cyclic in brute_components([tuple(t) for t in pairs])]
+
+
+def test_new_certificate_is_the_schema_2_one_reencoded():
+    """Schema 3 re-encodes the maps and the transcript and drops n K_omega's product
+    pairs and n = 2's exponents; no other byte moves.  Schema 2 was schema 1 with
+    (U, id) entries."""
+    assert SCHEMA_VERSION == 3
+    for v1, v2 in zip(_v1_lines(), _v2_lines()):
+        doc = json.loads(v1)
         doc["schema"] = 2
         doc["transcript"] = [[U, w] for U, _, _, w in doc["transcript"]]
-        projected = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert run_trial(family, n, 1, index).to_json() == projected
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == v2
+    for line, (family, n, index) in zip(_v2_lines(), V2_TRIALS):
+        doc = json.loads(line)
+        doc["schema"] = 3
+        doc["transcript"] = [U for U, _ in doc["transcript"]]
+        for name in ("q", "p", "h"):
+            doc[name] = _reference_lists(doc[name])
+        for key in ("pairs", "band_pairs"):
+            if key in doc["oracle"]:
+                doc["oracle"][key] = _reference_lists(doc["oracle"][key])
+        doc["data"].pop("product_pairs", None)
+        doc["data"].pop("exponents", None)
+        reencoded = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert run_trial(family, n, 1, index).to_json() == reencoded, (family, n, index)
 
 
 def test_schema_1_fence_faults_are_still_rejected_on_replay():
@@ -90,7 +128,7 @@ def test_schema_1_fence_faults_are_still_rejected_on_replay():
 
 
 def _v2_henson() -> dict:
-    doc = json.loads(run_trial("henson", 3, 1, 0).to_json())
+    doc = json.loads(_v2_lines()[0])
     assert doc["schema"] == 2 and all(len(entry) == 2 for entry in doc["transcript"])
     return doc
 
@@ -145,16 +183,18 @@ def test_v2_replay_faults_are_rejected_on_replay():
 
 def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     """On K_4-free graphs U may hold edges but no triangle: the clique search beyond one edge."""
-    doc = json.loads(run_trial("henson", 4, 1, 0).to_json())
-    adj = GraphSession.replay(GraphKind.henson(4), doc["transcript"])._adj
-    # the first entry with a triangle among the vertices before it; edges never change
-    j, tri = next((j, C) for j, (_, w) in enumerate(doc["transcript"])
+    cert = run_trial("henson", 4, 1, 0)
+    doc = json.loads(cert.to_json())
+    adj = cert.replay()._adj
+    # the first entry with a triangle among the vertices before it (entry w makes
+    # vertex w); edges never change
+    w, tri = next((w, C) for w in range(len(doc["transcript"]))
                   for C in combinations(range(w), 3)
                   if all(b in adj[a] for a, b in combinations(C, 2)))
-    doc["transcript"][j][0] = list(tri)
+    doc["transcript"][w] = list(tri)
     assert _failing(doc) == [("transcript-replay", "forbidden clique in U")]
-    doc["transcript"][j][0] = list(tri[:2])  # one edge is allowed: the entry replays
-    GraphSession.replay(GraphKind.henson(4), doc["transcript"][:j + 1])
+    doc["transcript"][w] = list(tri[:2])  # one edge is allowed: the entry replays
+    GraphSession.replay_sets(GraphKind.henson(4), doc["transcript"][:w + 1])
 
 
 def _wide_cert_bytes(width: int) -> int:
@@ -170,8 +210,8 @@ def test_henson_certificate_bytes_grow_linearly_in_the_target():
 def test_verify_cost_does_not_grow_with_the_exponent(monkeypatch):
     doc = json.loads(run_trial("henson", 3, 1, 0).to_json())
     x = doc["p"][0][0]
-    z = next(w for _, w in doc["transcript"] if w != x)
-    doc["q"], doc["h"] = [], [[x, z], [z, x]]
+    z = next(w for w in range(len(doc["transcript"])) if w != x)
+    doc["q"], doc["h"] = [], [[x, z, x]]  # a 2-cycle
     real_validate = partial_iso.validate
 
     def counting_validate(session, pairs):
@@ -235,6 +275,131 @@ def test_hostile_certificates_are_rejected_on_a_named_clause(trial, mutate, clau
     doc = json.loads(run_trial(*trial, 1, 0).to_json())
     mutate(doc)
     assert _failing(doc) == [(clause, note)]
+
+
+def _repeat(v, where="h"):
+    return "inputs-validate", f"repeated-vertex: vertex {v} appears twice in {where}"
+
+
+def _on_two_lists(d):
+    v = d["h"][1][1]
+    d["h"][0].append(v)
+    return _repeat(v)
+
+
+def _twice_on_one_list(d):
+    first = d["h"][0]
+    first.insert(1, first[-1])
+    return _repeat(first[-1])
+
+
+def _tail_heads_a_list(d):
+    v = d["h"][1][0]
+    d["h"][0].append(v)
+    return _repeat(v)
+
+
+def _badly_closed(d):
+    first = d["h"][0]
+    first.append(first[1])  # a repeat that is not the list's first vertex
+    return _repeat(first[1])
+
+
+def _one_vertex_list(d, name):
+    d[name].append([d[name][0][0]])
+    return "certificate-shape", f"{name} must be a list of lists of at least two integer vertices"
+
+
+def _vertex_of_type(d, value):
+    d["h"][0][1] = value
+    return "certificate-shape", "h must be a list of lists of at least two integer vertices"
+
+
+def _oracle_on_two_lists(d):
+    lists = d["oracle"]["pairs"]
+    lists[0].append(lists[1][0])
+    return _repeat(lists[1][0], "the oracle")
+
+
+def _oracle_vertex_of_type(d, value):
+    d["oracle"]["pairs"][0][0] = value
+    return "certificate-shape", "oracle field pairs has the wrong type"
+
+
+def _unmade_vertex_in_u(d, ahead):
+    w = next(w for w, U in enumerate(d["transcript"]) if U)  # entry w makes vertex w
+    d["transcript"][w].append(w + ahead)
+    return "transcript-replay", f"unknown vertex {w + ahead}"
+
+
+def _set_entry(d, entry):
+    d["transcript"][-1] = entry
+    return "certificate-shape", "transcript entries of schema 3 must be U with integer vertices"
+
+
+def _omega_cycle(d):
+    """A 2-cycle inside one far component: each chain still holds one representative."""
+    a, b = 12000, 12001  # positions 0 and 1 of omega K_3 component 2000
+    d["h"].append([a, b, a])
+    profile = {vs[0]: len(set(d["data"]["sigma"]).intersection(vs)) for vs in d["h"]}
+    return [("h-component-count", "6 chains for |sigma|=6"), ("h-orbit-reps", str(profile))]
+
+
+# (trial, mutation returning the failing clause and note) on schema-3 vertex lists
+HOSTILE_V3 = {
+    "vertex-on-two-lists": (("omega-kn", 3), _on_two_lists),
+    "nkomega-vertex-on-two-lists": (("nkomega", 3), _on_two_lists),
+    "vertex-twice-on-one-list": (("omega-kn", 3), _twice_on_one_list),
+    "tail-heads-a-list": (("henson", 3), _tail_heads_a_list),
+    "badly-closed-cycle": (("nkomega", 3), _badly_closed),
+    "one-vertex-list-in-h": (("omega-kn", 3), lambda d: _one_vertex_list(d, "h")),
+    "one-vertex-list-in-p": (("n2", 2), lambda d: _one_vertex_list(d, "p")),
+    "bool-vertex": (("omega-kn", 3), lambda d: _vertex_of_type(d, True)),
+    "float-vertex": (("nkomega", 3), lambda d: _vertex_of_type(d, 1.0)),
+    "str-vertex": (("henson", 3), lambda d: _vertex_of_type(d, "1")),
+    "oracle-vertex-on-two-lists": (("henson", 3), _oracle_on_two_lists),
+    "oracle-float-vertex": (("henson", 3), lambda d: _oracle_vertex_of_type(d, 2.0)),
+    "u-names-its-own-vertex": (("henson", 3), lambda d: _unmade_vertex_in_u(d, 0)),
+    "u-names-a-later-vertex": (("henson", 4), lambda d: _unmade_vertex_in_u(d, 3)),
+    "omega-h-with-a-cycle": (("omega-kn", 3), _omega_cycle),
+    "entry-not-a-list": (("henson", 3), lambda d: _set_entry(d, 5)),
+    "entry-with-a-float": (("henson", 3), lambda d: _set_entry(d, [0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("trial, mutate", HOSTILE_V3.values(), ids=HOSTILE_V3.keys())
+def test_hostile_vertex_lists_are_rejected_on_a_named_clause(trial, mutate):
+    doc = json.loads(run_trial(*trial, 1, 0).to_json())
+    assert doc["schema"] == 3
+    want = mutate(doc)
+    assert _failing(doc) == (want if isinstance(want, list) else [want])
+
+
+def test_verify_lookups_grow_linearly_in_chain_length(monkeypatch):
+    """h of 3 chains of L + 1 vertices and q the same chains one vertex shorter, for L
+    1x, 10x and 100x: h-extends-q looks up every pair of q, and lookups grow 10x per 10x."""
+    doc = json.loads(run_trial("omega-kn", 3, 1, 0).to_json())
+    session = GraphSession(GraphKind.omega_kn(3))
+    real_validate = partial_iso.validate
+
+    def counting_validate(session, pairs):
+        iso = real_validate(session, pairs)
+        return PartialIso(session, CountingDict(iso._fwd), CountingDict(iso._bwd))
+
+    monkeypatch.setattr("ultrahom.certs.validate", counting_validate)
+    counts = []
+    for length in (20, 200, 2000):
+        doc["h"] = [[session.vertex(1000 + i, j) for i in range(length + 1)] for j in range(3)]
+        doc["q"] = [chain[:-1] for chain in doc["h"]]
+        CountingDict.lookups = 0
+        clauses = verify(WitnessCertificate.from_json(json.dumps(doc))).clauses
+        assert ("h-extends-q", True, "") in clauses
+        assert ("h-component-count", False, "3 chains for |sigma|=6") in clauses
+        counts.append(CountingDict.lookups)
+    assert counts[0] >= 3 * 19, counts
+    for short, long in zip(counts, counts[1:]):
+        assert long <= 11 * short, counts
+    assert counts[-1] <= 4 * 3 * 2001, counts
 
 
 # (trial, mutation): words an all-b evaluation or a letter-by-letter a^k walk broke
@@ -363,7 +528,7 @@ def test_transcript_shape_pass_matches_the_loop_on_hostile_shapes(monkeypatch):
     assert outcomes == {True, False}
 
     # the certificate-shape notes are the loop's, on real transcripts made hostile
-    docs = [json.loads(run_trial("henson", 3, 1, i).to_json()) for i in range(3)]
+    docs = [json.loads(line) for line in _v2_lines()[:3]]  # schema 2: (U, id)
     docs += [json.loads(line) for line in _v1_lines()[:3]]  # schema 1: (U, V, F, id)
     notes = set()
     for _ in range(400):
@@ -381,3 +546,4 @@ def test_transcript_shape_pass_matches_the_loop_on_hostile_shapes(monkeypatch):
         monkeypatch.undo()
         notes.add(fast)
     assert None in notes and len(notes) >= 3, notes
+
