@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
 from .oracles import NKOracle
-from .partial_iso import FreshWindow, IsoBuilder, PartialIso, invert
+from .partial_iso import FreshWindow, IsoBuilder, PartialIso
 from .perms import IndexPerm, all_perms, generates_symmetric, word_to
-from .words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
-                    concat, empty_word, landing_orbit, reduce_word,
+from .words import (FreeWord, WordConditionReport, WordWalks, b_count, chase,
+                    check_word_condition, concat, empty_word, landing_orbit, reduce_word,
                     swap_a_sign, word_index_image)
 
 # Largest equal per-component count the engines' stabilized-set search tries.
@@ -49,6 +49,15 @@ class AFSigmaContext:
         self.sigma = tuple(sorted(set(self.sigma)))
         self.session = self.f.session
         self.n = self.session.kind.n
+        # checks already made on a growing builder, so that none is asked twice:
+        # the builder whose support holds sigma (a support only grows); the builder
+        # density_witness_nkomega opened on q once check_admissible passed, which
+        # only _class_extend, amalgamate and IsoBuilder.invert grow, and they keep
+        # every clause of that check; and the last word-condition report, with
+        # the builder version and the arguments it read
+        self._sigma_held: IsoBuilder | None = None
+        self._own: IsoBuilder | None = None
+        self._word_check: tuple[tuple, WordConditionReport] | None = None
 
     def sigma_set(self) -> set[int]:
         return set(self.sigma)
@@ -115,13 +124,16 @@ def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     """One-point extension staying in the orbit-representative class.
 
     The class is closed under inversion, so sigma need only lie in the
-    support of the map, on either side of it.
+    support of the map, on either side of it.  The support only grows, so
+    that is tested once per builder.
     """
     sq = b.index_perm()
     if sq is None:
         raise HypothesisError("index-perm-total")
-    if not all(b.in_support(v) for v in ctx.sigma):
-        raise HypothesisError("sigma-in-support")
+    if ctx._sigma_held is not b:
+        if not all(b.in_support(v) for v in ctx.sigma):
+            raise HypothesisError("sigma-in-support")
+        ctx._sigma_held = b
     if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in dom(q)")
     if b.in_support(y):
@@ -165,25 +177,29 @@ def amalgamate(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     internal_check(b.count == count - 1, "merge-count")
 
 
-def piccard_partner(a: IndexPerm) -> IndexPerm | None:
-    """Smallest b with <a, b> the full symmetric group, or None if there is none.
+# piccard_partner's answers, by a: at most one per permutation of n <= 8 points
+_PARTNERS: dict[IndexPerm, IndexPerm | None] = {}
 
-    Exhaustive closure search; the identity input follows the convention
-    of returning the lone generator for n <= 2 and None above.
+
+def piccard_partner(a: IndexPerm) -> IndexPerm | None:
+    """Smallest b, in ``all_perms`` order, with <a, b> the full symmetric group, or
+    None if there is none.
+
+    Scans ``all_perms`` with ``generates_symmetric``, once per a: the
+    answer is kept.  The identity input follows the convention of
+    returning the lone generator for n <= 2 and None above.
     """
     n = a.n
     if n > 8:
         raise GraphError("out of desk range: n must be at most 8")
+    if a in _PARTNERS:
+        return _PARTNERS[a]
     if a.is_identity():
-        if n == 1:
-            return IndexPerm.identity(1)
-        if n == 2:
-            return IndexPerm.from_cycles(2, [(1, 2)])
-        return None
-    for b in all_perms(n):
-        if generates_symmetric(n, [a, b]):
-            return b
-    return None
+        found = {1: IndexPerm.identity(1), 2: IndexPerm.from_cycles(2, [(1, 2)])}.get(n)
+    else:
+        found = next((b for b in all_perms(n) if generates_symmetric(n, [a, b])), None)
+    _PARTNERS[a] = found
+    return found
 
 
 @dataclass
@@ -433,15 +449,17 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
     satisfies the word condition with an empty covered set, range
     avoiding delta, and landings clear of the prepared domain (which is
     returned as the phi of the rest of the pipeline).  ``window`` serves
-    b's fresh choices: it fences delta and widens with the word.
-    Returns (w, phi).
+    b's fresh choices: it fences delta and widens with the word.  b must
+    be admissible, and is checked unless it is the builder of the n K_omega
+    witness, checked when it was opened.  Returns (w, phi).
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     delta = set(delta)
     if b.ran() & delta:
         raise HypothesisError("ran-avoids-delta")
-    check_admissible(ctx, b)
+    if b is not ctx._own:
+        check_admissible(ctx, b)
     specials: set[int] = set()
     if n == 2 and f.index_perm().is_identity():
         if f.fixed_components():
@@ -463,9 +481,22 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
     suffix = word_to(n, sq, f.index_perm(), target)
     w = reduce_word(list(lam.syllables) + suffix)
     internal_check(w.starts_with("a") and not w.has_negative("a"), "word-shape")
-    rep = check_word_condition(b, gamma, (), phi, delta, w, f)
+    rep = _word_condition(ctx, b, gamma, (), phi, delta, w)
     internal_check(rep.holds, "base-word-condition", str(rep))
     return w, phi
+
+
+def _word_condition(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta, phi, delta,
+                    w: FreeWord) -> WordConditionReport:
+    """``check_word_condition`` on b, once per builder state and arguments: a check
+    that repeats the last one, on the same version of b, returns its report."""
+    key = (b, b.version, tuple(gamma), frozenset(theta), frozenset(phi), frozenset(delta), w)
+    last = ctx._word_check
+    if last is not None and last[0] == key:
+        return last[1]
+    rep = check_word_condition(b, gamma, theta, phi, delta, w, ctx.f)
+    ctx._word_check = key, rep
+    return rep
 
 
 def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
@@ -477,14 +508,16 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     every choice.  ``window`` must have radius b_count(w); it fences
     delta and carries its centres over from earlier growth of b.  b is
     marked with phi unless it already is, so a builder grown on from the
-    base word keeps its chain counts.
+    base word keeps its chain counts.  The entry check on b is the base
+    word's final check or the previous fill's exit check whenever those
+    read the same state with the same arguments, and then reuses it.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     theta = set(theta)
     phi = frozenset(phi)  # the same set when phi is one already, so b's marks carry over
     delta = set(delta)
-    rep = check_word_condition(b, gamma, theta, phi, delta, w, f)
+    rep = _word_condition(ctx, b, gamma, theta, phi, delta, w)
     if not rep.holds:
         raise HypothesisError("word-condition-entry", str(rep))
     if x not in set(gamma) - theta:
@@ -529,14 +562,13 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
         internal_check(walks.consumed(x) > k, "fill-progress")
         if walks.consumed(x) < W:
             radius = B - walks.b_consumed(x)
-            for v in window.window(newval, radius):
-                internal_check(v not in dom, "fill-iii")
+            internal_check(dom.isdisjoint(window.window(newval, radius)), "fill-iii")
         internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
         for u in others:
             internal_check(_orbit_avoids(b, walks.value(u), phi), "fill-v")
         internal_check(_orbit_avoids(b, newval, phi), "fill-v-x")
 
-    rep = check_word_condition(b, gamma, theta | {x}, phi, delta, w, f)
+    rep = _word_condition(ctx, b, gamma, theta | {x}, phi, delta, w)
     internal_check(rep.holds, "word-condition-exit", str(rep))
 
 
@@ -548,7 +580,9 @@ def build_covering_word(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, gamma, 
     and a new one otherwise, leaving q unchanged.  One window serves all
     their fresh choices: it fences delta once and widens from the base
     steps' b-counts to b_count(w), so each centre joins it once per
-    covering word.  Returns (h, w, phi) with h the builder's value.
+    covering word.  Each check of the word condition runs once: a fill's
+    entry check is the check before it.  Returns (h, w, phi), with h the
+    builder q when q is one, and the new builder's value otherwise.
     """
     gamma = sorted(set(gamma))
     delta = sorted(set(delta))
@@ -563,7 +597,7 @@ def build_covering_word(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, gamma, 
         extend_word_domain(ctx, b, gamma, done, phi, delta, w, x, window)
         done.append(x)
     # the last fill's exit check (or, for empty gamma, the base check) is the full condition
-    return b.freeze(), w, phi
+    return (b if b is q else b.freeze()), w, phi
 
 
 def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
@@ -586,39 +620,41 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     sq = check_admissible(ctx, q)
     if not ctx.sigma_set() <= q.dom():
         raise HypothesisError("sigma-in-dom")
+    # one builder carries q from the absorb to the closing pairs; every stage grows
+    # it in the class, so it is not checked again (see AFSigmaContext)
+    h = ctx._own = IsoBuilder(q)
     piso = p.iso
     d_pts = sorted(piso.dom())
     k = sq.order()
 
-    # one builder carries q through the absorb, covering word 1 and the w1 landing
-    b = IsoBuilder(q)
-    _absorb_into_dom(ctx, b, piso.support())
-    _, w1, _ = build_covering_word(ctx, b, d_pts, ())
-    vals1 = {x: chase(w1, x, b, f) for x in d_pts}
+    _absorb_into_dom(ctx, h, piso.support())
+    _, w1, _ = build_covering_word(ctx, h, d_pts, ())
+    vals1 = {x: chase(w1, x, h, f) for x in d_pts}
     internal_check(all(v is not None for v in vals1.values()), "w1-defined")
     for x in d_pts:
         v = vals1[x]
-        if v not in b.ran():
-            xnew = b.fresh(sq.inverse()(s.component_of(v)), set(vals1.values()))
-            _class_extend(ctx, b, xnew, v)
-    q1 = b.freeze()
-    internal_check({x: chase(w1, x, q1, f) for x in d_pts} == vals1, "w1-stable")
+        if v not in h.ran():
+            xnew = h.fresh(sq.inverse()(s.component_of(v)), set(vals1.values()))
+            _class_extend(ctx, h, xnew, v)
+    internal_check({x: chase(w1, x, h, f) for x in d_pts} == vals1, "w1-stable")
     val1set = set(vals1.values())
-    internal_check(val1set <= q1.ran() - q1.dom(), "w1-values-boundary")
+    internal_check(all(v in h.ran() and v not in h.dom() for v in val1set),
+                   "w1-values-boundary")
 
+    # covering word 2 is built for the inverse map, inverted in place and back
     r_pts = sorted(piso.ran())
-    q2i, w2i, _ = build_covering_word(ctx, invert(q1), r_pts, sorted(val1set))
-    q2 = invert(q2i)
+    h.invert()
+    _, w2i, _ = build_covering_word(ctx, h, r_pts, sorted(val1set))
+    h.invert()
     w2 = swap_a_sign(w2i)
-    vals2 = {y: chase(w2, y, q2, f) for y in r_pts}
+    vals2 = {y: chase(w2, y, h, f) for y in r_pts}
     internal_check(all(v is not None for v in vals2.values()), "w2-defined")
     val2set = set(vals2.values())
-    internal_check(not q2.dom() & val1set, "w1-values-clear-of-dom")
-    internal_check(not q2.ran() & val2set, "w2-values-clear-of-ran")
-    internal_check({x: chase(w1, x, q2, f) for x in d_pts} == vals1, "w1-still-stable")
+    internal_check(h.dom().isdisjoint(val1set), "w1-values-clear-of-dom")
+    internal_check(h.ran().isdisjoint(val2set), "w2-values-clear-of-ran")
+    internal_check({x: chase(w1, x, h, f) for x in d_pts} == vals1, "w1-still-stable")
 
     # redundancy chains: one spare cycle-walk per index orbit
-    h = IsoBuilder(q2)
     chosen: set[int] = set()
     for cyc in sorted(sq.cycles(include_fixed=True)):
         verts = []

@@ -40,6 +40,15 @@ class OracleBase:
             raise GraphError(f"oracle exhausted: no preimage for {v}")
         return out
 
+    def chase(self, v: int, k: int) -> int | None:
+        """(v)f^k, or None once a step is undefined; this default takes |k| steps."""
+        step = self.try_image if k >= 0 else self.try_preimage
+        for _ in range(abs(k)):
+            v = step(v)
+            if v is None:
+                return None
+        return v
+
     def description(self) -> dict:
         raise NotImplementedError
 
@@ -56,6 +65,10 @@ class FrozenOracle(OracleBase):
 
     def try_preimage(self, v):
         return self.iso.unapply(v)
+
+    def chase(self, v: int, k: int) -> int | None:
+        """(v)f^k in at most 2|f| lookups, whatever k is (see ``PartialIso.chase``)."""
+        return self.iso.chase(v, k)
 
     def finite_pairs(self):
         return self.iso.pairs()
@@ -141,6 +154,21 @@ class OmegaShiftOracle(OracleBase):
         return s.vertex(s.component_of(v) - self.step,
                         self._inv[s.position_of(v)])
 
+    def chase(self, v: int, k: int) -> int:
+        """(v)f^k in closed form: k * step components on, and pos_perm^k at v's position,
+        read off its cycle in at most twice its length in steps, whatever k is."""
+        s = self.session
+        start = s.position_of(v)
+        perm = self.pos_perm if k >= 0 else self._inv
+        pos, steps = start, abs(k)
+        for i in range(1, steps + 1):
+            pos = perm[pos]
+            if pos == start:
+                for _ in range(steps % i):
+                    pos = perm[pos]
+                break
+        return s.vertex(s.component_of(v) + k * self.step, pos)
+
     def index_image(self, c: int) -> int:
         return c + self.step
 
@@ -177,6 +205,7 @@ class NKOracle(OracleBase):
         if len(band_pairs) != n * band_rows:  # checked before the band is built
             raise GraphError("band pairs must biject the band onto itself")
         self.session = session
+        self._n = n
         self.sigma = sigma
         self.band_rows = band_rows
         self.fixed_tail = frozenset(fixed_tail)
@@ -292,7 +321,10 @@ class NKOracle(OracleBase):
         if key < 0:
             cyc, _ = self._cycle_pos[-key]
             z, i = divmod(s, len(cyc))
-            return self.session.vertex(cyc[i], _zigzag(z) + self.band_rows)
+            # session.vertex(cyc[i], _zigzag(z) + band_rows), written out: windows
+            # and closed-form powers read many places of one orbit
+            row = (2 * z if z >= 0 else -2 * z - 1) + self.band_rows
+            return row * self._n + cyc[i] - 1
         if key in self._band_fwd:
             orb, _ = self._band_orbit_of(key)
             return orb[s % len(orb)]
@@ -313,6 +345,8 @@ class NKOracle(OracleBase):
         """(v)f^k in O(1), read off v's orbit coordinates."""
         key, s, _ = self.orbit_coord(v)
         return self.vertex_at(key, s + k)
+
+    chase = iterate
 
     def fixed_components(self) -> set[int]:
         """Components whose tail is pointwise fixed (fix(f) infinite there)."""

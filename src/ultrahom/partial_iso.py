@@ -337,10 +337,6 @@ def compose(f: PartialIso, g: PartialIso, *rest: PartialIso) -> PartialIso:
     return out
 
 
-def invert(f: PartialIso) -> PartialIso:
-    return PartialIso(f.session, dict(f._bwd), dict(f._fwd), f._longest)
-
-
 def power(f: PartialIso, k: int) -> PartialIso:
     """f^k; f^0 is the identity on dom(f).
 
@@ -502,8 +498,9 @@ class IsoBuilder(_MapReads):
     ``freeze`` returns the value wherever the map must stay fixed: where
     it is returned or certified, and where a later step reads it while
     the builder grows on.  ``dom()`` and ``ran()`` are live views that
-    follow later adds.  Growth only adds pairs, so one builder may carry
-    a map through several stages.
+    follow later adds.  Growth only adds pairs, and ``invert`` turns the
+    map into its inverse in place, so one builder may carry a map through
+    several stages.
     """
 
     def __init__(self, base: PartialIso):
@@ -527,6 +524,7 @@ class IsoBuilder(_MapReads):
         self.arrivals: list[int] = []         # support vertices in the order they joined
         self._cursor: dict[int, int] = {}
         self._perm: IndexPerm | None = None
+        self._inversions = 0
         comp = self._comp
         if comp is None:
             for x, y in base._fwd.items():
@@ -551,6 +549,12 @@ class IsoBuilder(_MapReads):
 
     def longest_component(self) -> int:
         return self._longest
+
+    @property
+    def version(self) -> tuple[int, int]:
+        """Names the map the builder holds among all it has held: growth only adds
+        pairs, so the size names the map between inversions."""
+        return len(self._fwd), self._inversions
 
     def cycle_free(self) -> bool:
         """True iff no component is a cycle (a fixed point is a cycle of one)."""
@@ -639,6 +643,30 @@ class IsoBuilder(_MapReads):
     def freeze(self) -> PartialIso:
         return PartialIso(self.session, dict(self._fwd), dict(self._bwd),
                           self._longest, self._perm)
+
+    def invert(self) -> None:
+        """Turn the map into its inverse in place, in O(components).
+
+        Afterwards the builder reads exactly as ``IsoBuilder`` re-recorded
+        from the inverse map: the same ``_fwd`` order, structure, first
+        pairs and clashes, and no marks.  Only ``arrivals`` keeps the order
+        in which the support joined.
+        """
+        self._fwd, self._bwd = self._bwd, self._fwd
+        # every pair leaving index cx enters cmap[cx], and no other pair does
+        self.pairs_from = {cy: self.pairs_from[cx] for cx, cy in self.cmap.items()}
+        self.cmap, self.cinv = self.cinv, self.cmap
+        self._first_from, self._first_into = (
+            {c: (i, y, x) for c, (i, x, y) in self._first_into.items()},
+            {c: (i, y, x) for c, (i, x, y) in self._first_from.items()})
+        # each chain now runs from its old tail to its old head
+        tail_of = self._tail_of
+        self._chain_len = {tail_of[head]: size for head, size in self._chain_len.items()}
+        self._head_of, self._tail_of = tail_of, self._head_of
+        self.marked, self._marks = frozenset(), None
+        if self._perm is not None:
+            self._perm = self._perm.inverse()
+        self._inversions += 1
 
     # -- growth ------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 from .errors import GraphError
 
@@ -146,7 +146,10 @@ def all_perms(n: int):
 
 
 def closure(n: int, gens: list[IndexPerm], stop_at: int | None = None) -> set[IndexPerm]:
-    """Subgroup generated by gens, by breadth-first multiplication."""
+    """Subgroup generated by gens, by breadth-first multiplication: up to n! elements.
+
+    The reference that ``group_order`` is tested against.
+    """
     seen = {IndexPerm.identity(n)}
     frontier = list(seen)
     while frontier:
@@ -163,11 +166,93 @@ def closure(n: int, gens: list[IndexPerm], stop_at: int | None = None) -> set[In
     return seen
 
 
+def _inverse(u: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(u)
+    for i, x in enumerate(u):
+        out[x] = i
+    return tuple(out)
+
+
+def _sift(table: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]],
+          g: tuple[int, ...]) -> None:
+    """Sims' filter: keep g, or what is left of it, in a table of at most n(n-1)/2
+    permutations that generates the same group as the table and g together.
+
+    Permutations are 0-based image tuples.  The table holds at most one
+    permutation, with its inverse, per (i, j): i its first moved point and
+    j the image of i.  A permutation that meets a taken slot is divided by
+    the one there, which moves i to j as well, so the quotient fixes i and
+    its first moved point moves up, until it is the identity or finds a
+    free slot.
+    """
+    i, n = 0, len(g)
+    while True:
+        while i < n and g[i] == i:
+            i += 1
+        if i == n:
+            return
+        held = table.get((i, g[i]))
+        if held is None:
+            table[i, g[i]] = (g, _inverse(g))
+            return
+        inv = held[1]
+        g = tuple([inv[x] for x in g])
+
+
+def group_order(n: int, gens: list[IndexPerm]) -> int:
+    """Order of the subgroup of S_n that gens generate, by deterministic Schreier-Sims.
+
+    Walks the stabilizer chain of the base 1, 2, ..., n: the orbit of each
+    base point under its level's generators is the index of the next
+    level, and Schreier's lemma gives the next level's generators, which
+    Sims' filter cuts to at most n(n-1)/2 (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4).  Polynomial in n; nothing enumerates
+    the group.
+    """
+    level = [tuple(x - 1 for x in g.images) for g in gens if not g.is_identity()]
+    order = 1
+    for base in range(n):
+        if not level:
+            break
+        # the orbit of base, with for each point p a u in the group taking base to p
+        reps = {base: tuple(range(n))}
+        frontier = [base]
+        for p in frontier:
+            u = reps[p]
+            for g in level:
+                if g[p] not in reps:
+                    reps[g[p]] = tuple([g[x] for x in u])
+                    frontier.append(g[p])
+        order *= len(reps)
+        # Schreier generators u_p g u_(p)g^-1 of the stabilizer of base
+        inverses = {p: _inverse(u) for p, u in reps.items()}
+        table: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for p, u in reps.items():
+            for g in level:
+                inv = inverses[g[p]]
+                _sift(table, tuple([inv[g[x]] for x in u]))
+        level = [g for g, _ in table.values()]
+    return order
+
+
 def generates_symmetric(n: int, gens: list[IndexPerm]) -> bool:
-    size = 1
-    for k in range(2, n + 1):
-        size *= k
-    return len(closure(n, gens, stop_at=size)) == size
+    """Whether gens generate all of S_n.
+
+    Two O(n) screens come first: S_n is transitive and holds odd
+    permutations, so a generating set has one orbit and an odd member.
+    Past them, ``group_order`` decides.
+    """
+    reached, frontier = {1}, [1]
+    for i in frontier:
+        for g in gens:
+            if g(i) not in reached:
+                reached.add(g(i))
+                frontier.append(g(i))
+    if len(reached) < n:
+        return False
+    if n > 1 and not any((n - len(g.cycles(include_fixed=True))) % 2 for g in gens):
+        return False
+    return group_order(n, gens) == factorial(n)
 
 
 def word_to(n: int, a: IndexPerm, b: IndexPerm, target: IndexPerm) -> list[tuple[str, int]]:

@@ -161,19 +161,21 @@ def walk(syllables: Iterable[Syllable], x: int, p, f) -> int | None:
     """End of x's walk through raw syllables, or None once a step is undefined.
 
     The syllables are read literally, not reduced.  An 'a^k' syllable is
-    one ``p.chase``, O(|p|) whatever k is; a 'b^k' syllable takes |k|
-    oracle steps.
+    one ``p.chase``, O(|p|) whatever k is, and a 'b^k' syllable one
+    ``f.chase``, which each finitely described oracle answers in time
+    bounded by its description whatever k is; b and b^-1, the common
+    syllables, are one oracle step.
     """
     v = x
     for letter, exp in syllables:
         if letter == "a":
             v = p.chase(v, exp)
+        elif exp == 1:
+            v = f.try_image(v)
+        elif exp == -1:
+            v = f.try_preimage(v)
         else:
-            step = f.try_image if exp > 0 else f.try_preimage
-            for _ in range(abs(exp)):
-                v = step(v)
-                if v is None:
-                    break
+            v = f.chase(v, exp)
         if v is None:
             return None
     return v
@@ -213,14 +215,7 @@ def evaluate(w, p: PartialIso, f) -> PartialIso:
         # pull the a-anchored seed set back through the leading b-syllables
         candidates = p.dom() if sylls[first_a][1] > 0 else p.ran()
         for _, exp in reversed(sylls[:first_a]):
-            back_step = f.try_preimage if exp > 0 else f.try_image
-            for _ in range(abs(exp)):
-                back = set()
-                for v in candidates:
-                    u = back_step(v)
-                    if u is not None:
-                        back.add(u)
-                candidates = back
+            candidates = {u for u in (f.chase(v, -exp) for v in candidates) if u is not None}
 
     fwd = {}
     for x in sorted(candidates):

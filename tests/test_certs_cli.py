@@ -12,7 +12,7 @@ from ultrahom.certs import (HENSON_CLAIM, N2_CLAIM, NKOMEGA_CLAIM, OMEGA_CLAIM,
 from ultrahom.cli import main
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import oracle_from_description
-from ultrahom.partial_iso import compose, invert, power, validate
+from ultrahom.partial_iso import compose, power, validate
 from ultrahom.perms import IndexPerm
 from ultrahom.words import evaluate, parse_word
 
@@ -100,7 +100,7 @@ def _old_nkomega_product(cert):
     h = validate(session, cert.map_pairs("h"))
     f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
     w1, w2, k = parse_word(cert.data["w1"]), parse_word(cert.data["w2"]), cert.data["k"]
-    old = compose(evaluate(w1, h, f), power(h, k), invert(evaluate(w2, h, f)))
+    old = compose(evaluate(w1, h, f), power(h, k), power(evaluate(w2, h, f), -1))
     return old, evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f), session
 
 

@@ -86,6 +86,28 @@ def test_piccard_partner_small():
         piccard_partner(IndexPerm.identity(9))
 
 
+def test_piccard_partner_is_the_first_generating_partner_and_is_kept(monkeypatch):
+    """The smallest b in all_perms order with <a, b> = S_n, by closure, for every a at
+    n <= 4 and every seventh a at n = 5; a second call asks no group question."""
+    for n in range(1, 6):
+        perms = list(all_perms(n))
+        for a in perms if n < 5 else perms[1::7]:
+            if a.is_identity():
+                continue
+            want = next((b for b in perms if len(closure(n, [a, b])) == len(perms)), None)
+            assert piccard_partner(a) == want, a
+    calls = []
+    real = nkomega.generates_symmetric
+    monkeypatch.setattr(nkomega, "generates_symmetric",
+                        lambda n, gens: calls.append(gens) or real(n, gens))
+    a = IndexPerm.from_cycles(6, [(1, 2, 3), (4, 5)])
+    monkeypatch.delitem(nkomega._PARTNERS, a, raising=False)
+    first = piccard_partner(a)
+    asked = len(calls)
+    assert asked > 0 and generates_symmetric(6, [a, first])
+    assert piccard_partner(a) is first and len(calls) == asked
+
+
 def test_piccard_exceptional_set_n4():
     exceptional = {IndexPerm.from_cycles(4, [(1, 2), (3, 4)]),
                    IndexPerm.from_cycles(4, [(1, 3), (2, 4)]),
@@ -195,6 +217,40 @@ def test_base_and_fill_word():
         extend_word_domain(ctx, IsoBuilder(h), gamma, (), phi, delta, w, gamma[0], wide)
 
 
+def test_direct_callers_keep_every_entry_check():
+    """The checks an n K_omega build asks once still guard each public entry point:
+    admissibility for a builder the build did not open, sigma for each new builder,
+    and the word condition on a state that a report has not read."""
+    ctx, s, f = simple_ctx()
+    v = s.vertex
+    q = simple_q(ctx, s)
+    # index permutation (1 2 3), the same cyclic group as f's
+    cyclic = from_pairs(s, [(v(1, 0), v(2, 0)), (v(3, 0), v(1, 1)), (v(2, 1), v(3, 1))])
+    gamma, delta = [v(1, 5)], [v(3, 9)]
+    for built in (False, True):
+        if built:  # the context has opened and grown a builder of its own
+            target = IndexFixingIso(from_pairs(s, [(v(1, 20), v(1, 21)), (v(2, 20), v(2, 22))]))
+            assert verify(density_witness_nkomega(ctx, q, target)).ok
+        with pytest.raises(HypothesisError, match="generates-symmetric"):
+            build_covering_word(ctx, cyclic, gamma, delta)
+        with pytest.raises(HypothesisError, match="generates-symmetric"):
+            build_base_word(ctx, IsoBuilder(cyclic), gamma, delta, FreshWindow(f))
+    b = IsoBuilder(q)
+    _class_extend(ctx, b, v(2, 0), v(1, 7))
+    # a new builder with the same index permutation, but not through sigma
+    away = from_pairs(s, [(v(1, 4), v(2, 4)), (v(2, 5), v(1, 5)), (v(3, 4), v(3, 5))])
+    with pytest.raises(HypothesisError, match="sigma-in-support"):
+        _class_extend(ctx, IsoBuilder(away), v(2, 4), v(1, 8))
+    # a pair into delta, added after the base word's check, fails the next entry check
+    b = IsoBuilder(q)
+    window = FreshWindow(f)
+    w, phi = build_base_word(ctx, b, gamma, delta, window)
+    window.widen(b_count(w))
+    b.add(b.fresh(3), delta[0])
+    with pytest.raises(HypothesisError, match="word-condition-entry"):
+        extend_word_domain(ctx, b, gamma, (), phi, delta, w, gamma[0], window)
+
+
 def test_covering_word_multi_gamma():
     ctx, s, f = simple_ctx()
     q = simple_q(ctx, s)
@@ -207,7 +263,8 @@ def test_covering_word_multi_gamma():
 
 
 def test_covering_word_checks_the_condition_once_per_stage(monkeypatch):
-    """One check after the base word, then one on entry and one on exit per fill."""
+    """One check after the base word, then one on exit per fill: each fill's entry
+    check is the check before it, on the same builder state, and reuses it."""
     calls = []
     real = nkomega.check_word_condition
 
@@ -221,7 +278,43 @@ def test_covering_word_checks_the_condition_once_per_stage(monkeypatch):
     for gamma in ([], [s.vertex(1, 5)], [s.vertex(1, 5), s.vertex(2, 7), s.vertex(3, 6)]):
         calls.clear()
         build_covering_word(ctx, q, gamma, [s.vertex(1, 20)])
-        assert len(calls) == 1 + 2 * len(gamma)
+        assert len(calls) == 1 + len(gamma)
+
+
+def test_each_build_opens_one_builder_and_asks_each_check_once(monkeypatch):
+    """Per n K_omega build: one IsoBuilder, one admissibility check, and word-condition
+    checks that never repeat a (builder state, arguments) pair: 1 + |gamma| per
+    covering word, with |gamma| = |p| for each of the two."""
+    opened, admitted, conditions = [], [], []
+    real_init, real_admissible = IsoBuilder.__init__, nkomega.check_admissible
+    real_condition = nkomega.check_word_condition
+
+    def counted_init(self, base):
+        opened.append(base)
+        real_init(self, base)
+
+    def counted_admissible(ctx, q):
+        admitted.append(q)
+        return real_admissible(ctx, q)
+
+    def counted_condition(p, gamma, theta, phi, delta, w, f):
+        conditions.append((tuple(p._fwd.items()), tuple(gamma), frozenset(theta),
+                           frozenset(phi), frozenset(delta), w))
+        return real_condition(p, gamma, theta, phi, delta, w, f)
+
+    monkeypatch.setattr(IsoBuilder, "__init__", counted_init)
+    monkeypatch.setattr(nkomega, "check_admissible", counted_admissible)
+    monkeypatch.setattr(nkomega, "check_word_condition", counted_condition)
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 3 + seed % 2
+        f = nkomega_oracle(n, rng)
+        ctx, q, p = nkomega_instance(f, rng, pair_comps=list(range(1, n + 1)))
+        opened.clear(), admitted.clear(), conditions.clear()
+        cert = density_witness_nkomega(ctx, q, p)
+        assert len(opened) == 1 and len(admitted) == 1
+        assert len(conditions) == 2 * (1 + len(p.iso)) == len(set(conditions))
+        assert verify(cert).ok
 
 
 def test_covering_word_randomized():

@@ -10,7 +10,7 @@ from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import NKOracle
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
                                   chain_pairs, compose, cycle_free, empty, extend, from_pairs,
-                                  identity_on, index_perm_of, invert,
+                                  identity_on, index_perm_of,
                                   orbit_rep_profile, power, validate)
 from ultrahom.perms import IndexPerm
 
@@ -82,7 +82,7 @@ def test_power_and_invert(nk2):
     assert power(f, 3) == identity_on(nk2, f.dom())
     assert power(f, 1) == f
     assert power(f, 0) == identity_on(nk2, f.dom())
-    assert compose(f, invert(f)) == identity_on(nk2, f.dom())
+    assert compose(f, power(f, -1)) == identity_on(nk2, f.dom())
     rng = random.Random(6)
     for _ in range(120):
         pairs = random_injection_in_clique(nk2, rng, rng.randint(0, 5))
@@ -96,7 +96,7 @@ def test_power_and_invert(nk2):
         assert set(power(f, k).pairs()) == expect
         # iterated-compose cross-check
         acc = identity_on(nk2, f.dom() if k >= 0 else f.ran())
-        step = f if k >= 0 else invert(f)
+        step = f if k >= 0 else power(f, -1)
         for _ in range(abs(k)):
             acc = compose(acc, step)
         if k != 0:
@@ -258,6 +258,58 @@ def test_builder_add_matches_extend_and_structure():
             assert b.freeze() == ref
             assert list(b.freeze()._fwd.items()) == list(ref._fwd.items())
             _assert_builder_matches(b, s)
+
+
+def _re_recorded_inverse(b):
+    """A new builder recorded from the inverse of b's map, pairs in b's order."""
+    return IsoBuilder(PartialIso(b.session, dict(b._bwd), dict(b._fwd)))
+
+
+def _builder_state(b):
+    return (list(b._fwd.items()), list(b._bwd.items()), b.cmap, b.cinv, b.pairs_from,
+            b._first_from, b._first_into, b._head_of, b._tail_of, b._chain_len, b.marked,
+            b._marks, b._longest, b.count, b.index_perm(), b.support())
+
+
+def test_in_place_inversion_reads_as_the_inverse_re_recorded():
+    """Random growth, marks and in-place inversions: after each step the builder equals
+    one re-recorded from its inverse at every inversion, field for field (the maps in
+    insertion order), and both accept and reject the same pairs with the same errors."""
+    inversions = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        s = GraphSession(GraphKind.nk_omega(n))
+        b, ref = IsoBuilder(empty(s)), IsoBuilder(empty(s))
+        for x, y in _random_growth(s, rng, 60, spread=10):
+            move = rng.random()
+            if move < 0.15:
+                version = b.version
+                b.invert()
+                ref = _re_recorded_inverse(ref)
+                assert b.version != version
+                inversions += 1
+            elif move < 0.2:
+                marked = frozenset(v for v in b.support() if rng.random() < 0.5)
+                b.mark(marked)
+                ref.mark(marked)
+            else:
+                tails = sorted(set(b.ran()) - set(b.dom()))
+                heads = sorted(set(b.dom()) - set(b.ran()))
+                if tails and heads and rng.random() < 0.4:
+                    x, y = rng.choice(tails), rng.choice(heads)  # joins chains or closes one
+                try:
+                    ref.add(x, y)
+                except IsoError as e:
+                    with pytest.raises(IsoError) as got:
+                        b.add(x, y)
+                    assert (got.value.reason, got.value.pairs) == (e.reason, e.pairs)
+                    continue
+                b.add(x, y)
+            assert _builder_state(b) == _builder_state(ref)
+            assert list(b.freeze()._fwd.items()) == list(ref.freeze()._fwd.items())
+            _assert_builder_matches(b, s)
+    assert inversions > 100
 
 
 def test_builder_from_instances_keeps_structure():

@@ -1,7 +1,10 @@
+import random
+from math import factorial
+
 import pytest
 
 from ultrahom.errors import GraphError
-from ultrahom.perms import (IndexPerm, all_perms, closure, generates_symmetric,
+from ultrahom.perms import (IndexPerm, all_perms, closure, generates_symmetric, group_order,
                             word_to)
 
 
@@ -93,3 +96,37 @@ def test_arithmetic_matches_pointwise_definitions_for_n_up_to_5():
                 # right action: (i)(p * q) = ((i)p)q
                 assert (p * q).images == tuple(q(p(i)) for i in range(1, n + 1))
                 assert p * q == IndexPerm((p * q).images)  # a valid permutation, equal to a checked one
+
+
+def test_group_order_matches_closure_on_every_pair_up_to_n5():
+    """Every ordered pair at n <= 5.  Conjugating both generators by one g conjugates
+    the group they generate, so ``closure`` runs once per orbit of pairs under
+    conjugation, and its size holds for the whole orbit."""
+    for n in range(1, 6):
+        perms = list(all_perms(n))
+        size = {}
+        for a in perms:
+            for b in perms:
+                if (a, b) not in size:
+                    k = len(closure(n, [a, b]))
+                    for g in perms:
+                        gi = g.inverse()
+                        size[gi * a * g, gi * b * g] = k
+                assert group_order(n, [a, b]) == size[a, b], (a, b)
+                assert generates_symmetric(n, [a, b]) == (size[a, b] == factorial(n))
+
+
+def test_group_order_matches_closure_on_random_pairs_n6_to_n8():
+    rng = random.Random(8)
+    seen = set()
+    for n, count in ((6, 20), (7, 8), (8, 3)):
+        for _ in range(count):
+            gens = [IndexPerm(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2)]
+            if rng.random() < 0.5:  # a pair inside a proper subgroup: both fix n
+                gens = [IndexPerm(tuple(rng.sample(range(1, n), n - 1)) + (n,))
+                        for _ in range(2)]
+            k = len(closure(n, gens))
+            assert group_order(n, gens) == k, gens
+            assert generates_symmetric(n, gens) == (k == factorial(n))
+            seen.add(k == factorial(n))
+    assert seen == {True, False}

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import CountingDict, brute_components
 from perfbench.workloads import henson_wide_instance, stream
-from ultrahom import partial_iso
+from ultrahom import oracles, partial_iso
 from ultrahom.campaigns import run_trial
 from ultrahom.certs import SCHEMA_VERSION, WitnessCertificate, verify
 from ultrahom.graphs import GraphKind, GraphSession
@@ -228,6 +228,34 @@ def test_verify_cost_does_not_grow_with_the_exponent(monkeypatch):
     # h is one 2-cycle, so only the parity of m matters
     assert reports[10 ** 18] == reports[0] and reports[10 ** 18 + 1] == reports[1]
     assert ("h-cycle-free", False, "") in reports[0]
+
+
+def test_verify_cost_of_a_b_power_does_not_grow_with_the_exponent(monkeypatch):
+    """An n2 certificate whose word is b^k: the walk reads f^k off the oracle's closed
+    form, so every map and oracle lookup together stay under the certificate's bytes."""
+    doc = json.loads(run_trial("n2", 2, 1, 0).to_json())
+    real_validate, real_oracle = partial_iso.validate, oracles.oracle_from_description
+
+    def counting_validate(session, pairs):
+        iso = real_validate(session, pairs)
+        return PartialIso(session, CountingDict(iso._fwd), CountingDict(iso._bwd))
+
+    def counting_oracle(session, desc, pairs=None):
+        f = real_oracle(session, desc, pairs)
+        for name, value in list(vars(f).items()):
+            if type(value) is dict:
+                setattr(f, name, CountingDict(value))
+        return f
+
+    monkeypatch.setattr("ultrahom.certs.validate", counting_validate)
+    monkeypatch.setattr("ultrahom.certs.oracle_from_description", counting_oracle)
+    for k in (10 ** 3, 10 ** 5, 10 ** 9):
+        doc["data"]["word"] = f"b^{k}"
+        text = json.dumps(doc)
+        CountingDict.lookups = 0
+        report = verify(WitnessCertificate.from_json(text))
+        assert CountingDict.lookups < len(text)
+        assert [name for name, ok, _ in report.clauses if not ok] == ["product-extends-target"]
 
 
 def _set_p(doc, pairs):

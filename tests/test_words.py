@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingDict, brute_components, random_injection_in_clique
+from conftest import (CountingDict, brute_components, random_band_oracle,
+                      random_injection_in_clique)
 from ultrahom.certs import brute_force_word_eval
 from ultrahom.errors import GraphError, HypothesisError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
-from ultrahom.oracles import FrozenOracle, NKOracle
+from ultrahom.oracles import FrozenOracle, LazyOracle, NKOracle, OmegaShiftOracle
 from ultrahom.partial_iso import IsoBuilder, PartialIso, from_pairs, identity_on, compose
 from ultrahom.perms import IndexPerm, all_perms
 from ultrahom.words import (FreeWord, WordWalks, b_count, chase, check_word_condition,
@@ -353,4 +354,55 @@ def test_a_syllables_cost_the_map_not_the_exponent(nk2):
         assert walk([("a", k)], x, p, f) == want
         assert chase(parse_word(f"a^{k}"), x, p, f) == want
         assert evaluate(parse_word(f"a^{k}"), p, f).apply(x) == want
+        assert CountingDict.lookups < 100
+
+
+def _stepped(f, v, k):
+    """(v)f^k one oracle step at a time: the reference for every oracle's chase."""
+    for _ in range(abs(k)):
+        v = f.try_image(v) if k > 0 else f.try_preimage(v)
+        if v is None:
+            return None
+    return v
+
+
+def test_every_oracle_chase_matches_stepping(nk2, h3):
+    """Frozen maps with chains and cycles, policy oracles with bands and fixed tails,
+    shifts with a position permutation, and lazy caches: chase(v, k) is k steps."""
+    rng = random.Random(14)
+    oracles = [FrozenOracle(nk2, random_injection_in_clique(nk2, rng, rng.randint(0, 5),
+                                                            spread=8)) for _ in range(20)]
+    oracles += [random_band_oracle(2 + i % 3, rng) for i in range(20)]
+    ok5 = GraphSession(GraphKind.omega_kn(5))
+    for _ in range(10):
+        pos = list(range(5))
+        rng.shuffle(pos)
+        oracles.append(OmegaShiftOracle(ok5, rng.choice([-2, -1, 1, 2]), pos))
+    for f in oracles:
+        s = f.session
+        pts = [s.vertex(c, t) for c in ((-1, 0, 3) if s is ok5 else (1, 2)) for t in range(5)]
+        for v in pts:
+            for k in list(range(-8, 9)) + [rng.randint(-400, 400) for _ in range(4)]:
+                assert f.chase(v, k) == _stepped(f, v, k), (f.description(), v, k)
+    lazy = LazyOracle(h3)
+    x = lazy.fresh_support_point()
+    want = _stepped(lazy, x, 5)  # grows the cache, so the chase below only reads it
+    assert lazy.chase(x, 5) == want and lazy.chase(want, -5) == x
+
+
+def test_b_syllables_cost_the_oracle_not_the_exponent(nk2):
+    """On a 3-cycle of a frozen oracle, b^k is a few lookups whatever k is, in walk,
+    chase and evaluate's pull-back through a leading b syllable."""
+    cycle = [nk2.vertex(1, t) for t in range(3)]
+    f = FrozenOracle(nk2, list(zip(cycle, cycle[1:] + cycle[:1])))
+    f.iso = PartialIso(nk2, CountingDict(f.iso._fwd), CountingDict(f.iso._bwd))
+    p = from_pairs(nk2, [(cycle[0], nk2.vertex(1, 7))])
+    for k in (10 ** 6, -(10 ** 6) - 1):
+        CountingDict.lookups = 0
+        want = cycle[k % 3]
+        assert walk([("b", k)], cycle[0], p, f) == want
+        assert chase(parse_word(f"b^{k}"), cycle[0], p, f) == want
+        # b^k a: the pull-back finds the x with (x)f^k = cycle[0]
+        x = cycle[-k % 3]
+        assert evaluate(parse_word(f"b^{k} a"), p, f).pairs() == ((x, nk2.vertex(1, 7)),)
         assert CountingDict.lookups < 100
