@@ -63,10 +63,11 @@ def one_point_extend(b: IsoBuilder, x: int) -> int:
 def pad_components(b: IsoBuilder) -> int:
     """Extend chain tails until every component has the same vertex count.
 
-    Shortest components first, ties broken by lowest vertex id, each tail
-    extended by ``one_point_extend``.  Returns the common length m (at
-    least 1 even when b is empty, so a linking chain always has positive
-    length).
+    No engine calls this: ``chain_link`` takes gamma components of up to
+    2m vertices, so neither Henson stage pads.  Shortest components
+    first, ties broken by lowest vertex id, each tail extended by
+    ``one_point_extend``.  Returns the common length m (at least 1 even
+    when b is empty).
     """
     if not b.cycle_free():
         raise HypothesisError("cycle-free", "cannot pad a map with complete components")
@@ -88,14 +89,23 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
     """Join each x to its y in b by a fresh chain of 2m edges, pair by pair.
 
     On entry the support of b must split as delta | gamma_fixed with
-    gamma_fixed a union of incomplete components all of m vertices;
-    sigma1 avoids ran(b), sigma2 avoids dom(b), and both avoid
+    gamma_fixed a union of incomplete components of at most 2m vertices
+    each; sigma1 avoids ran(b), sigma2 avoids dom(b), and both avoid
     gamma_fixed.  Linking cannot break these: every chain's interior is
     fresh and its endpoints lie outside the support, so each link only
     adds its vertices to delta.  Per pair, x and y must lie outside the
     support and agree through b^{2m} on their delta-neighbourhoods.  The
     fresh interior vertices land outside sigma1 u sigma2 with no edges
     into it.
+
+    Why 2m vertices suffice: the chain x = xs[0], ..., xs[2m] = y is built
+    one witness at a time, each xs[k+1] adjacent in ran(b) to exactly
+    (N(xs[k]))b, so only the last step, xs[2m-1] -> y, is a condition.  It
+    asks N(y) cap ran(b) = (N(xs[2m-1]))b, and by induction on k the right
+    side is (N(x))b^{2m} plus the images of chain vertices (which lie in
+    delta).  A gamma vertex could enter it only as the b^{2m}-image of a
+    neighbour of x, and b^{2m} is undefined on any component of at most 2m
+    vertices.  So gamma drops out, and the delta checks below decide.
     """
     s = b.session
     if delta & gamma_fixed:
@@ -107,7 +117,7 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
     for c in gamma_comps:
         if not set(c.vertices) <= gamma_fixed:
             raise HypothesisError("gamma-union-of-components")
-        if c.complete or len(c) != m:
+        if c.complete or len(c) > 2 * m:
             raise HypothesisError("gamma-length", f"component of {c.head} has {len(c)} vertices")
     if sigma1 & b.ran() or sigma2 & b.dom():
         raise HypothesisError("sigma-avoids-q")
@@ -150,8 +160,9 @@ def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
     """Extend q to h with h^{2m} extending the separated map p.
 
     q must be cycle-free and supported away from p.  One linking chain
-    per point of dom(p), after padding q's components to a common length
-    m.
+    per point of dom(p), of 2m edges with m = max(1, ceil(L/2)) for q's
+    longest component of L vertices, so every component has at most 2m
+    vertices as ``chain_link`` asks.
     """
     if not cycle_free(q):
         raise HypothesisError("cycle-free", "q has a complete component")
@@ -160,7 +171,7 @@ def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
     if q.support() & p_support:
         raise HypothesisError("supports-disjoint", "q and p share vertices")
     b = IsoBuilder(q)
-    m = pad_components(b)
+    m = max(1, (b.longest_component() + 1) // 2)
     chain_link(b, set(), b.support(), [(x, piso.apply(x)) for x in sorted(piso.dom())], m,
                sigma1=piso.dom(), sigma2=piso.ran())
     h = b.freeze()
@@ -172,11 +183,11 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
                            p: SeparatedIso) -> WitnessCertificate:
     """Build h extending q with h^m f h^{2l} f^{-1} h^{-m} extending p.
 
-    Stages: absorb the support of p into dom(q) and pad to uniform
-    component length m; march every chain m further steps through the
-    support of f so the final images escape under f; conjugate p by
-    r^m f into a separated map u away from r; extend r to h with h^{2l}
-    extending u.
+    Stages: absorb the support of p into dom(q), and let m be the longest
+    chain after that; march every chain m further steps through the
+    support of f, so r^m is defined on all of dom(q) and the final images
+    escape under f; conjugate p by r^m f into a separated map u away from
+    r; extend r to h with h^{2l} extending u.
     """
     s = q.session
     if not cycle_free(q):
@@ -189,7 +200,7 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     for v in p_support:
         if v not in b.dom():
             one_point_extend(b, v)
-    m = pad_components(b)
+    m = b.longest_component()
     q = b.freeze()
 
     # Each march step queries f, then f^-1, on what joined the builder since

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ultrahom.campaigns import henson_trial
+from conftest import chase_pairs
+from ultrahom.campaigns import _random_kfree_subset, henson_trial
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
@@ -10,7 +11,8 @@ from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
                              one_point_extend, pad_components)
 from ultrahom.oracles import LazyOracle
-from ultrahom.partial_iso import IsoBuilder, cycle_free, empty, from_pairs, power
+from ultrahom.partial_iso import (IsoBuilder, chain_pairs, cycle_free, empty, from_pairs,
+                                  power)
 from perfbench.workloads import henson_wide_instance, stream
 
 
@@ -91,9 +93,20 @@ def test_chain_link_hypothesis_errors(h3):
     q = from_pairs(h3, [(x, y)])
     with pytest.raises(HypothesisError):
         chain_link(IsoBuilder(q), set(), {x, y}, [(x, y)], 1, set(), set())  # endpoints not free
-    z = fresh(h3)
-    with pytest.raises(HypothesisError, match="gamma-length"):
-        chain_link(IsoBuilder(q), set(), {x, y}, [(z, fresh(h3))], 3, set(), set())
+    # gamma may hold components of up to 2m vertices: a single pair at m = 1 links,
+    # and so does a chain of 2m = 4 at m = 2, but one of 2m + 1 = 3 at m = 1 does not
+    grown, z, w = IsoBuilder(q), fresh(h3), fresh(h3)
+    chain_link(grown, set(), {x, y}, [(z, w)], 1, set(), set())
+    assert grown.chase(z, 2) == w and grown.chase(x, 2) is None
+    long = IsoBuilder(q)
+    one_point_extend(long, y)
+    gamma = set(long.support())
+    with pytest.raises(HypothesisError, match=f"component of {x} has 3 vertices"):
+        chain_link(long, set(), gamma, [(fresh(h3), fresh(h3))], 1, set(), set())
+    one_point_extend(long, max(gamma - {x, y}))
+    z, w = fresh(h3), fresh(h3)
+    chain_link(long, set(), set(long.support()), [(z, w)], 2, set(), set())
+    assert long.chase(z, 4) == w and long.chase(x, 3) is not None and long.chase(x, 4) is None
     # x and y must agree through q^2 on their neighbours in delta = {a, b, c}
     a, b, c = fresh(h3), fresh(h3), fresh(h3)
     q = from_pairs(h3, [(a, b), (b, c)])
@@ -134,14 +147,19 @@ def test_chain_link_names_an_unknown_sigma_vertex_before_linking(h3):
 
 
 def test_chain_link_checks_gamma_before_creating_a_witness(h3):
-    x, y = fresh(h3), fresh(h3)
-    b = IsoBuilder(from_pairs(h3, [(x, y)]))
+    """A gamma component of 2m + 1 vertices is refused before any link starts."""
+    b = IsoBuilder(empty(h3))
+    one_point_extend(b, fresh(h3))
+    for _ in range(3):
+        one_point_extend(b, sorted(b.ran() - b.dom())[0])
+    q = b.pairs()
+    assert b.longest_component() == 5
     pairs = [(fresh(h3), fresh(h3)), (fresh(h3), fresh(h3))]
     before = len(h3.transcript())
     with pytest.raises(HypothesisError, match="gamma-length"):
-        chain_link(b, set(), {x, y}, pairs, 3, set(), set())
+        chain_link(b, set(), b.support(), pairs, 2, set(), set())
     assert len(h3.transcript()) == before
-    assert b.pairs() == ((x, y),)
+    assert b.pairs() == q
 
 
 def test_build_conjugator_single_pair(h3):
@@ -245,3 +263,191 @@ def test_henson_build_states_witnesses_linearly_in_the_target(monkeypatch, width
     monkeypatch.setattr(GraphSession, "alice_witness", counted)
     density_witness_henson(f, q, p)
     assert named and sum(named) <= 100 * width, (len(named), sum(named))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chain_link_accepts_exactly_gamma_components_of_at_most_2m(m):
+    """Reference: chain_link links iff every gamma chain has at most 2m vertices.
+
+    gamma is 1-3 random chains of 2..2m+1 vertices (a component has at least
+    one pair), and each x sees a random K_{n-1}-free set of gamma, so a
+    neighbour's image under b^{2m} would be read if gamma were too long.
+    After linking, a pair-by-pair chase sends each x to its y in 2m steps
+    and leaves every gamma vertex undefined at 2m.
+    """
+    rng = random.Random(m)
+    accepted = rejected = 0
+    for trial in range(12):
+        s = GraphSession(GraphKind.henson(3 + trial % 2))
+        b = IsoBuilder(empty(s))
+        for _ in range(rng.randint(1, 3)):
+            v = s.alice_witness(_random_kfree_subset(s, s.realized(), rng, 2))
+            for _ in range(rng.randint(2, 2 * m + 1) - 1):
+                v = one_point_extend(b, v)
+        gamma = set(b.support())
+        lengths = [len(c) for c in b.chains()]
+        pairs = [(s.alice_witness(_random_kfree_subset(s, gamma, rng, 3)), s.alice_witness(()))
+                 for _ in range(rng.randint(1, 2))]
+        before = b.pairs()
+        if max(lengths) > 2 * m:
+            with pytest.raises(HypothesisError, match="gamma-length"):
+                chain_link(b, set(), gamma, pairs, m, set(), set())
+            assert b.pairs() == before
+            rejected += 1
+            continue
+        chain_link(b, set(), gamma, pairs, m, set(), set())
+        linked = b.pairs()
+        for x, y in pairs:
+            assert chase_pairs(linked, x, 2 * m) == y, (lengths, x, y)
+        for v in gamma:
+            assert chase_pairs(linked, v, 2 * m) is None, (lengths, v)
+        accepted += 1
+    assert accepted and rejected
+
+
+def _separated_target(s, rng, width):
+    """A fresh separated p of |p| = width, drawn as the Henson trials draw theirs."""
+    dom_side = []
+    for _ in range(width):
+        dom_side.append(s.alice_witness(_random_kfree_subset(s, dom_side, rng, 1)))
+    ran_side = []
+    for i, v in enumerate(dom_side):
+        ran_side.append(s.alice_witness(
+            [ran_side[j] for j in range(i) if s.adjacent(v, dom_side[j])]))
+    return SeparatedIso(from_pairs(s, list(zip(dom_side, ran_side))))
+
+
+def _henson_chain(steps):
+    """The paper's g as a union h_0 <= h_1 <= ...: each step's q is the last step's h.
+
+    n = 3, one session and one lazy oracle, q_0 a pair of fresh witnesses and
+    a fresh width-2 p per step from Random(1).
+    """
+    rng = random.Random(1)
+    s = GraphSession(GraphKind.henson(3))
+    f = LazyOracle(s)
+    q = from_pairs(s, [(s.alice_witness(()), s.alice_witness(()))])
+    certs = []
+    for _ in range(steps):
+        cert = density_witness_henson(f, q, _separated_target(s, rng, 2))
+        certs.append(cert)
+        q = from_pairs(s, chain_pairs(cert.h))
+    return certs
+
+
+def test_chained_henson_witnesses_verify_and_m_at_most_doubles():
+    certs = _henson_chain(6)
+    ms = [cert.data["m"] for cert in certs]
+    for i, cert in enumerate(certs):
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert cert.data["l"] == cert.data["m"]
+        if i:
+            assert cert.q == certs[i - 1].h
+            assert ms[i] <= 2 * ms[i - 1] + 1, ms
+    assert ms == [2, 5, 11, 23, 47, 95]
+    assert [c.to_json() for c in _henson_chain(6)] == [c.to_json() for c in certs]
+
+
+def _two_pair_builder(s):
+    a, b0 = fresh(s), fresh(s)
+    return IsoBuilder(from_pairs(s, [(a, b0)])), a, b0
+
+
+def _three_chain(s):
+    a, b0, c = fresh(s), fresh(s), fresh(s)
+    return IsoBuilder(from_pairs(s, [(a, b0), (b0, c)])), a, b0, c
+
+
+def _swap(s):
+    a, b0 = fresh(s), fresh(s)
+    return from_pairs(s, [(a, b0), (b0, a)])
+
+
+def _separated_pair(s):
+    return SeparatedIso(from_pairs(s, [(fresh(s), fresh(s))]))
+
+
+def _case_x_free(s):
+    b, a, _ = _two_pair_builder(s)
+    one_point_extend(b, a)
+
+
+def _case_neighbourhood_match(s):
+    # y sees g1 in ran(b), but (N(xs[1]))b is empty: only the last link step can tell
+    b, g0, g1 = _two_pair_builder(s)
+    chain_link(b, set(), {g0, g1}, [(fresh(s), fresh(s, U=(g1,)))], 1, set(), set())
+
+
+def _case_cycle_free_conjugator(s):
+    build_conjugator(_swap(s), _separated_pair(s))
+
+
+def _case_cycle_free_witness(s):
+    density_witness_henson(LazyOracle(s), _swap(s), _separated_pair(s))
+
+
+def _case_supports_disjoint(s):
+    p = _separated_pair(s)
+    build_conjugator(from_pairs(s, [(min(p.iso.dom()), fresh(s))]), p)
+
+
+def _case_delta_gamma_disjoint(s):
+    b, a, b0 = _two_pair_builder(s)
+    chain_link(b, {a, b0}, {a, b0}, [(fresh(s), fresh(s))], 1, set(), set())
+
+
+def _case_support_partition(s):
+    b, _, _ = _two_pair_builder(s)
+    chain_link(b, set(), set(), [(fresh(s), fresh(s))], 1, set(), set())
+
+
+def _case_gamma_union_of_components(s):
+    b, a, b0, c = _three_chain(s)
+    chain_link(b, {c}, {a, b0}, [(fresh(s), fresh(s))], 2, set(), set())
+
+
+def _case_sigma_avoids_q(s):
+    b, a, b0 = _two_pair_builder(s)
+    chain_link(b, set(), {a, b0}, [(fresh(s), fresh(s))], 1, {b0}, set())
+
+
+def _case_sigma_avoids_gamma(s):
+    b, a, b0 = _two_pair_builder(s)
+    chain_link(b, set(), {a, b0}, [(fresh(s), fresh(s))], 1, {a}, set())
+
+
+def _case_endpoints_free(s):
+    b, a, b0 = _two_pair_builder(s)
+    chain_link(b, set(), {a, b0}, [(a, fresh(s))], 1, set(), set())
+
+
+def _case_delta_neighbourhood_domain(s):
+    b, a, b0, c = _three_chain(s)
+    chain_link(b, {a, b0, c}, set(), [(fresh(s, U=(b0,)), fresh(s))], 1, set(), set())
+
+
+def _case_delta_neighbourhood_match(s):
+    b, a, b0, c = _three_chain(s)
+    chain_link(b, {a, b0, c}, set(), [(fresh(s, U=(a,)), fresh(s))], 1, set(), set())
+
+
+@pytest.mark.parametrize("reason, case", [
+    ("x-free", _case_x_free),
+    ("neighbourhood-match", _case_neighbourhood_match),
+    ("cycle-free", _case_cycle_free_conjugator),
+    ("cycle-free", _case_cycle_free_witness),
+    ("supports-disjoint", _case_supports_disjoint),
+    ("delta-gamma-disjoint", _case_delta_gamma_disjoint),
+    ("support-partition", _case_support_partition),
+    ("gamma-union-of-components", _case_gamma_union_of_components),
+    ("sigma-avoids-q", _case_sigma_avoids_q),
+    ("sigma-avoids-gamma", _case_sigma_avoids_gamma),
+    ("endpoints-free", _case_endpoints_free),
+    ("delta-neighbourhood-domain", _case_delta_neighbourhood_domain),
+    ("delta-neighbourhood-match", _case_delta_neighbourhood_match),
+])
+def test_every_henson_hypothesis_reason_is_still_raised(h3, reason, case):
+    with pytest.raises(HypothesisError) as err:
+        case(h3)
+    assert err.value.clause == reason

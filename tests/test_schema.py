@@ -89,7 +89,13 @@ def _reference_lists(pairs) -> list[list[int]]:
 def test_new_certificate_is_the_schema_2_one_reencoded():
     """Schema 3 re-encodes the maps and the transcript and drops n K_omega's product
     pairs and n = 2's exponents; no other byte moves.  Schema 2 was schema 1 with
-    (U, id) entries."""
+    (U, id) entries.
+
+    The Henson engine has since stopped padding its chains, so its certificates
+    changed on purpose: a Henson record re-encoded is a schema-3 certificate
+    that round-trips and verifies with the same clauses, and today's trial
+    keeps its q and p and grows a smaller h.
+    """
     assert SCHEMA_VERSION == 3
     for v1, v2 in zip(_v1_lines(), _v2_lines()):
         doc = json.loads(v1)
@@ -108,7 +114,17 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
         doc["data"].pop("product_pairs", None)
         doc["data"].pop("exponents", None)
         reencoded = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert run_trial(family, n, 1, index).to_json() == reencoded, (family, n, index)
+        new = run_trial(family, n, 1, index)
+        if family != "henson":
+            assert new.to_json() == reencoded, (family, n, index)
+            continue
+        cert = WitnessCertificate.from_json(reencoded)
+        assert cert.to_json() == reencoded
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert [name for name, _, _ in report.clauses] == HENSON_CLAUSES
+        assert (new.q, new.p) == (doc["q"], doc["p"]), index
+        assert len(new.map_pairs("h")) < len(cert.map_pairs("h")), index
 
 
 def test_schema_1_fence_faults_are_still_rejected_on_replay():
