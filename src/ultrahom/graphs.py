@@ -238,8 +238,8 @@ class GraphSession:
         that every vertex of S is realized; an unknown vertex raises
         GraphError.  To map x's neighbours through a builder, whose
         vertices were each checked realized when they joined it, use
-        ``IsoBuilder.neighbour_images`` / ``neighbour_preimages``, which
-        cost O(degree).
+        ``mapped_neighbours(x, b._fwd)`` (or ``b._bwd``), which costs
+        O(degree).
         """
         if self._lazy:
             if isinstance(S, AbstractSet):

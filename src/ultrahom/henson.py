@@ -55,9 +55,7 @@ def one_point_extend(b: IsoBuilder, x: int) -> int:
     """Extend b at x with a new vertex adjacent to exactly (N(x))b; return it."""
     if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in the domain")
-    y = b.session.alice_witness(b.neighbour_images(x))
-    neigh_extend(b, x, y)
-    return y
+    return b.add_witness(x)
 
 
 def pad_components(b: IsoBuilder) -> int:
@@ -142,9 +140,7 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
 
         xs = [x]
         for _ in range(2 * m - 1):
-            nxt = s.alice_witness(b.neighbour_images(xs[-1]))
-            neigh_extend(b, xs[-1], nxt)
-            xs.append(nxt)
+            xs.append(b.add_witness(xs[-1]))
         neigh_extend(b, xs[-1], y)
         xs.append(y)
         delta_id.update((v, v) for v in xs)
@@ -223,9 +219,8 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
                 f.preimage(v)
             buddy = s.alice_witness({x_sup})
             f.image(buddy)
-            nxt = s.alice_witness(b.neighbour_images(cur) | {buddy})
+            nxt = b.add_witness(cur, extra=(buddy,))
             internal_check(f.image(nxt) != nxt, "march-in-support")
-            neigh_extend(b, cur, nxt)
             new = b.arrivals[seen:]
             seen = len(b.arrivals)
             marched.append(nxt)
@@ -235,15 +230,17 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     r_support = r.dom() | r.ran()
     for v in marched:
         internal_check(f.image(v) not in r_support, "march-escapes-forward")
+    # r^m read off each chain in one walk; the f queries go in z order, for vertex ids
+    r_m = power(r, m)
     for z in sorted(q.dom()):
-        zz = r.chase(z, m)
+        zz = r_m.apply(z)
         internal_check(zz is not None and f.image(zz) not in r_support,
                        "domain-image-escapes")
 
     u_pairs = []
     for z in sorted(piso.dom()):
-        left = f.image(r.chase(z, m))
-        right = f.image(r.chase(piso.apply(z), m))
+        left = f.image(r_m.apply(z))
+        right = f.image(r_m.apply(piso.apply(z)))
         u_pairs.append((left, right))
     u = SeparatedIso(validate(s, u_pairs))
     internal_check(not (u.iso.dom() | u.iso.ran()) & r_support, "conjugate-avoids-r")

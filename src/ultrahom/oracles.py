@@ -80,9 +80,11 @@ class FrozenOracle(OracleBase):
 class LazyOracle(OracleBase):
     """Ultrahomogeneity in action: any partial isomorphism extends on demand.
 
-    Image queries on new points pick a fresh witness whose neighbourhood
-    inside the current range mirrors the source neighbourhood, so the
-    cache stays a partial isomorphism forever.  Fresh images are always
+    A query on a new point adds one pair to the cache through
+    ``IsoBuilder.add_witness``: an image query maps the point to a fresh
+    witness adjacent to exactly the image of its neighbours in the
+    domain, a preimage query the other way round, so the cache stays a
+    partial isomorphism forever.  Fresh images are always
     new vertices, hence every queried point lies in the support: the
     oracle certifies infinite support by construction.
     """
@@ -94,22 +96,16 @@ class LazyOracle(OracleBase):
         self.cache = IsoBuilder(base if base is not None else empty_iso(session))
 
     def try_image(self, v: int) -> int:
-        cache = self.cache
-        got = cache.apply(v)
+        got = self.cache.apply(v)
         if got is not None:
             return got
-        y = self.session.alice_witness(cache.neighbour_images(v))
-        cache.add(v, y)
-        return y
+        return self.cache.add_witness(v)
 
     def try_preimage(self, v: int) -> int:
-        cache = self.cache
-        got = cache.unapply(v)
+        got = self.cache.unapply(v)
         if got is not None:
             return got
-        x = self.session.alice_witness(cache.neighbour_preimages(v))
-        cache.add(x, v)
-        return x
+        return self.cache.add_witness(v, forward=False)
 
     def fresh_support_point(self) -> int:
         """A fresh witness x with (x)f != x: new, so outside every vertex set realized before."""

@@ -5,7 +5,10 @@ map, composed left to right: ``(x)(f * g) = ((x)f)g`` on the domain
 ``{x in dom(f) : (x)f in dom(g)}``.  Values are immutable.  Every
 engine grows its maps pair by pair in an ``IsoBuilder`` and freezes it
 to a value at stage boundaries; ``extend`` is the one-pair reference
-that ``IsoBuilder.add`` is tested against.
+that ``IsoBuilder.add`` is tested against.  On the lazy graphs the
+back-and-forth step, a fresh witness adjacent to exactly the image of
+N(x), is ``IsoBuilder.add_witness``, shared by the lazy oracle and the
+Henson engine.
 """
 
 from __future__ import annotations
@@ -560,14 +563,6 @@ class IsoBuilder(_MapReads):
         """True iff no component is a cycle (a fixed point is a cycle of one)."""
         return len(self._tail_of) == self.count
 
-    def neighbour_images(self, x: int) -> set[int]:
-        """The images of N(x) cap dom on a lazy graph, in O(degree)."""
-        return self.session.mapped_neighbours(x, self._fwd)
-
-    def neighbour_preimages(self, y: int) -> set[int]:
-        """The preimages of N(y) cap ran on a lazy graph, in O(degree)."""
-        return self.session.mapped_neighbours(y, self._bwd)
-
     def mark(self, marked: frozenset[int]) -> None:
         """Count the vertices of ``marked`` on every chain; later adds keep the counts."""
         self.marked = marked
@@ -697,6 +692,29 @@ class IsoBuilder(_MapReads):
         else:
             _check_lazy_pair(s, fwd, bwd, x, y)
             self._record(x, y)
+
+    def add_witness(self, v: int, forward: bool = True, extra: Iterable[int] = ()) -> int:
+        """Extend the map at v by a fresh witness w and return w; lazy graphs only.
+
+        Forward, w is adjacent to exactly (N(v) cap dom) mapped forward plus
+        ``extra``, and (v, w) is added; backward, to (N(v) cap ran) mapped
+        back plus ``extra``, and (w, v) is added.  The mapped neighbourhood
+        is read once, for the witness and for the pair check, which asks
+        that N(w) meet ran (dom) in exactly that set.  Only a pair the
+        check refuses goes through ``add``: a v already mapped, or an
+        ``extra`` vertex of ran (dom) outside that set, raises the
+        ``IsoError`` that ``add`` raises, once w exists.
+        """
+        s = self.session
+        src, dst = (self._fwd, self._bwd) if forward else (self._bwd, self._fwd)
+        mapped = s.mapped_neighbours(v, src)
+        w = s.alice_witness(mapped.union(extra) if extra else mapped)
+        x, y = (v, w) if forward else (w, v)
+        if v in src or (s._adj[w] & dst.keys()) != mapped:
+            self.add(x, y)
+        else:
+            self._record(x, y)
+        return w
 
     def add_pairs(self, cx: int, cy: int, pairs: Iterable[tuple[int, int]]) -> None:
         """Add pairs from component cx to component cy, no x and no y twice, as ``add``

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import chase_pairs
+from ultrahom import henson
 from ultrahom.campaigns import _random_kfree_subset, henson_trial
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError
@@ -347,6 +348,25 @@ def test_chained_henson_witnesses_verify_and_m_at_most_doubles():
             assert ms[i] <= 2 * ms[i - 1] + 1, ms
     assert ms == [2, 5, 11, 23, 47, 95]
     assert [c.to_json() for c in _henson_chain(6)] == [c.to_json() for c in certs]
+
+
+def test_domain_image_escapes_reads_r_m_as_the_per_point_chase(monkeypatch):
+    """On each chained step, the r^m that ``domain-image-escapes`` reads is defined on
+    all of dom(q) and agrees there with chasing r m steps from each point."""
+    calls = []
+
+    def recorded(f, k):
+        calls.append((f, k, power(f, k)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(henson, "power", recorded)
+    certs = _henson_chain(6)
+    assert len(calls) == 2 * len(certs)  # r^m in the witness, h^2l in the conjugator
+    for cert, (r, m, r_m) in zip(certs, calls[::2]):
+        assert m == cert.data["m"]
+        dom_q = {x for x, _ in chain_pairs(cert.q)}
+        assert {z: r_m.apply(z) for z in dom_q} == {z: r.chase(z, m) for z in dom_q}
+        assert None not in {r_m.apply(z) for z in dom_q}
 
 
 def _two_pair_builder(s):

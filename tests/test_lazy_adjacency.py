@@ -1,8 +1,8 @@
 """Neighbour-set fast paths on lazy graphs against all-pairs references.
 
 On the random and K_n-free families ``adjacent``, ``neighbors_within``,
-``first_edge``, ``validate``, ``extend`` and ``IsoBuilder.add`` read the
-session's neighbour sets.  The references below rebuild adjacency from
+``first_edge``, ``validate``, ``extend``, ``IsoBuilder.add`` and
+``IsoBuilder.add_witness`` read the session's neighbour sets.  The references below rebuild adjacency from
 the transcript alone and test every pair, as the code did before, so
 accepted maps, rejection reasons, named pairs and unknown-vertex errors
 must all agree.  The cost guards count ``GraphSession.adjacent`` calls,
@@ -273,6 +273,62 @@ def test_neigh_extend_names_the_range_vertex_of_the_earliest_conflict():
                 neigh_extend(q, x, y)
                 ref.add(fwd, bwd, x, y)
                 assert list(q._fwd.items()) == list(fwd.items())
+
+
+def two_step_witness(b, v, forward, extra):
+    """The reference for ``add_witness``: a witness on the mapped neighbourhood plus
+    ``extra``, then ``add``, which re-reads that neighbourhood to check the pair."""
+    s = b.session
+    w = s.alice_witness(s.mapped_neighbours(v, b._fwd if forward else b._bwd) | set(extra))
+    b.add(*((v, w) if forward else (w, v)))
+    return w
+
+
+def builder_fields(b):
+    """Every field a lazy-graph builder keeps, the dicts in insertion order."""
+    return (list(b._fwd.items()), list(b._bwd.items()), list(b._head_of.items()),
+            list(b._tail_of.items()), list(b._chain_len.items()), b._longest, b.count,
+            list(b.arrivals))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.n}")
+def test_add_witness_matches_witness_then_add(kind):
+    """Random growth in both directions, with and without extra, on twin sessions: the
+    fused step and the two-step path make the same witness, transcript and builder.
+    A v already mapped and an extra vertex of ran (dom) outside the mapped
+    neighbourhood raise add's IsoError; a forbidden clique in U raises alice_witness's."""
+    seen = set()
+    for seed in range(16):
+        rng = random.Random(500 + seed)
+        s = random_session(kind, rng, rng.randint(3, 20))
+        base = LazyOracle(s)
+        for _ in range(rng.randint(0, 12)):  # a valid start map
+            v = rng.choice(s.realized())
+            base.image(v) if rng.random() < 0.5 else base.preimage(v)
+        twin = GraphSession.replay_sets(kind, [U for U, _ in s.transcript()])
+        start = base.cache.freeze()
+        b, ref = IsoBuilder(start), IsoBuilder(validate(twin, start._fwd.items()))
+        assert builder_fields(b) == builder_fields(ref)
+        for _ in range(25):
+            forward = rng.random() < 0.5
+            src, dst = (b._fwd, b._bwd) if forward else (b._bwd, b._fwd)
+            if src and rng.random() < 0.15:
+                v = rng.choice(list(src))  # already mapped on this side
+            else:
+                v = rng.choice(s.realized())
+            extra = []
+            if rng.random() < 0.5:
+                outside = [u for u in s.realized() if u not in dst]
+                extra = rng.sample(outside, min(len(outside), rng.randint(1, 2)))
+            if dst and rng.random() < 0.15:
+                extra.append(rng.choice(list(dst)))  # hostile unless in the mapped set
+            want = outcome(two_step_witness, ref, v, forward, extra)
+            got = outcome(b.add_witness, v, forward, tuple(extra))
+            assert got == want, (v, forward, extra)
+            assert s.transcript() == twin.transcript()
+            assert builder_fields(b) == builder_fields(ref)
+            seen.add(got[0] if got[0] == "ok" else got[:2])
+    assert {"ok", ("iso", "not-injective"), ("iso", "adjacency-mismatch")} <= seen, seen
 
 
 def test_adjacency_conflict_is_lazy_only():

@@ -351,11 +351,12 @@ def test_builder_add_matches_extend_on_lazy_graphs(h3):
         b.add(x, y)
         assert b.freeze() == ref
         for v in vs:
-            assert b.neighbour_images(v) == {b.apply(u) for u in h3.neighbors_within(v, b.dom())}
-            assert b.neighbour_preimages(v) == {b.unapply(u)
-                                                for u in h3.neighbors_within(v, b.ran())}
+            assert h3.mapped_neighbours(v, b._fwd) == {b.apply(u)
+                                                       for u in h3.neighbors_within(v, b.dom())}
+            assert h3.mapped_neighbours(v, b._bwd) == {b.unapply(u)
+                                                       for u in h3.neighbors_within(v, b.ran())}
     with pytest.raises(GraphError, match="unknown vertex 99"):
-        b.neighbour_images(99)
+        h3.mapped_neighbours(99, b._fwd)
 
 
 def test_fresh_window_matches_f_closure():
