@@ -203,9 +203,8 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     # the last one (the first step its whole support, in set order), then f
     # on buddy: misses create witnesses, so this order fixes vertex ids, and
     # it makes f and f^-1 of the support real before nxt, which then has no
-    # neighbour among them outside its U.
+    # neighbour among them outside its U.  The march grows the absorb builder.
     tails = sorted(q.ran() - q.dom())
-    b = IsoBuilder(q)
     new = list(b.support())
     seen = len(b.arrivals)
     marched: list[int] = []

@@ -14,7 +14,8 @@ from .certs import OMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
 from .errors import GraphError, HypothesisError, internal_check
 from .graphs import FreshComponents, GraphSession, _unzigzag, _zigzag
 from .oracles import OmegaShiftOracle
-from .partial_iso import IsoBuilder, PartialIso, orbit_rep_profile, power, validate
+from .partial_iso import (IsoBuilder, PartialIso, chain_lists, orbit_rep_profile, power,
+                          validate)
 
 
 @dataclass(frozen=True)
@@ -61,62 +62,13 @@ class WholeComponentIso:
 
 
 def _index_cycles(imap: dict[int, int]) -> bool:
-    """True iff the map has a cycle; one pass, each index walked once."""
-    done: set[int] = set()
-    for start in imap:
-        if start in done:
-            continue
-        path = {start}
-        cur = imap[start]
-        while cur in imap and cur not in done:
-            if cur in path:
-                return True
-            path.add(cur)
-            cur = imap[cur]
-        done |= path
-    return False
+    """True iff the (injective) index map has a cycle: a closed ``chain_lists`` list."""
+    return any(ch[0] == ch[-1] for ch in chain_lists(imap, {d: c for c, d in imap.items()}))
 
 
 def _index_chains(imap: dict[int, int]) -> list[list[int]]:
-    """Chains of the (injective, acyclic) index map, heads first, sorted."""
-    sources = set(imap)
-    targets = set(imap.values())
-    chains = []
-    for head in sorted(sources - targets, key=_zigzag):
-        chain = [head]
-        while chain[-1] in imap:
-            chain.append(imap[chain[-1]])
-        chains.append(chain)
-    return chains
-
-
-def _one_rep_per_component(f: PartialIso | IsoBuilder, sigma: set[int]) -> bool:
-    """True iff every chain and cycle of f holds exactly one vertex of sigma, a subset of dom(f).
-
-    Walks each component once, back to its head (or round its cycle) and
-    on to its tail from its representative; a second representative is
-    met on the walk of the first, so the pass is linear in |f|.
-    """
-    fwd, bwd = f._fwd, f._bwd
-    seen: set[int] = set()
-    for v in sigma:
-        if v in seen:
-            return False
-        seen.add(v)
-        u = bwd.get(v)
-        while u is not None and u != v:
-            if u in seen:
-                return False
-            seen.add(u)
-            u = bwd.get(u)
-        if u is None:  # a chain: walk on to its tail
-            u = fwd.get(v)
-            while u is not None:
-                if u in seen:
-                    return False
-                seen.add(u)
-                u = fwd.get(u)
-    return len(seen) == len(fwd) + sum(1 for y in bwd if y not in fwd)
+    """Chains of the (injective, acyclic) index map, heads first, sorted by zig-zag head."""
+    return sorted(chain_lists(imap, {d: c for c, d in imap.items()}), key=lambda ch: _zigzag(ch[0]))
 
 
 def in_orbit_rep_class(q: PartialIso | IsoBuilder, sigma) -> bool:
@@ -149,7 +101,7 @@ def in_orbit_rep_class(q: PartialIso | IsoBuilder, sigma) -> bool:
                                       f"component {c} missing vertex {min(missing)}")
     if not q._fwd.keys() >= sigma:
         raise HypothesisError("sigma-in-dom", f"vertex {min(sigma - q._fwd.keys())} outside dom(q)")
-    if not _one_rep_per_component(q, sigma):
+    if any(len(sigma.intersection(verts)) != 1 for verts in q.chain_lists()):
         for head, k in orbit_rep_profile(q, sigma).items():
             if k != 1:
                 raise HypothesisError("sigma-one-per-component",

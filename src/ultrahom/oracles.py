@@ -362,19 +362,9 @@ class NKOracle(OracleBase):
         return self.session.vertex(component, t)
 
     def band_orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for v in sorted(self._band_fwd):
-            if v in seen:
-                continue
-            orb = [v]
-            u = self._band_fwd[v]
-            while u != v:
-                orb.append(u)
-                u = self._band_fwd[u]
-            seen.update(orb)
-            out.append(tuple(orb))
-        return out
+        """The band's cycles, lowest vertex first, in order of it: the band is a
+        permutation, so every ``chain_lists`` list is closed, and its repeat is dropped."""
+        return [tuple(orb[:-1]) for orb in chain_lists(self._band_fwd, self._band_bwd)]
 
     def orbit_meetings(self, v: int, targets: set[int]) -> list[tuple[int, int]]:
         """All (j, u) with (v)f^j = u in targets, j != 0; finite by policy."""

@@ -9,6 +9,11 @@ that ``IsoBuilder.add`` is tested against.  On the lazy graphs the
 back-and-forth step, a fresh witness adjacent to exactly the image of
 N(x), is ``IsoBuilder.add_witness``, shared by the lazy oracle and the
 Henson engine.
+
+``chain_lists`` is the one walk over a whole map's chains and cycles:
+certificates write maps with it, and ``power``, ``ComponentView``,
+``cycle_free`` and ``IsoBuilder.chains`` read its lists.  A value holds
+only its session and its two maps.
 """
 
 from __future__ import annotations
@@ -81,10 +86,6 @@ class PartialIso(_MapReads):
     session: GraphSession
     _fwd: dict[int, int] = field(repr=False)
     _bwd: dict[int, int] = field(repr=False)
-    # structure already known when a builder froze this value
-    _longest: int | None = field(default=None, repr=False, compare=False)
-    _index_perm: IndexPerm | None = field(default=None, repr=False, compare=False)
-    _components: "ComponentView | None" = field(default=None, repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------------
 
@@ -107,16 +108,6 @@ class PartialIso(_MapReads):
         return f"PartialIso({dict(sorted(self._fwd.items()))})"
 
     # -- structure ---------------------------------------------------------------
-
-    def components(self) -> "ComponentView":
-        if self._components is None:  # a value never changes, so compute once
-            object.__setattr__(self, "_components", ComponentView.of(self))
-        return self._components
-
-    def longest_component(self) -> int:
-        if self._longest is None:
-            return super().longest_component()
-        return self._longest
 
     def index_map(self) -> dict[int, int]:
         """Induced partial map on graph-component indices (component families).
@@ -343,40 +334,23 @@ def compose(f: PartialIso, g: PartialIso, *rest: PartialIso) -> PartialIso:
 def power(f: PartialIso, k: int) -> PartialIso:
     """f^k; f^0 is the identity on dom(f).
 
-    Linear in |f| whatever k is: each chain is walked once from its head
-    and each cycle once, and a vertex moves |k| places along its chain,
-    or |k| mod the length of its cycle.
+    Linear in |f| whatever k is, read off ``chain_lists``: a vertex moves
+    |k| places along its chain, or |k| mod the length of its cycle, each
+    list reversed first when k < 0.
     """
     if k == 0:
         return identity_on(f.session, f.dom())
-    step, back = (f._fwd, f._bwd) if k > 0 else (f._bwd, f._fwd)
     n = abs(k)
     fwd: dict[int, int] = {}
-    on_chains: set[int] = set()
-    chains = 0
-    for x in step:
-        if x in back:  # not the head of a chain
-            continue
-        comp = [x]
-        v = step.get(x)
-        while v is not None:
-            comp.append(v)
-            v = step.get(v)
-        on_chains.update(comp)
-        chains += 1
-        fwd.update(zip(comp, comp[n:]))
-    # step holds every chain vertex but the tails; any other vertex of step lies on a cycle
-    if len(on_chains) - chains < len(step):
-        for x in step:
-            if x in fwd or x in on_chains:
-                continue
-            comp = [x]
-            v = step[x]
-            while v != x:
-                comp.append(v)
-                v = step[v]
-            r = n % len(comp)
-            fwd.update(zip(comp, comp[r:] + comp[:r]))
+    for verts in f.chain_lists():
+        if k < 0:
+            verts.reverse()
+        if verts[0] == verts[-1]:  # a cycle, closed by its repeated first vertex
+            verts.pop()
+            r = n % len(verts)
+            fwd.update(zip(verts, verts[r:] + verts[:r]))
+        else:
+            fwd.update(zip(verts, verts[n:]))
     return PartialIso(f.session, fwd, {y: x for x, y in fwd.items()})
 
 
@@ -410,33 +384,11 @@ class ComponentView:
     components: tuple[Component, ...]
 
     @staticmethod
-    def of(f: PartialIso) -> "ComponentView":
-        seen: set[int] = set()
-        comps: list[Component] = []
-        for v in sorted(f.support()):
-            if v in seen:
-                continue
-            start = v
-            complete = False
-            while True:
-                prev = f.unapply(start)
-                if prev is None:
-                    break
-                if prev == v:
-                    complete = True  # walked a full cycle
-                    start = v
-                    break
-                start = prev
-            chain = [start]
-            cur = start
-            while True:
-                nxt = f.apply(cur)
-                if nxt is None or nxt == start:
-                    break
-                chain.append(nxt)
-                cur = nxt
-            seen.update(chain)
-            comps.append(Component(tuple(chain), complete))
+    def of(f: PartialIso | IsoBuilder) -> "ComponentView":
+        """One component per ``chain_lists`` list, ordered by least vertex."""
+        comps = [Component(tuple(verts[:-1]), True) if verts[0] == verts[-1]
+                 else Component(tuple(verts), False) for verts in f.chain_lists()]
+        comps.sort(key=lambda c: min(c.vertices))
         return ComponentView(tuple(comps))
 
     def find(self, v: int) -> Component:
@@ -447,21 +399,9 @@ class ComponentView:
 
 
 def cycle_free(f: PartialIso) -> bool:
-    """True iff f has no complete component (so f extends to a map with no finite orbit).
-
-    One pass: walking forward from every chain head (dom - ran) reaches
-    each vertex of dom on a chain once, and a vertex of dom lies on a
-    cycle exactly when no such walk reaches it.
-    """
-    fwd, bwd = f._fwd, f._bwd
-    reached = 0
-    for x in fwd:
-        if x not in bwd:
-            v = x
-            while v in fwd:
-                reached += 1
-                v = fwd[v]
-    return reached == len(fwd)
+    """True iff f has no complete component (so f extends to a map with no finite orbit):
+    no ``chain_lists`` list is closed."""
+    return all(verts[0] != verts[-1] for verts in f.chain_lists())
 
 
 def orbit_rep_profile(f: PartialIso, sigma: Iterable[int]) -> dict[int, int]:
@@ -475,8 +415,6 @@ def orbit_rep_profile(f: PartialIso, sigma: Iterable[int]) -> dict[int, int]:
 
 def index_perm_of(f: PartialIso, n: int) -> IndexPerm | None:
     """Total induced index permutation for an n K_omega map, or None if partial."""
-    if f._index_perm is not None and f._index_perm.n == n:
-        return f._index_perm
     imap = f.index_map()
     if set(imap) != set(range(1, n + 1)):
         return None
@@ -625,19 +563,12 @@ class IsoBuilder(_MapReads):
             verts = verts[i:] + verts[:i]
         return Component(tuple(verts), complete)
 
-    def chains(self) -> list[tuple[int, ...]]:
-        """Vertices of every incomplete component, head first."""
-        out = []
-        for head, tail in self._tail_of.items():
-            verts = [head]
-            while verts[-1] != tail:
-                verts.append(self._fwd[verts[-1]])
-            out.append(tuple(verts))
-        return out
+    def chains(self) -> list[list[int]]:
+        """Vertices of every incomplete component, head first: the open ``chain_lists``."""
+        return [verts for verts in self.chain_lists() if verts[0] != verts[-1]]
 
     def freeze(self) -> PartialIso:
-        return PartialIso(self.session, dict(self._fwd), dict(self._bwd),
-                          self._longest, self._perm)
+        return PartialIso(self.session, dict(self._fwd), dict(self._bwd))
 
     def invert(self) -> None:
         """Turn the map into its inverse in place, in O(components).

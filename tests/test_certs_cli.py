@@ -190,6 +190,14 @@ def test_cli_iso_commands(capsys):
     assert main(["iso", "components", "--family", "nkomega", "--n", "2",
                  "--pairs", pair_json]) == 0
     assert "chain" in capsys.readouterr().out
+    # a chain headed past its least vertex and a cycle: printed by least vertex, so the
+    # chain (least 0) comes before the cycle (least 4), though its head 10 is larger
+    v = s.vertex
+    mixed = json.dumps([[v(1, 5), v(1, 0)], [v(1, 0), v(1, 3)],
+                        [v(1, 4), v(1, 2)], [v(1, 2), v(1, 4)]])
+    assert main(["iso", "components", "--family", "nkomega", "--n", "2",
+                 "--pairs", mixed]) == 0
+    assert capsys.readouterr().out.splitlines() == ["chain: 10 -> 0 -> 6", "cycle: 4 -> 8"]
 
 
 def test_cli_oracle_new_and_query(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_band_oracle
+from conftest import brute_components, random_band_oracle
 from ultrahom import nkomega
 from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial
 from ultrahom.certs import verify
@@ -444,6 +444,24 @@ def test_memoized_orbit_coord_matches_a_fresh_oracle():
             seen.add("band" if s.position_of(v) < rows else
                      "fixed" if s.component_of(v) in f.fixed_tail else "spine")
     assert seen == {"band", "fixed", "spine"}
+
+
+def test_band_orbits_match_brute_components():
+    """The band's cycles, each from its lowest vertex, in order of it, against the
+    pointwise walk over f's images of the band."""
+    rng = random.Random(13)
+    lengths = set()
+    for trial in range(40):
+        n = 2 + trial % 4
+        f = random_band_oracle(n, rng)
+        s = f.session
+        pairs = [(v, f.image(v)) for v in
+                 (s.vertex(c, t) for c in range(1, n + 1) for t in range(f.band_rows))]
+        comps = brute_components(pairs)
+        assert all(cyclic for _, cyclic in comps)
+        assert f.band_orbits() == [c for c, _ in comps]
+        lengths.update(map(len, f.band_orbits()))
+    assert {1, 2, 3} <= lengths
 
 
 def test_covering_word_grows_a_given_builder_and_leaves_a_map_unchanged():

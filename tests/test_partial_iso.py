@@ -223,12 +223,14 @@ def _random_growth(s, rng, steps, spread=14):
 
 def _assert_builder_matches(b, s):
     frozen = b.freeze()
-    view = ComponentView.of(frozen)
-    assert b.longest_component() == max((len(c) for c in view.components), default=0)
-    assert b.count == len(view.components)
-    assert b.cycle_free() == cycle_free(frozen)
+    # the builder's bookkeeping against an independent pointwise walk, not chain_lists
+    comps = brute_components(frozen.pairs())
+    assert b.longest_component() == max((len(c) for c, _ in comps), default=0)
+    assert b.count == len(comps)
+    assert b.cycle_free() == (not any(cyclic for _, cyclic in comps))
     assert b.index_perm() == index_perm_of(frozen, s.kind.n)
-    assert sorted(b.chains()) == sorted(c.vertices for c in view.components if not c.complete)
+    assert [tuple(c) for c in b.chains()] == [c for c, cyclic in comps if not cyclic]
+    view = ComponentView.of(frozen)
     for c in view.components:
         assert b.component(c.vertices[-1]) == view.find(c.vertices[-1])
     support = frozen.support()
