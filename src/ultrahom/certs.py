@@ -3,8 +3,10 @@
 A certificate is a self-contained record of one density-witness
 construction: the graph family, the session transcript, the oracle
 description, the inputs q and p, the built extension h, and the words
-or exponents of the claimed product.  Verification replays the
-transcript, rebuilds the oracle from its description, evaluates the
+or exponents of the claimed product.  Every engine hands its built h to
+``certify``, which asks the checks every claim shares and writes the
+record, so this module alone knows the encoding.  Verification replays
+the transcript, rebuilds the oracle from its description, evaluates the
 claimed product pointwise and confirms it extends the target.  This
 module must never import the engine modules; it relies only on the
 graph, partial-isomorphism, word and oracle layers.
@@ -22,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import GraphError
+from .errors import GraphError, internal_check
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
 from .oracles import oracle_from_description
 from .partial_iso import chain_pairs, validate
@@ -160,6 +162,31 @@ class WitnessCertificate:
         if self.schema not in _ENTRY_ITEMS:
             return None
         return self.oracle.get("band_pairs" if self.oracle["kind"] == "nk_policy" else "pairs", ())
+
+
+def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
+    """The record of an engine's built h, after the two checks every engine asks last.
+
+    h must extend q, the engine's input, and the claim's product, read
+    from ``data`` as ``verify`` reads it, must extend p at each of p's
+    pairs.  The transcript and the oracle's description are read only
+    after that: a lazy f's misses in the product check realize vertices.
+    A component session's transcript is empty.
+    """
+    internal_check(h.extends(q), "h-extends-q")
+    miss = product_miss(claim_word(claim, data), p.pairs(), h, f)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
+    s = h.session
+    return WitnessCertificate(
+        family=s.kind,
+        claim=claim,
+        transcript=[U for U, _ in s.transcript()],
+        oracle=f.description(),
+        q=q.chain_lists(),
+        p=p.chain_lists(),
+        h=h.chain_lists(),
+        data=data,
+    )
 
 
 @dataclass

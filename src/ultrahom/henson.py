@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import HENSON_CLAIM, WitnessCertificate, claim_word, product_miss
+from .certs import HENSON_CLAIM, WitnessCertificate, certify
 from .errors import HypothesisError, IsoError, internal_check
 from .oracles import LazyOracle
 from .partial_iso import IsoBuilder, PartialIso, cycle_free, power, validate
@@ -245,19 +245,4 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     internal_check(not (u.iso.dom() | u.iso.ran()) & r_support, "conjugate-avoids-r")
 
     h, l = build_conjugator(r, u)
-
-    # before the certificate: misses of the lazy f here create vertices
-    data = {"m": m, "l": l}
-    miss = product_miss(claim_word(HENSON_CLAIM, data), piso.pairs(), h, f)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
-
-    return WitnessCertificate(
-        family=s.kind,
-        claim=HENSON_CLAIM,
-        transcript=[U for U, _ in s.transcript()],
-        oracle=f.description(),
-        q=q_in.chain_lists(),
-        p=piso.chain_lists(),
-        h=h.chain_lists(),
-        data=data,
-    )
+    return certify(HENSON_CLAIM, f, q_in, piso, h, {"m": m, "l": l})

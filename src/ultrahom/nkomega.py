@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
+from .certs import N2_CLAIM, NKOMEGA_CLAIM, WitnessCertificate, certify
 from .errors import GraphError, HypothesisError, internal_check
 from .oracles import NKOracle
 from .partial_iso import FreshWindow, IsoBuilder, PartialIso
@@ -350,7 +350,7 @@ def _orbit_avoids(b: IsoBuilder, z: int, phi: frozenset[int]) -> bool:
     marked with phi, unless z lies inside a chain or on a cycle."""
     hits = b.chain_marks(z) if b.marked is phi else None
     if hits is None:
-        return not any(v in phi for v in landing_orbit(b, z))
+        return phi.isdisjoint(landing_orbit(b, z))
     return hits == 0
 
 
@@ -671,7 +671,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     for j in range(k - 1):
         ys = []
         for x in d_pts:
-            v = h.chase(chase(w1, x, h, f), j)
+            v = h.chase(vals1[x], j)
             internal_check(v is not None and v not in h.dom(), "ladder-free")
             ys.append(v)
         internal_check(len(set(ys)) == len(ys), "ladder-distinct")
@@ -679,7 +679,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
             _class_extend(ctx, h, yv, h.fresh(sq(s.component_of(yv)), val2set))
 
     for x in d_pts:
-        Y = h.chase(chase(w1, x, h, f), k - 1)
+        Y = h.chase(vals1[x], k - 1)
         Z = vals2[piso.apply(x)]
         internal_check(Y is not None and Y not in h.dom(), "closing-source-free")
         internal_check(Z not in h.ran(), "closing-target-free")
@@ -690,20 +690,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     h = h.freeze()
 
     data = {"k": k, "w1": str(w1), "w2": str(w2), "sigma": list(ctx.sigma)}
-    miss = product_miss(claim_word(NKOMEGA_CLAIM, data), piso.pairs(), h, f)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
-    internal_check(h.extends(q), "h-extends-q")
-
-    return WitnessCertificate(
-        family=s.kind,
-        claim=NKOMEGA_CLAIM,
-        transcript=[],
-        oracle=f.description(),
-        q=q.chain_lists(),
-        p=piso.chain_lists(),
-        h=h.chain_lists(),
-        data=data,
-    )
+    return certify(NKOMEGA_CLAIM, f, q, piso, h, data)
 
 
 def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
@@ -727,7 +714,6 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     internal_check(not sq.is_identity(), "index-transposition")
     if not ctx.sigma_set() <= q.dom():
         raise HypothesisError("sigma-in-dom")
-    q_in = q
     piso = p.iso
     piso_support = piso.support()
     h = IsoBuilder(q)
@@ -800,17 +786,4 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     raw = [("b", m1), ("a", 1), ("b", m2), ("a", 2), ("b", -m4), ("a", 1), ("b", -m3)]
     data = {"word": str(reduce_word([syl for syl in raw if syl[1] != 0])),
             "sigma": list(ctx.sigma)}
-    miss = product_miss(claim_word(N2_CLAIM, data), piso.pairs(), h, f)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
-    internal_check(h.extends(q_in), "h-extends-q")
-
-    return WitnessCertificate(
-        family=s.kind,
-        claim=N2_CLAIM,
-        transcript=[],
-        oracle=f.description(),
-        q=q_in.chain_lists(),
-        p=piso.chain_lists(),
-        h=h.chain_lists(),
-        data=data,
-    )
+    return certify(N2_CLAIM, f, q, piso, h, data)

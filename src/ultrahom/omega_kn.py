@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import OMEGA_CLAIM, WitnessCertificate, claim_word, product_miss
+from .certs import OMEGA_CLAIM, WitnessCertificate, certify
 from .errors import GraphError, HypothesisError, internal_check
 from .graphs import FreshComponents, GraphSession, _unzigzag, _zigzag
 from .oracles import OmegaShiftOracle
@@ -373,19 +373,4 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     # b.count counts chains and cycles, and b is cycle-free when every one is a chain
     internal_check(b.count == len(sigma) and b.cycle_free(), "chain-count-final")
     internal_check(in_orbit_rep_class(b, sigma), "h-class-membership")
-    internal_check(h.extends(q_in), "h-extends-q")
-
-    data = {"m": m, "sigma": sigma}
-    miss = product_miss(claim_word(OMEGA_CLAIM, data), piso.pairs(), h, f)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
-
-    return WitnessCertificate(
-        family=s.kind,
-        claim=OMEGA_CLAIM,
-        transcript=[],
-        oracle=f.description(),
-        q=q_in.chain_lists(),
-        p=piso.chain_lists(),
-        h=h.chain_lists(),
-        data=data,
-    )
+    return certify(OMEGA_CLAIM, f, q_in, piso, h, {"m": m, "sigma": sigma})

@@ -73,6 +73,29 @@ class _MapReads:
     def extends(self, other: "PartialIso") -> bool:
         return all(self._fwd.get(x) == y for x, y in other._fwd.items())
 
+    def in_support(self, v: int) -> bool:
+        return v in self._fwd or v in self._bwd
+
+    def component(self, v: int) -> "Component":
+        """The chain or cycle through v, as ``ComponentView.find`` gives it."""
+        if not self.in_support(v):
+            raise KeyError(v)
+        start, complete = v, False
+        while (prev := self._bwd.get(start)) is not None:
+            if prev == v:
+                complete = True
+                break
+            start = prev
+        verts = [start]
+        nxt = self._fwd.get(start)
+        while nxt is not None and nxt != start:
+            verts.append(nxt)
+            nxt = self._fwd.get(nxt)
+        if complete:
+            i = verts.index(min(verts))
+            verts = verts[i:] + verts[:i]
+        return Component(tuple(verts), complete)
+
     def components(self) -> "ComponentView":
         return ComponentView.of(self)
 
@@ -485,9 +508,6 @@ class IsoBuilder(_MapReads):
     def support(self) -> set[int]:
         return set(self._fwd) | set(self._bwd)
 
-    def in_support(self, v: int) -> bool:
-        return v in self._fwd or v in self._bwd
-
     def longest_component(self) -> int:
         return self._longest
 
@@ -542,26 +562,6 @@ class IsoBuilder(_MapReads):
             p += 1
             v = vertex(comp, p)
         return v
-
-    def component(self, v: int) -> "Component":
-        """The chain or cycle through v, as ``ComponentView.find`` gives it."""
-        if not self.in_support(v):
-            raise KeyError(v)
-        start, complete = v, False
-        while (prev := self._bwd.get(start)) is not None:
-            if prev == v:
-                complete = True
-                break
-            start = prev
-        verts = [start]
-        nxt = self._fwd.get(start)
-        while nxt is not None and nxt != start:
-            verts.append(nxt)
-            nxt = self._fwd.get(nxt)
-        if complete:
-            i = verts.index(min(verts))
-            verts = verts[i:] + verts[:i]
-        return Component(tuple(verts), complete)
 
     def chains(self) -> list[list[int]]:
         """Vertices of every incomplete component, head first: the open ``chain_lists``."""

@@ -10,7 +10,6 @@ distinct types; conversion is always explicit through ``evaluate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import GraphError, HypothesisError
@@ -126,37 +125,6 @@ def b_count(w: FreeWord) -> int:
     return sum(abs(e) for l, e in w.syllables if l == "b")
 
 
-def _steps(syllables, p, f) -> list:
-    """The word compiled against p and f: one step function per letter.
-
-    'a' letters step through p's maps (which a growing map updates in
-    place), 'b' letters through the oracle's image and preimage.  For
-    walks that need the letter they stop at; ``walk`` gives end values.
-    """
-    out = []
-    for letter, exp in syllables:
-        if letter == "a":
-            step = p._fwd.get if exp > 0 else p._bwd.get
-        else:
-            step = f.try_image if exp > 0 else f.try_preimage
-        out += [step] * abs(exp)
-    return out
-
-
-def _walk(steps: list, v: int, k: int = 0) -> tuple[int, int]:
-    """Apply steps k, k+1, ... to v until one is undefined.
-
-    Returns (letters applied in all, last defined value); the first is
-    len(steps) when the whole word is defined.
-    """
-    for k in range(k, len(steps)):
-        u = steps[k](v)
-        if u is None:
-            return k, v
-        v = u
-    return len(steps), v
-
-
 def walk(syllables: Iterable[Syllable], x: int, p, f) -> int | None:
     """End of x's walk through raw syllables, or None once a step is undefined.
 
@@ -237,14 +205,14 @@ def _prefix(syllables, i: int, off: int) -> FreeWord:
 
 def largest_defined_prefix(w: FreeWord, p: PartialIso, f, x: int) -> FreeWord:
     """The longest prefix of w (in letters) whose realization is defined at x."""
-    k, _ = _walk(_steps(w.syllables, p, f), x)
-    return w.prefix(k)
+    return w.prefix(WordWalks(w, p, f, (x,)).consumed(x))
 
 
 class WordWalks:
     """Walks of one word from several start points, kept current as the map grows.
 
-    p is a growing map (an ``IsoBuilder``); call ``on_add(y, z)`` after each
+    The one walker that gives the letter a walk stops at.  When p is a
+    growing map (an ``IsoBuilder``), call ``on_add(y, z)`` after each
     pair it gains.  Each point's walk is (letters consumed, value): its
     largest defined prefix and the image there.  Adding (y, z) can only
     advance walks that stopped on an 'a' at y or on an 'a^-1' at z, so
@@ -252,11 +220,21 @@ class WordWalks:
     """
 
     def __init__(self, w: FreeWord, p, f, points: Iterable[int]):
-        self._steps = _steps(w.syllables, p, f)
-        self._letters = w.letters()
+        # one step function per letter: 'a' letters step through p's maps, which a
+        # growing map updates in place, 'b' letters through the oracle
+        self._steps: list = []
+        self._letters: list[Syllable] = []
         # b-letters among the first k letters, for every k
-        self._b_before = list(accumulate((letter == "b" for letter, _ in self._letters),
-                                         initial=0))
+        self._b_before = [0]
+        for letter, exp in w.syllables:
+            if letter == "a":
+                step = p._fwd.get if exp > 0 else p._bwd.get
+            else:
+                step = f.try_image if exp > 0 else f.try_preimage
+            n, b = abs(exp), self._b_before[-1]
+            self._steps += [step] * n
+            self._letters += [(letter, 1 if exp > 0 else -1)] * n
+            self._b_before += range(b + 1, b + n + 1) if letter == "b" else [b] * n
         self._at: dict[int, tuple[int, int]] = {}
         # walks stopped on 'a' (slot 0) or 'a^-1' (slot 1), by the value they wait at
         self._waiting: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
@@ -264,8 +242,17 @@ class WordWalks:
             self._resume(u, 0, u)
 
     def _resume(self, u: int, k: int, v: int) -> None:
-        k, v = self._at[u] = _walk(self._steps, v, k)
-        if k < len(self._letters) and self._letters[k][0] == "a":
+        """Apply steps k, k+1, ... to v until one is undefined, and record where u stops."""
+        steps = self._steps
+        for k in range(k, len(steps)):
+            nxt = steps[k](v)
+            if nxt is None:
+                break
+            v = nxt
+        else:
+            k = len(steps)
+        self._at[u] = k, v
+        if k < len(steps) and self._letters[k][0] == "a":
             self._waiting[self._letters[k][1] < 0].setdefault(v, []).append(u)
 
     def on_add(self, y: int, z: int) -> None:
@@ -331,36 +318,10 @@ class WordConditionReport:
         return "word condition fails -- " + "; ".join(parts)
 
 
-def landing_orbit(p: PartialIso, z: int, longest: int | None = None) -> list[int]:
-    """{(z)p^m : m in Z, defined}, scanning one step past the component bound.
-
-    p^0 is read as the empty product here, so z itself is always included.
-    The forward walk comes back to z exactly on a cycle, which it has then
-    walked whole; otherwise the backward walk covers the rest of the
-    chain, and on a chain it cannot meet the forward half.
-    """
-    if longest is None:
-        longest = p.longest_component()
-    seen = [z]
-    v = z
-    for _ in range(longest + 1):
-        v = p.apply(v)
-        if v is None or v == z:
-            break
-        seen.append(v)
-    else:
-        raise GraphError("component scan exceeded the longest-component bound")
-    if v == z:
-        return seen
-    v = z
-    for _ in range(longest + 1):
-        v = p.unapply(v)
-        if v is None:
-            break
-        seen.append(v)
-    else:
-        raise GraphError("component scan exceeded the longest-component bound")
-    return seen
+def landing_orbit(p: PartialIso | IsoBuilder, z: int) -> tuple[int, ...]:
+    """{(z)p^m : m in Z, defined}: the vertices of z's chain or cycle, or z alone
+    outside the support (p^0 is read as the empty product here)."""
+    return p.component(z).vertices if p.in_support(z) else (z,)
 
 
 def check_word_condition(p: PartialIso | IsoBuilder, gamma: Iterable[int], theta: Iterable[int],
@@ -402,26 +363,24 @@ def check_word_condition(p: PartialIso | IsoBuilder, gamma: Iterable[int], theta
     if overlap:
         failed[2] = f"ran(p) meets delta at {min(overlap)}"
 
-    steps = _steps(w.syllables, p, f)
-    walks = {x: _walk(steps, x) for x in gamma}
-    in_dom = {x for x in gamma if walks[x][0] == len(steps)}
+    walks = WordWalks(w, p, f, gamma)
+    in_dom = {x for x in gamma if walks.next_letter(x) is None}
     if in_dom != set(theta):
         failed[3] = f"dom(w(p)) cap gamma = {sorted(in_dom)} != theta {theta}"
 
-    bad4 = [x for x in theta if x in in_dom and p.apply(walks[x][1]) is not None]
+    bad4 = [x for x in theta if x in in_dom and p.apply(walks.value(x)) is not None]
     if bad4:
         failed[4] = f"image of {bad4[0]} lands in dom(p)"
 
     # each point's largest-prefix image: the value its walk stopped at
-    values = {x: walks[x][1] for x in gamma}
+    values = {x: walks.value(x) for x in gamma}
     for i, x in enumerate(gamma):
         for y in gamma[i + 1:]:
             if values[x] == values[y]:
                 failed.setdefault(5, f"points {x} and {y} collide at {values[x]}")
 
-    longest = p.longest_component()
     for x in gamma:
-        hits = phi & set(landing_orbit(p, values[x], longest))
+        hits = phi.intersection(landing_orbit(p, values[x]))
         if hits:
             failed.setdefault(6, f"point {x} reaches phi at {min(hits)}")
             break

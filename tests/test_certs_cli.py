@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from ultrahom import certs
 from ultrahom.campaigns import campaign, henson_trial, run_trial, write_certs, read_certs
 from ultrahom.certs import (HENSON_CLAIM, N2_CLAIM, NKOMEGA_CLAIM, OMEGA_CLAIM,
-                            WitnessCertificate, brute_force_word_eval, claim_word, verify)
+                            WitnessCertificate, brute_force_word_eval, certify, claim_word,
+                            verify)
 from ultrahom.cli import main
+from ultrahom.errors import InternalCheckError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import oracle_from_description
 from ultrahom.partial_iso import compose, power, validate
@@ -92,6 +95,33 @@ def test_claim_words_are_the_four_products_unreduced():
     assert claim_word(N2_CLAIM, {"word": "b a b^2"}) == [("b", 1), ("a", 1), ("b", 2)]
     with pytest.raises(ValueError):
         claim_word(N2_CLAIM, {"word": "a^x"})
+
+
+def test_certify_asks_h_extends_q_then_the_product_for_every_claim(monkeypatch):
+    """Every engine asks h-extends-q and then product-extends-target through
+    certs.certify, and certify stops an h that misses a pair of q."""
+    real = certs.internal_check
+    for family, n, index in (("henson", 3, 2), ("omega-kn", 3, 0), ("nkomega", 3, 0),
+                             ("n2", 2, 0)):
+        asked = []
+
+        def recording(cond, clause, detail=""):
+            asked.append(clause)
+            real(cond, clause, detail)
+
+        monkeypatch.setattr(certs, "internal_check", recording)
+        cert = run_trial(family, n, 5, index)
+        assert asked == ["h-extends-q", "product-extends-target"], family
+        monkeypatch.setattr(certs, "internal_check", real)
+
+        session = cert.replay()
+        q, p, h = (validate(session, cert.map_pairs(name)) for name in ("q", "p", "h"))
+        f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
+        assert certify(cert.claim, f, q, p, h, cert.data).h == cert.h
+        dropped = q.pairs()[0]
+        short = validate(session, [pair for pair in h.pairs() if pair != dropped])
+        with pytest.raises(InternalCheckError, match="h-extends-q"):
+            certify(cert.claim, f, q, p, short, cert.data)
 
 
 def _old_nkomega_product(cert):

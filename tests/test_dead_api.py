@@ -30,7 +30,7 @@ ALLOWED = {
     "brute_force_word_eval": "reference implementation that word evaluation is tested against",
     "GraphSession.fresh_in_component": "reference for the lowest-eligible-vertex policy of IsoBuilder/FreshWindow",
     "GraphSession.check_witness_contract": "reference check that each witness is adjacent to exactly U",
-    "ComponentView.find": "reference for IsoBuilder.component",
+    "ComponentView.find": "reference for _MapReads.component, which landing_orbit reads",
     "GraphSession.transcript_text": "write half of the text format replay_text reads",
     "read_certs": "read half of the JSON-lines format write_certs writes",
     "FrozenOracle.finite_pairs": "reached through getattr(f, 'finite_pairs') in words.py",

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import brute_components, random_band_oracle
-from ultrahom import nkomega
-from ultrahom.campaigns import n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial
+from ultrahom import certs, nkomega
+from ultrahom.campaigns import (n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial,
+                                run_trial)
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError, InternalCheckError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
@@ -15,7 +16,8 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, ama
                               escape_exponents, extend_word_domain,
                               piccard_partner)
 from ultrahom.oracles import NKOracle, oracle_from_description
-from ultrahom.partial_iso import FreshWindow, IsoBuilder, from_pairs, index_perm_of
+from ultrahom.partial_iso import (FreshWindow, IsoBuilder, chain_pairs, from_pairs,
+                                  index_perm_of)
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
 from ultrahom.words import b_count, chase, check_word_condition, landing_orbit, parse_word
 
@@ -534,19 +536,27 @@ def test_chain_marks_match_landing_orbit_on_random_growth():
 
 
 def test_product_check_walks_every_target_pair_and_stops_a_missed_one(monkeypatch):
-    """The engine checks its product with certs.product_miss at each pair of p, as
-    verify does, and a miss stops the build before any certificate is made."""
-    rng = random.Random(5)
-    ctx, q, p = nkomega_instance(nkomega_oracle(3, rng), rng, pair_comps=[1, 2, 3])
-    real, asked = nkomega.product_miss, []
+    """Every engine checks its product through certs.certify with certs.product_miss
+    at each pair of p, as verify does, and a miss stops the build before any
+    certificate is made."""
+    real = certs.product_miss
+    for family, n, claim in (("henson", 3, certs.HENSON_CLAIM),
+                             ("omega-kn", 3, certs.OMEGA_CLAIM),
+                             ("nkomega", 3, certs.NKOMEGA_CLAIM), ("n2", 2, certs.N2_CLAIM)):
+        asked = []
 
-    def recording(word, pairs, h, f):
-        asked.append(list(pairs))
-        return real(word, pairs, h, f)
+        def recording(word, pairs, h, f):
+            asked.append(list(pairs))
+            return real(word, pairs, h, f)
 
-    monkeypatch.setattr(nkomega, "product_miss", recording)
-    assert verify(density_witness_nkomega(ctx, q, p)).ok
-    assert asked == [list(p.iso.pairs())]
-    monkeypatch.setattr(nkomega, "product_miss", lambda word, pairs, h, f: (0, 1, None))
-    with pytest.raises(InternalCheckError, match="product-extends-target"):
-        density_witness_nkomega(ctx, q, p)
+        monkeypatch.setattr(certs, "product_miss", recording)
+        cert = run_trial(family, n, 5, 0)
+        assert cert.claim == claim
+        pairs = sorted(chain_pairs(cert.p))
+        # verify reads the same patched binding, so the engine's record is taken first
+        assert asked == [pairs]
+        assert verify(cert).ok
+        assert asked == [pairs, pairs]
+        monkeypatch.setattr(certs, "product_miss", lambda word, pairs, h, f: (0, 1, None))
+        with pytest.raises(InternalCheckError, match="product-extends-target"):
+            run_trial(family, n, 5, 0)

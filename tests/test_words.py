@@ -281,11 +281,8 @@ def test_chase_and_prefix_agree_with_letter_walks(nk2):
 
 
 def test_landing_orbit_matches_brute_components(nk2):
-    """Chains and cycles of up to 40 vertices: the orbit is z, then forward, then backward.
-
-    The scan is one step past ``longest``; a walk that needs more steps
-    raises GraphError.
-    """
+    """Chains and cycles of up to 40 vertices: the orbit of z is the vertex set of its
+    component, on a value and on a builder, and z alone outside the support."""
     rng = random.Random(302)
     for _ in range(40):
         pts = [nk2.vertex(1, t) for t in rng.sample(range(400), 120)]
@@ -298,20 +295,12 @@ def test_landing_orbit_matches_brute_components(nk2):
             if rng.random() < 0.4:
                 pairs.append((comp[-1], comp[0]))
         p = from_pairs(nk2, pairs)
+        b = IsoBuilder(p)
         outside = nk2.vertex(1, 400)
-        assert landing_orbit(p, outside) == [outside]
-        for chain, cyclic in brute_components(pairs):
-            comp = list(chain)
-            for j, z in enumerate(comp):
-                forward, backward = comp[j:], comp[:j][::-1]
-                want = comp[j:] + comp[:j] if cyclic else forward + backward
-                steps = len(comp) if cyclic else max(len(forward), len(backward) + 1)
-                longest = rng.choice([None, len(comp), steps - 1, steps - 2])
-                if longest is not None and steps > longest + 1:
-                    with pytest.raises(GraphError, match="longest-component bound"):
-                        landing_orbit(p, z, longest)
-                else:
-                    assert landing_orbit(p, z, longest) == want
+        assert landing_orbit(p, outside) == landing_orbit(b, outside) == (outside,)
+        for chain, _ in brute_components(pairs):
+            for z in chain:
+                assert set(landing_orbit(p, z)) == set(landing_orbit(b, z)) == set(chain)
 
 
 def test_walk_matches_a_letter_by_letter_walk_on_unreduced_syllables(nk2):
