@@ -16,6 +16,14 @@ vertex lists of ``partial_iso.chain_lists`` and each transcript entry as
 its bare U, the witness ids being 0, 1, ... in order.  Schemas 1 and 2
 wrote maps as pairs and entries as (U, V, F, id) and (U, id); they are
 still read.
+
+A lazy-family record carries only what ``verify`` reads: the oracle
+pairs the product reads, and a transcript that keeps the edges among
+the vertices of q, p, h and those pairs and writes every other vertex
+as an isolated ``[]`` placeholder.  The product reads f only there, and
+the induced subgraph on the kept vertices is the session's, so every
+clause answers as it would on the whole record.  Records written whole,
+before this cut, verify unchanged.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from itertools import chain
 
 from .errors import GraphError, internal_check
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
-from .oracles import oracle_from_description
-from .partial_iso import chain_pairs, validate
+from .oracles import OracleBase, oracle_from_description
+from .partial_iso import chain_lists, chain_pairs, validate
 from .words import FreeWord, Syllable, evaluate, parse_word, walk
 
 SCHEMA_VERSION = 3
@@ -164,27 +172,72 @@ class WitnessCertificate:
         return self.oracle.get("band_pairs" if self.oracle["kind"] == "nk_policy" else "pairs", ())
 
 
+class _ReadLog(OracleBase):
+    """f as a walk reads it: every answered query of f is kept as a pair of f."""
+
+    def __init__(self, f):
+        self._f = f
+        self.fwd: dict[int, int] = {}
+        self.bwd: dict[int, int] = {}
+
+    def try_image(self, v: int) -> int | None:
+        w = self._f.try_image(v)
+        if w is not None:
+            self.fwd[v] = w
+            self.bwd[w] = v
+        return w
+
+    def try_preimage(self, v: int) -> int | None:
+        u = self._f.try_preimage(v)
+        if u is not None:
+            self.fwd[u] = v
+            self.bwd[v] = u
+        return u
+
+
 def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
     """The record of an engine's built h, after the two checks every engine asks last.
 
     h must extend q, the engine's input, and the claim's product, read
     from ``data`` as ``verify`` reads it, must extend p at each of p's
-    pairs.  The transcript and the oracle's description are read only
-    after that: a lazy f's misses in the product check realize vertices.
-    A component session's transcript is empty.
+    pairs.  The transcript and the oracle are read only after that: a
+    lazy f's misses in the product check realize vertices.
+
+    A component session's transcript is empty and its oracle is
+    ``f.description()``.  A lazy session's record is cut to what
+    ``verify`` reads.  Its oracle is the f_read pairs the product check
+    read from f.  The kept vertices are supp(h) ∪ supp(p) ∪ supp(f_read),
+    which holds supp(q) since h extends q.  The transcript ends at the
+    last kept vertex: each kept vertex keeps U ∩ kept, and every other
+    vertex is an isolated ``[]`` placeholder.  h is written whole, so a
+    chained step's q can be the last step's h.  The session keeps its
+    full transcript.
     """
     internal_check(h.extends(q), "h-extends-q")
-    miss = product_miss(claim_word(claim, data), p.pairs(), h, f)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
     s = h.session
+    lazy = s.kind.is_lazy
+    reads = _ReadLog(f) if lazy else f
+    miss = product_miss(claim_word(claim, data), p.pairs(), h, reads)
+    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
+    p_lists, h_lists = p.chain_lists(), h.chain_lists()
+    if lazy:
+        f_lists = chain_lists(reads.fwd, reads.bwd)
+        kept = set(chain.from_iterable(chain(h_lists, p_lists, f_lists)))
+        entries = s.transcript()  # entry w made vertex w
+        transcript = [[] for _ in range(max(kept, default=-1) + 1)]
+        for w in kept:
+            transcript[w] = [u for u in entries[w][0] if u in kept]
+        oracle = {"kind": "lazy_fresh", "pairs": f_lists}
+    else:
+        transcript, oracle = [], f.description()
     return WitnessCertificate(
         family=s.kind,
         claim=claim,
-        transcript=[U for U, _ in s.transcript()],
-        oracle=f.description(),
+        transcript=transcript,
+        oracle=oracle,
         q=q.chain_lists(),
-        p=p.chain_lists(),
-        h=h.chain_lists(),
+        p=p_lists,
+        h=h_lists,
         data=data,
     )
 

@@ -422,11 +422,19 @@ class GraphSession:
     @staticmethod
     def replay_sets(kind: GraphKind, sets: Iterable[Iterable[int]]) -> "GraphSession":
         """Rebuild a session from the U of each witness call in order, as schema-3
-        certificates write the transcript: call w makes vertex w, so no id is checked."""
+        certificates write the transcript: call w makes vertex w, so no id is checked.
+        An empty U adds an isolated vertex the way ``alice_witness(())`` does, without
+        the call: lazy records write every vertex they do not keep that way."""
         s = GraphSession(kind)
         witness = s.alice_witness
+        adj, entries = s._adj, s._transcript
         for U in sets:
-            witness(U)
+            if U:
+                witness(U)
+            else:
+                w = len(adj)
+                adj[w] = set()
+                entries.append(((), w))
         return s
 
     @staticmethod

@@ -14,7 +14,7 @@ GOLDEN_SET = (("nkomega", 3, 6), ("nkomega", 4, 2), ("n2", 2, 10), ("omega-kn", 
 GOLDEN_SHA256 = "4f4c2a84a04894387491ff2b453c76064fce4914100aaeab8d283995118edda4"
 # the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, transcripts of U sets
 HENSON_GOLDEN_SET = (("henson", 3, 20), ("henson", 4, 5))
-HENSON_GOLDEN_SHA256 = "ad74ecd6a08b8befe34032d8339a575e6e3deb861f99c1fbb4882a15e735139a"
+HENSON_GOLDEN_SHA256 = "ee51ff9c39ccc7744f57912eae8dba2abd3d6ede62c66be344de6fecc14b6c1b"
 
 
 def _digest(golden_set) -> str:

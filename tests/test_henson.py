@@ -5,7 +5,7 @@ import pytest
 from conftest import chase_pairs
 from ultrahom import henson
 from ultrahom.campaigns import _random_kfree_subset, henson_trial
-from ultrahom.certs import verify
+from ultrahom.certs import certify, verify
 from ultrahom.errors import GraphError, HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
@@ -349,6 +349,30 @@ def test_chained_henson_witnesses_verify_and_m_at_most_doubles():
     assert ms == [2, 5, 11, 23, 47, 95]
     assert [c.to_json() for c in _henson_chain(6)] == [c.to_json() for c in certs]
 
+
+
+def test_chained_slim_records_verify_and_certify_leaves_the_session_whole(monkeypatch):
+    """Each chained step's record is cut to what verify reads, yet keeps h whole: it is
+    VERIFIED, its q is the last step's h, and certify neither grows nor cuts the
+    session that the next step builds on."""
+    lengths = []
+
+    def recorded(claim, f, q, p, h, data):
+        before = len(h.session.transcript())
+        cert = certify(claim, f, q, p, h, data)
+        lengths.append((before, len(h.session.transcript()), len(cert.transcript)))
+        return cert
+
+    monkeypatch.setattr(henson, "certify", recorded)
+    certs = _henson_chain(6)
+    assert len(lengths) == 6
+    for i, (cert, (before, after, written)) in enumerate(zip(certs, lengths)):
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert before == after >= written
+        if i:
+            assert cert.q == certs[i - 1].h
+            assert lengths[i - 1][1] < before  # the next step built on the whole session
 
 def test_domain_image_escapes_reads_r_m_as_the_per_point_chase(monkeypatch):
     """On each chained step, the r^m that ``domain-image-escapes`` reads is defined on

@@ -6,6 +6,12 @@ before the schema after it: seed 1 ``henson`` n=3 trials 0-2,
 ``nkomega`` n=3 trial 0 and ``omega-kn`` n=3 trial 0, one per line in
 that order; the schema-2 file adds ``n2`` n=2 trial 0, so that every
 claim form is covered.
+
+``data/certs_v3_full.jsonl`` holds schema-3 Henson records written
+before lazy-family records were cut to what ``verify`` reads: the seed-1
+``henson-wide`` instances 0-2, then seed 1 ``henson`` n=3 trials 0-1 and
+n=4 trial 0.  Every vertex the engine made is in their transcripts, and
+their oracles hold the lazy oracle's whole map.
 """
 
 import json
@@ -20,13 +26,15 @@ from conftest import CountingDict, brute_components
 from perfbench.workloads import henson_wide_instance, stream
 from ultrahom import oracles, partial_iso
 from ultrahom.campaigns import run_trial
-from ultrahom.certs import SCHEMA_VERSION, WitnessCertificate, verify
+from ultrahom.certs import HENSON_CLAIM, SCHEMA_VERSION, WitnessCertificate, certify, verify
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import density_witness_henson
-from ultrahom.partial_iso import PartialIso
+from ultrahom.partial_iso import PartialIso, chain_pairs
 
 DATA = Path(__file__).parent / "data"
 V1_PATH, V2_PATH = DATA / "certs_v1.jsonl", DATA / "certs_v2.jsonl"
+V3_FULL_PATH = DATA / "certs_v3_full.jsonl"
+V3_FULL_K4_LINE = 5  # seed 1 henson n=4 trial 0
 V1_TRIALS = (("henson", 3, 0), ("henson", 3, 1), ("henson", 3, 2),
              ("nkomega", 3, 0), ("omega-kn", 3, 0))
 V2_TRIALS = V1_TRIALS + (("n2", 2, 0),)
@@ -198,9 +206,14 @@ def test_v2_replay_faults_are_rejected_on_replay():
 
 
 def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
-    """On K_4-free graphs U may hold edges but no triangle: the clique search beyond one edge."""
-    cert = run_trial("henson", 4, 1, 0)
-    doc = json.loads(cert.to_json())
+    """On K_4-free graphs U may hold edges but no triangle: the clique search beyond one edge.
+
+    The full record keeps every vertex the engine made; a slim one has no triangle
+    among its kept vertices to put into a U."""
+    line = V3_FULL_PATH.read_text().splitlines()[V3_FULL_K4_LINE]
+    cert = WitnessCertificate.from_json(line)
+    assert cert.family == GraphKind.henson(4)
+    doc = json.loads(line)
     adj = cert.replay()._adj
     # the first entry with a triangle among the vertices before it (entry w makes
     # vertex w); edges never change
@@ -212,6 +225,128 @@ def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     doc["transcript"][w] = list(tri[:2])  # one edge is allowed: the entry replays
     GraphSession.replay_sets(GraphKind.henson(4), doc["transcript"][:w + 1])
 
+
+
+def _v3_full_instances():
+    """(line, today's certificate of the same instance) for each full record."""
+    lines = V3_FULL_PATH.read_text().splitlines()
+    assert len(lines) == 6
+    for i, line in enumerate(lines[:3]):
+        f, q, p = henson_wide_instance(stream(1, "henson-wide", i))
+        yield line, density_witness_henson(f, q, p)
+    for line, (n, index) in zip(lines[3:], ((3, 0), (3, 1), (4, 0))):
+        yield line, run_trial("henson", n, 1, index)
+
+
+def test_full_schema_3_henson_certificates_still_verify():
+    """A record that keeps every vertex and the lazy oracle's whole map still verifies,
+    and today's slim record of the same instance carries the same q, p, h and data in
+    fewer bytes: at most 0.55x on the henson-wide instances."""
+    for i, (line, slim) in enumerate(_v3_full_instances()):
+        cert = WitnessCertificate.from_json(line)
+        report = verify(cert)
+        assert report.ok, str(report)
+        assert [name for name, _, _ in report.clauses] == HENSON_CLAUSES
+        assert cert.to_json() == line
+        assert (slim.q, slim.p, slim.h, slim.data) == (cert.q, cert.p, cert.h, cert.data)
+        assert len(slim.transcript) <= len(cert.transcript)
+        assert sum(map(len, slim.transcript)) < sum(map(len, cert.transcript))
+        assert len(slim.oracle["pairs"]) < len(cert.oracle["pairs"])
+        assert len(slim.to_json()) < (0.55 if i < 3 else 1) * len(line)
+
+
+def _product_reads(f, p, h, m, l):
+    """The (v, (v)f) pairs that h^m f h^{2l} f^-1 h^-m reads at the points of p,
+    chased pair by pair through the full session's maps."""
+    h_fwd = dict(h.pairs())
+    f_fwd, f_bwd = dict(f.cache.pairs()), {y: x for x, y in f.cache.pairs()}
+    reads = set()
+    for x, y in p.pairs():
+        for _ in range(m):
+            x = h_fwd[x]
+        reads.add((x, f_fwd[x]))
+        x = f_fwd[x]
+        for _ in range(2 * l):
+            x = h_fwd[x]
+        reads.add((f_bwd[x], x))
+    return reads
+
+
+def _slim_instances():
+    """(full session, lazy oracle, p, h, slim certificate) for K_3- and K_4-free instances."""
+    for seed, n, width in ((1, 3, 12), (2, 3, 12), (3, 4, 6)):
+        f, q, p = henson_wide_instance(stream(seed, "henson-wide", 0), n=n, width=width)
+        cert = density_witness_henson(f, q, p)
+        h = partial_iso.validate(f.session, chain_pairs(cert.h))
+        yield f.session, f, p.iso, h, cert
+
+
+def test_slim_record_keeps_the_induced_subgraph_on_the_kept_vertices():
+    """Brute force: the replayed slim session has the full session's edges on the kept
+    vertices and none at any other vertex, ends at the last kept vertex, and its oracle
+    holds exactly the pairs the product reads, two for each pair of p."""
+    for full, f, p, h, cert in _slim_instances():
+        assert verify(cert).ok
+        reads = _product_reads(f, p, h, cert.data["m"], cert.data["l"])
+        assert set(chain_pairs(cert.oracle["pairs"])) == reads
+        assert len(reads) == 2 * len(p)
+        kept = {v for name in ("q", "p", "h") for vs in getattr(cert, name) for v in vs}
+        kept |= {v for pair in reads for v in pair}
+        slim = cert.replay()
+        assert slim.realized() == list(range(max(kept) + 1))
+        for u, w in combinations(sorted(kept), 2):
+            assert slim.adjacent(u, w) == full.adjacent(u, w), (u, w)
+        for w in slim.realized():
+            if w not in kept:
+                assert cert.transcript[w] == [] and not slim.neighbors_within(w, slim.realized())
+        # vertices the session makes past the kept ones change nothing in the record
+        full.alice_witness(())
+        q = partial_iso.validate(full, chain_pairs(cert.q))
+        assert certify(cert.claim, f, q, p, h, cert.data).to_json() == cert.to_json()
+
+
+def test_slim_record_keeps_the_vertices_of_every_pair_the_product_reads():
+    """With h empty, the product b b^-1 reads f outside supp(h) and supp(p): its miss
+    realizes (x)f, and the record keeps that vertex and the pair.  The product
+    holds; only the target class fails, since p fixes x."""
+    s = GraphSession(GraphKind.henson(3))
+    x = s.alice_witness(())
+    none = partial_iso.empty(s)
+    p = partial_iso.validate(s, [(x, x)])
+    cert = certify(HENSON_CLAIM, oracles.LazyOracle(s), none, p, none, {"m": 0, "l": 0})
+    assert cert.oracle == {"kind": "lazy_fresh", "pairs": [[x, x + 1]]}
+    assert cert.transcript == [[], []]
+    assert _failing(json.loads(cert.to_json())) == [("target-separated", "target class violated")]
+
+
+def test_slim_record_without_an_oracle_pair_is_rejected_on_the_product():
+    full, f, p, h, cert = next(_slim_instances())
+    pairs = chain_pairs(cert.oracle["pairs"])
+    for dropped in pairs:
+        doc = json.loads(cert.to_json())
+        doc["oracle"]["pairs"] = _reference_lists([pair for pair in pairs if pair != dropped])
+        (name, _), = _failing(doc)
+        assert name == "product-extends-target", dropped
+
+
+def test_slim_transcript_cut_before_its_last_kept_vertex_is_rejected():
+    for full, f, p, h, cert in _slim_instances():
+        doc = json.loads(cert.to_json())
+        last = len(doc["transcript"]) - 1
+        doc["transcript"].pop()
+        assert _failing(doc) == [("inputs-validate", f"unknown vertex {last}")]
+
+
+def test_slim_record_without_an_edge_inside_dom_p_is_rejected_on_the_inputs():
+    """An edge u ~ w with both ends in dom(p) is read by p's validation, since p maps it
+    to an edge of ran(p); dropping u from the kept U of w breaks p."""
+    for full, f, p, h, cert in _slim_instances():
+        dom_p = p.dom()
+        w, u = next((w, u) for w in sorted(dom_p) for u in cert.transcript[w] if u in dom_p)
+        doc = json.loads(cert.to_json())
+        doc["transcript"][w].remove(u)
+        (name, _), = _failing(doc)
+        assert name == "inputs-validate", (u, w)
 
 def _wide_cert_bytes(width: int) -> int:
     f, q, p = henson_wide_instance(stream(1, "henson-wide", 0), width=width)
