@@ -12,8 +12,11 @@ Henson engine.
 
 ``chain_lists`` is the one walk over a whole map's chains and cycles:
 certificates write maps with it, and ``power``, ``ComponentView``,
-``cycle_free`` and ``IsoBuilder.chains`` read its lists.  A value holds
-only its session and its two maps.
+``cycle_free``, ``longest_component`` and ``IsoBuilder.chains`` read its
+lists.  A value holds only its session and its two maps.  On a component
+graph, ``validate``, ``extend`` and ``IsoBuilder.add`` name a rejected
+pair's conflict by one rule: the earliest pair of the map, in insertion
+order, that it disagrees with on components.
 """
 
 from __future__ import annotations
@@ -100,8 +103,10 @@ class _MapReads:
         return ComponentView.of(self)
 
     def longest_component(self) -> int:
-        """Vertices on the longest chain or cycle (0 for the empty map)."""
-        return max((len(c) for c in self.components().components), default=0)
+        """Vertices on the longest chain or cycle (0 for the empty map): a list that
+        closes on its first vertex is a cycle, one vertex shorter than the list."""
+        return max((len(verts) - (verts[0] == verts[-1]) for verts in self.chain_lists()),
+                   default=0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,11 @@ class PartialIso(_MapReads):
 
     def index_perm(self) -> IndexPerm | None:
         """Total induced index permutation (n K_omega), or None while partial."""
-        return index_perm_of(self, self.session.kind.n)
+        n = self.session.kind.n
+        imap = self.index_map()
+        if set(imap) != set(range(1, n + 1)):
+            return None
+        return IndexPerm(tuple(imap[i] for i in range(1, n + 1)))
 
 
 def validate(session: GraphSession, pairs: Iterable[tuple[int, int]]) -> PartialIso:
@@ -189,12 +198,8 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
     injective induced index map, checkable pair by pair."""
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-    # by component key: the key its pairs go to (come from), and the x of the
-    # latest such pair; a conflict names that pair, (x, fwd[x])
-    cmap: dict[int, int] = {}
-    cinv: dict[int, int] = {}
-    last_from: dict[int, int] = {}
-    last_into: dict[int, int] = {}
+    cmap: dict[int, int] = {}  # component key -> the key its pairs go to
+    cinv: dict[int, int] = {}  # component key -> the key its pairs come from
     comp = session.component_key()
     for x, y in pairs:
         if x < 0 or y < 0:  # no vertex of a component graph has a negative id
@@ -207,16 +212,19 @@ def _validate_component(session: GraphSession, pairs) -> PartialIso:
         if y in bwd:
             raise IsoError("not-injective", [(bwd[y], y), (x, y)], "two preimages for one point")
         cx, cy = comp(x), comp(y)
-        if cmap.setdefault(cx, cy) != cy:
-            x2 = last_from[cx]
-            _raise_component_conflict(session, (x2, fwd[x2]), (x, y))
-        if cinv.setdefault(cy, cx) != cx:
-            x2 = last_into[cy]
-            _raise_component_conflict(session, (x2, fwd[x2]), (x, y))
-        last_from[cx] = last_into[cy] = x
+        if cmap.setdefault(cx, cy) != cy or cinv.setdefault(cy, cx) != cx:
+            _raise_component_conflict(session, _component_clash(fwd, comp, x, y), (x, y))
         fwd[x] = y
         bwd[y] = x
     return PartialIso(session, fwd, bwd)
+
+
+def _component_clash(fwd: dict[int, int], comp, x: int, y: int) -> tuple[int, int]:
+    """The earliest pair of fwd, in insertion order, that (x, y) disagrees with on
+    components (one side in the same component, the other not), for a rejected
+    (x, y): one scan, on the failure path only."""
+    cx, cy = comp(x), comp(y)
+    return next((x2, y2) for x2, y2 in fwd.items() if (comp(x2) == cx) != (comp(y2) == cy))
 
 
 def _raise_component_conflict(session, p1, p2):
@@ -397,10 +405,6 @@ class Component:
     def head(self) -> int:
         return self.vertices[0]
 
-    @property
-    def tail(self) -> int:
-        return self.vertices[-1]
-
 
 @dataclass(frozen=True)
 class ComponentView:
@@ -436,14 +440,6 @@ def orbit_rep_profile(f: PartialIso, sigma: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def index_perm_of(f: PartialIso, n: int) -> IndexPerm | None:
-    """Total induced index permutation for an n K_omega map, or None if partial."""
-    imap = f.index_map()
-    if set(imap) != set(range(1, n + 1)):
-        return None
-    return IndexPerm(tuple(imap[i] for i in range(1, n + 1)))
-
-
 class IsoBuilder(_MapReads):
     """A partial isomorphism grown in place, one pair at a time.
 
@@ -451,13 +447,15 @@ class IsoBuilder(_MapReads):
     what the engines ask after every step: the induced component-index
     map ``cmap`` / ``cinv`` with the number of pairs leaving each index
     (so checking a new pair on a component graph costs two lookups),
-    chain head and tail links with chain lengths, the longest component,
-    the number of components, the total index permutation once it
-    exists, per component a cursor at the lowest position outside the
-    support (it only moves forward, because the support only grows), and
-    per chain the number of its vertices in the set ``mark`` was given.
-    ``add`` accepts and rejects exactly the pairs ``extend`` does, with
-    the same ``IsoError`` reasons.
+    chain head and tail links, the number of components, the total index
+    permutation once it exists, per component a cursor at the lowest
+    position outside the support (it only moves forward, because the
+    support only grows), and per chain the number of its vertices in the
+    set ``mark`` was given.  What only a rare caller asks is read off the
+    map when asked: the longest component from ``chain_lists``, and the
+    pair a rejected pair clashes with from one scan of the map.  ``add``
+    accepts and rejects exactly the pairs ``extend`` does, with the same
+    ``IsoError`` reasons and pairs.
 
     ``freeze`` returns the value wherever the map must stay fixed: where
     it is returned or certified, and where a later step reads it while
@@ -475,15 +473,10 @@ class IsoBuilder(_MapReads):
         self.cmap: dict[int, int] = {}
         self.cinv: dict[int, int] = {}
         self.pairs_from: dict[int, int] = {}  # component index -> pairs leaving it
-        # the earliest pair leaving / entering each component index, as (order, x, y)
-        self._first_from: dict[int, tuple[int, int, int]] = {}
-        self._first_into: dict[int, tuple[int, int, int]] = {}
         self._head_of: dict[int, int] = {}    # chain tail -> chain head
         self._tail_of: dict[int, int] = {}    # chain head -> chain tail
-        self._chain_len: dict[int, int] = {}  # chain head -> vertices on the chain
         self.marked: frozenset[int] = frozenset()
         self._marks: dict[int, int] | None = None  # chain head -> its vertices in marked
-        self._longest = 0
         self.count = 0
         self.arrivals: list[int] = []         # support vertices in the order they joined
         self._cursor: dict[int, int] = {}
@@ -507,9 +500,6 @@ class IsoBuilder(_MapReads):
 
     def support(self) -> set[int]:
         return set(self._fwd) | set(self._bwd)
-
-    def longest_component(self) -> int:
-        return self._longest
 
     @property
     def version(self) -> tuple[int, int]:
@@ -574,21 +564,16 @@ class IsoBuilder(_MapReads):
         """Turn the map into its inverse in place, in O(components).
 
         Afterwards the builder reads exactly as ``IsoBuilder`` re-recorded
-        from the inverse map: the same ``_fwd`` order, structure, first
-        pairs and clashes, and no marks.  Only ``arrivals`` keeps the order
-        in which the support joined.
+        from the inverse map: the same ``_fwd`` order, structure and
+        clashes, and no marks.  Only ``arrivals`` keeps the order in which
+        the support joined.
         """
         self._fwd, self._bwd = self._bwd, self._fwd
         # every pair leaving index cx enters cmap[cx], and no other pair does
         self.pairs_from = {cy: self.pairs_from[cx] for cx, cy in self.cmap.items()}
         self.cmap, self.cinv = self.cinv, self.cmap
-        self._first_from, self._first_into = (
-            {c: (i, y, x) for c, (i, x, y) in self._first_into.items()},
-            {c: (i, y, x) for c, (i, x, y) in self._first_from.items()})
         # each chain now runs from its old tail to its old head
-        tail_of = self._tail_of
-        self._chain_len = {tail_of[head]: size for head, size in self._chain_len.items()}
-        self._head_of, self._tail_of = tail_of, self._head_of
+        self._head_of, self._tail_of = self._tail_of, self._head_of
         self.marked, self._marks = frozenset(), None
         if self._perm is not None:
             self._perm = self._perm.inverse()
@@ -607,18 +592,11 @@ class IsoBuilder(_MapReads):
         if y in bwd:
             raise IsoError("not-injective", [(bwd[y], y), (x, y)])
         s = self.session
-        if self._comp is not None:
-            # extend names the earliest pair in conflict: the first one leaving
-            # x's component for another, or entering y's from another
-            cx, cy = self._comp(x), self._comp(y)
-            clash = []
-            if self.cmap.get(cx, cy) != cy:
-                clash.append(self._first_from[cx])
-            if self.cinv.get(cy, cx) != cx:
-                clash.append(self._first_into[cy])
-            if clash:
-                _, x2, y2 = min(clash)
-                _raise_component_conflict(s, (x, y), (x2, y2))
+        comp = self._comp
+        if comp is not None:
+            cx, cy = comp(x), comp(y)
+            if self.cmap.get(cx, cy) != cy or self.cinv.get(cy, cx) != cx:
+                _raise_component_conflict(s, (x, y), _component_clash(fwd, comp, x, y))
             self._record(x, y, cx, cy)
         else:
             _check_lazy_pair(s, fwd, bwd, x, y)
@@ -673,19 +651,15 @@ class IsoBuilder(_MapReads):
             self.arrivals.append(x)
         if not y_heads_chain and y != x:
             self.arrivals.append(y)
-        head_of, tail_of, chain_len = self._head_of, self._tail_of, self._chain_len
+        head_of, tail_of = self._head_of, self._tail_of
         marked, marks = self.marked, self._marks  # marks is None until mark() is called
         if x == y:
-            size = 1
             self.count += 1
         elif x_ends_chain and y_heads_chain:
             head = head_of.pop(x)
             tail = tail_of.pop(y)
-            size = chain_len.pop(y)
             hits = marks.pop(y) if marks is not None else 0
             if head != y:  # two chains join; otherwise the chain closes into a cycle
-                size += chain_len[head]
-                chain_len[head] = size
                 if marks is not None:
                     marks[head] += hits
                 tail_of[head] = tail
@@ -695,33 +669,24 @@ class IsoBuilder(_MapReads):
             head = head_of.pop(x)
             tail_of[head] = y
             head_of[y] = head
-            size = chain_len[head] = chain_len[head] + 1
             if marks is not None:
                 marks[head] += y in marked
         elif y_heads_chain:
             tail = tail_of.pop(y)
             tail_of[x] = tail
             head_of[tail] = x
-            size = chain_len[x] = chain_len.pop(y) + 1
             if marks is not None:
                 marks[x] = marks.pop(y) + (x in marked)
         else:
             tail_of[x] = y
             head_of[y] = x
-            size = chain_len[x] = 2
             if marks is not None:
                 marks[x] = (x in marked) + (y in marked)
             self.count += 1
-        if size > self._longest:
-            self._longest = size
         if cx is not None:
             self.pairs_from[cx] = self.pairs_from.get(cx, 0) + 1
-            if cx not in self.cmap:
-                self.cmap[cx] = cy
-                self._first_from[cx] = (len(fwd), x, y)
-            if cy not in self.cinv:
-                self.cinv[cy] = cx
-                self._first_into[cy] = (len(fwd), x, y)
+            self.cmap.setdefault(cx, cy)
+            self.cinv.setdefault(cy, cx)
         fwd[x] = y
         bwd[y] = x
 

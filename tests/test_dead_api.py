@@ -14,9 +14,10 @@ called only through a binding that reaches it:
   the benchmark tracer's ``SPANS`` or ``COUNTS``.
 
 So a local variable or an attribute that merely shares the name is not a
-caller.  Methods are matched by name: the name used anywhere, as a name,
-an attribute or a tracer target, counts.  What is kept on purpose without
-a caller is in ``ALLOWED``.
+caller.  Methods are matched by name, and only through an attribute
+(``x.name``, on any x) or a tracer target: a local variable that shares
+the name is not a caller.  What is kept on purpose without a caller is in
+``ALLOWED``.
 """
 
 import ast
@@ -106,22 +107,13 @@ def _bound(package, bench) -> set[tuple[str, str]]:
     return out
 
 
-def _names(package, bench) -> set[str]:
-    """Every name used anywhere, as a name, an attribute, an import or a tracer target."""
+def _attributes(package, bench) -> set[str]:
+    """Every name used anywhere as an attribute, or as a method of a tracer target."""
     names: set[str] = set()
     for module, tree, in_package in _modules(package, bench):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    names.update(alias.name.split("."))
+        names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
         if module == "tracer" and not in_package:
-            for const in ast.walk(tree):
-                if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    names.update(const.value.split("."))
+            names.update(attr.split(".")[-1] for _, attr in _tracer_targets(tree))
     return names
 
 
@@ -141,7 +133,7 @@ def _definitions(package) -> list[tuple[str, str]]:
 
 
 def _uncalled(package, bench) -> list[str]:
-    bound, names = _bound(package, bench), _names(package, bench)
+    bound, names = _bound(package, bench), _attributes(package, bench)
     return sorted(qual for module, qual in _definitions(package)
                   if not ((qual.rsplit(".", 1)[1] in names) if "." in qual
                           else (module, qual) in bound))
@@ -162,13 +154,16 @@ def test_allowlist_entries_exist_and_have_no_caller():
 
 def test_only_a_binding_that_reaches_a_definition_counts():
     package, bench = _sources()
-    planted = ast.parse("def planted(x):\n    return x\n").body
+    planted = ast.parse("def planted(x):\n    return x\n"
+                        "class _Planted:\n    def planted_method(self):\n        return 0\n"
+                        "_g = _Planted\n").body
     words = ast.parse(ast.unparse(package["words"]))
     words.body += planted
 
-    def scan(caller: str) -> list[str]:
+    def scan(caller: str, tracer: str = "") -> list[str]:
         return _uncalled(dict(package, words=words, nkomega=ast.parse(
-            ast.unparse(package["nkomega"]) + "\n" + caller)), bench)
+            ast.unparse(package["nkomega"]) + "\n" + caller)),
+            dict(bench, tracer=ast.parse(ast.unparse(bench["tracer"]) + "\n" + tracer)))
 
     # the name as a local variable, an attribute of something else, or an unused import
     for caller in ("def _f(planted):\n    return planted\n",
@@ -181,5 +176,14 @@ def test_only_a_binding_that_reaches_a_definition_counts():
                    "from .words import planted as _p\n_f = _p\n",
                    "from . import words\n_f = words.planted\n"):
         assert "planted" not in scan(caller), caller
+    # a method: a local variable, a parameter or a string that shares its name is no
+    # caller; an attribute access on any object, or a tracer target, is
+    for caller in ("def _f(x):\n    planted_method = x\n    return planted_method\n",
+                   "def _f(planted_method):\n    return planted_method\n",
+                   "_f = 'planted_method'\n"):
+        assert "_Planted.planted_method" in scan(caller), caller
+    assert "_Planted.planted_method" not in scan("def _f(x):\n    return x.planted_method()\n")
+    assert "_Planted.planted_method" not in scan(
+        "", "COUNTS = [('m', 'words', '_Planted.planted_method')]\n")
     words.body += ast.parse("_f = planted\n").body
     assert "planted" not in _uncalled(dict(package, words=words), bench)

@@ -287,8 +287,7 @@ def two_step_witness(b, v, forward, extra):
 def builder_fields(b):
     """Every field a lazy-graph builder keeps, the dicts in insertion order."""
     return (list(b._fwd.items()), list(b._bwd.items()), list(b._head_of.items()),
-            list(b._tail_of.items()), list(b._chain_len.items()), b._longest, b.count,
-            list(b.arrivals))
+            list(b._tail_of.items()), b.longest_component(), b.count, list(b.arrivals))
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.n}")

@@ -16,8 +16,7 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, ama
                               escape_exponents, extend_word_domain,
                               piccard_partner)
 from ultrahom.oracles import NKOracle, oracle_from_description
-from ultrahom.partial_iso import (FreshWindow, IsoBuilder, chain_pairs, from_pairs,
-                                  index_perm_of)
+from ultrahom.partial_iso import FreshWindow, IsoBuilder, chain_pairs, from_pairs
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
 from ultrahom.words import b_count, chase, check_word_condition, landing_orbit, parse_word
 
@@ -264,6 +263,50 @@ def test_covering_word_multi_gamma():
     assert not h.ran() & set(delta)
 
 
+def _f_pairs_near(f, centres, radius):
+    """The pairs of f on the f-orbits within radius of centres: enough of f for a
+    word of b-count radius walked from centres and their a-images."""
+    pairs = set()
+    for v in centres:
+        u = v
+        for _ in range(radius):
+            pairs.add((u, f.image(u)))
+            u = f.image(u)
+        u = v
+        for _ in range(radius):
+            pairs.add((f.preimage(u), u))
+            u = f.preimage(u)
+    return sorted(pairs)
+
+
+def test_covering_words_with_escape_blocks(monkeypatch):
+    """gamma drawn from dom(q), so a base step's x can land inside dom(q) and must be
+    driven out by an escape block: some builds take a non-empty escape product, and
+    every word still meets the word condition and evaluates on gamma as the brute
+    force does."""
+    fired = []
+    real = nkomega.escape_exponents
+
+    def spied(*args):
+        out = real(*args)
+        fired.append(bool(out))
+        return out
+
+    monkeypatch.setattr(nkomega, "escape_exponents", spied)
+    for seed in range(30):
+        rng = random.Random(seed)
+        f = nkomega_oracle(3 + seed % 3, rng)
+        ctx, q, _ = nkomega_instance(f, rng)
+        gamma = rng.sample(sorted(q.dom()), rng.randint(1, len(q)))
+        h, w, phi = build_covering_word(ctx, q, gamma, ())
+        rep = check_word_condition(h, gamma, gamma, q.dom(), (), w, f)
+        assert rep.holds, str(rep)
+        f_pairs = _f_pairs_near(f, h.support() | set(gamma), b_count(w))
+        slow = dict(certs.brute_force_word_eval(w, h.pairs(), f_pairs))
+        assert {x: slow.get(x) for x in gamma} == {x: chase(w, x, h, f) for x in gamma}
+    assert any(fired)
+
+
 def test_covering_word_checks_the_condition_once_per_stage(monkeypatch):
     """One check after the base word, then one on exit per fill: each fill's entry
     check is the check before it, on the same builder state, and reuses it."""
@@ -387,6 +430,30 @@ def test_n2_special_witness_and_routing():
     for seed in range(5):
         cert = n2_trial(random.Random(seed))
         assert cert.claim == "n2_word"
+        report = verify(cert)
+        assert report.ok, str(report)
+
+
+def test_n2_identity_index_without_fixed_tail_takes_the_identity_branch():
+    """n = 2 with f-index the identity, band-free and with no fixed tail: not routed to
+    the n = 2 special witness, so the base steps take m = |lam nu| + 1, the one
+    exponent open to them (supp(f-index) is empty, so the general search finds none),
+    and the base word absorbs f's fixed band points (none here)."""
+    s = GraphSession(GraphKind.nk_omega(2))
+    f = NKOracle(s, IndexPerm.identity(2))
+    sq = IndexPerm.from_cycles(2, [(1, 2)])
+    for seed in range(4):
+        rng = random.Random(seed)
+        t = iter(rng.sample(range(2, 20), 8))  # distinct positions: fresh vertices
+        a = rng.choice([1, 2])
+        v = s.vertex(a, next(t))
+        q = from_pairs(s, [(v, s.vertex(sq(a), next(t))),
+                           (s.vertex(sq(a), next(t)), s.vertex(a, next(t)))])
+        comps = sorted(rng.sample([1, 2], rng.randint(1, 2)))
+        p = IndexFixingIso(from_pairs(s, [(s.vertex(c, next(t)), s.vertex(c, next(t)))
+                                          for c in comps]))
+        cert = density_witness_nkomega(AFSigmaContext(f, (v,)), q, p)
+        assert cert.claim == certs.NKOMEGA_CLAIM
         report = verify(cert)
         assert report.ok, str(report)
 

@@ -10,8 +10,7 @@ from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import NKOracle
 from ultrahom.partial_iso import (ComponentView, FreshWindow, IsoBuilder, PartialIso,
                                   chain_pairs, compose, cycle_free, empty, extend, from_pairs,
-                                  identity_on, index_perm_of,
-                                  orbit_rep_profile, power, validate)
+                                  identity_on, orbit_rep_profile, power, validate)
 from ultrahom.perms import IndexPerm
 
 
@@ -40,6 +39,33 @@ def test_validate_rejections_name_pairs(nk2):
             validate(nk2, pairs)
         assert (e.value.reason, e.value.pairs) == (reason, tuple(pairs))
         assert str(e.value) == f"{reason}: {detail} (pairs {pairs})"
+
+
+def test_validate_names_the_pair_extend_names():
+    """On random component pair lists, validate against extend folded over the pairs:
+    the same map, or an IsoError with the same reason naming the same pairs.  The
+    pairs are compared as a set: validate lists (earlier, new), extend (new, earlier)."""
+    kinds = ([GraphKind.omega_kn(n) for n in range(1, 5)]
+             + [GraphKind.nk_omega(n) for n in range(2, 5)])
+    rng = random.Random(25)
+    conflicts = 0
+    for i in range(400):
+        s = GraphSession(kinds[i % len(kinds)])
+        pairs = [(rng.randrange(24), rng.randrange(24)) for _ in range(rng.randint(0, 10))]
+        ref, want = empty(s), None
+        try:
+            for x, y in pairs:
+                ref = extend(ref, x, y)
+        except IsoError as e:
+            want = e
+        if want is None:
+            assert list(validate(s, pairs)._fwd.items()) == list(ref._fwd.items())
+            continue
+        with pytest.raises(IsoError) as got:
+            validate(s, pairs)
+        assert (got.value.reason, set(got.value.pairs)) == (want.reason, set(want.pairs))
+        conflicts += want.reason.startswith("component-")
+    assert conflicts > 100
 
 
 def test_validate_adjacency_mismatch_lazy(h3):
@@ -182,8 +208,8 @@ def test_index_map_composition(nk3):
 def test_index_perm_of(nk2):
     v = nk2.vertex
     f = from_pairs(nk2, [(v(1, 0), v(2, 0)), (v(2, 0), v(1, 0))])
-    assert index_perm_of(f, 2).cycle_notation() == "(1 2)"
-    assert index_perm_of(from_pairs(nk2, [(v(1, 0), v(2, 0))]), 2) is None
+    assert f.index_perm().cycle_notation() == "(1 2)"
+    assert from_pairs(nk2, [(v(1, 0), v(2, 0))]).index_perm() is None
 
 
 def test_orbit_rep_profile(nk2):
@@ -228,7 +254,7 @@ def _assert_builder_matches(b, s):
     assert b.longest_component() == max((len(c) for c, _ in comps), default=0)
     assert b.count == len(comps)
     assert b.cycle_free() == (not any(cyclic for _, cyclic in comps))
-    assert b.index_perm() == index_perm_of(frozen, s.kind.n)
+    assert b.index_perm() == frozen.index_perm()
     assert [tuple(c) for c in b.chains()] == [c for c, cyclic in comps if not cyclic]
     view = ComponentView.of(frozen)
     for c in view.components:
@@ -269,8 +295,8 @@ def _re_recorded_inverse(b):
 
 def _builder_state(b):
     return (list(b._fwd.items()), list(b._bwd.items()), b.cmap, b.cinv, b.pairs_from,
-            b._first_from, b._first_into, b._head_of, b._tail_of, b._chain_len, b.marked,
-            b._marks, b._longest, b.count, b.index_perm(), b.support())
+            b._head_of, b._tail_of, b.marked, b._marks, b.longest_component(), b.count,
+            b.index_perm(), b.support())
 
 
 def test_in_place_inversion_reads_as_the_inverse_re_recorded():
@@ -625,4 +651,3 @@ def test_add_pairs_matches_add_pair_by_pair():
             assert list(b.freeze()._fwd.items()) == list(ref.freeze()._fwd.items())
             assert (b.cmap, b.cinv, b.pairs_from, b.count, b.longest_component()) == \
                 (ref.cmap, ref.cinv, ref.pairs_from, ref.count, ref.longest_component())
-            assert (b._first_from, b._first_into) == (ref._first_from, ref._first_into)
