@@ -29,8 +29,9 @@ before this cut, verify unchanged.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import GraphError, internal_check
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
@@ -42,6 +43,14 @@ SCHEMA_VERSION = 3
 SCHEMAS = (1, 2, 3)
 # items per transcript entry of the pair-map schemas: (U, V, F, id) in 1, (U, id) in 2
 _ENTRY_ITEMS = {1: 4, 2: 2}
+# deepest nesting of a record, the record itself counting 1: record -> transcript ->
+# entry -> U in schemas 1 and 2, record -> oracle -> pairs -> pair in all three
+MAX_DEPTH = 4
+# a JSON string; its closing quote is optional, so no match backtracks and the scan
+# of a line is linear
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
+_ONE_KIND = bytes.maketrans(b"{}", b"[]")
+_NOT_SKELETON = bytes(c for c in range(256) if c not in b'[]{}"')
 
 HENSON_CLAIM = "henson_conjugation"      # h^m f h^{2l} f^-1 h^-m  extends target
 OMEGA_CLAIM = "omega_conjugation"        # (h^m f) h (h^m f)^-1    extends target
@@ -55,6 +64,32 @@ CLAIM_FAMILIES = {
     NKOMEGA_CLAIM: (NK_OMEGA,),
     N2_CLAIM: (NK_OMEGA,),
 }
+
+
+def _depth_past_bound(text: str) -> int | None:
+    """How deep a line nests its brackets outside strings, if deeper than MAX_DEPTH.
+
+    Linear in the line: its strings are cut out, its brackets kept as one
+    kind, and MAX_DEPTH passes each delete the innermost pairs.  Only a line
+    with brackets left after that is walked bracket by bracket; it is too
+    deep, or unbalanced, which ``json.loads`` then names.
+    """
+    line = text.encode("utf-8", "surrogatepass")
+    if b"\\" in line:  # an escaped quote does not end a string
+        line = _STRING.sub(b"", line)
+    # brackets and quotes only: the brackets outside strings are those outside quote
+    # pairs, and when no string holds a bracket every pair reads '""'
+    skeleton = line.translate(_ONE_KIND, _NOT_SKELETON)
+    brackets = skeleton.replace(b'""', b"")
+    if b'"' in brackets:
+        brackets = b"".join(skeleton.split(b'"')[::2])
+    left = brackets
+    for _ in range(MAX_DEPTH):
+        left = left.replace(b"[]", b"")
+    if not left:
+        return None
+    depth = max(accumulate(1 if c == ord("[") else -1 for c in brackets))
+    return depth if depth > MAX_DEPTH else None
 
 
 def claim_word(claim: str, data: dict) -> list[Syllable]:
@@ -121,13 +156,19 @@ class WitnessCertificate:
 
     @staticmethod
     def from_json(text: str) -> "WitnessCertificate":
-        """Parse one record; any record that is not a certificate raises GraphError.
+        """Parse one record; any line that is not a certificate raises GraphError.
 
-        Field types are left to ``verify``, which checks the shape first.
+        A line nested deeper than MAX_DEPTH is refused before the decoder
+        reads it, and an integer past the interpreter's digit limit is
+        refused as not JSON.  Field types are left to ``verify``, which
+        checks the shape first.
         """
+        depth = _depth_past_bound(text)
+        if depth is not None:
+            raise GraphError(f"nested {depth} deep; a certificate nests at most {MAX_DEPTH}")
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
             raise GraphError(f"not JSON: {e}") from None
         if not isinstance(d, dict) or not _is_int(d.get("schema")) \
                 or d["schema"] not in SCHEMAS:

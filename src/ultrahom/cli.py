@@ -169,14 +169,14 @@ def cmd_classify_stab(args) -> int:
 
 def cmd_verify(args) -> int:
     failures = 0
-    with open(args.file) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(args.file, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 cert = WitnessCertificate.from_json(line)
-            except GraphError as e:
+            except (GraphError, UnicodeDecodeError) as e:
                 failures += 1
                 print(f"certificate {lineno} (unparsed): REJECTED")
                 print(f"  FAIL certificate-shape: {e}")

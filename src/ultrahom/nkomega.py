@@ -354,22 +354,40 @@ def _orbit_avoids(b: IsoBuilder, z: int, phi: frozenset[int]) -> bool:
     return hits == 0
 
 
+def _run_exponent(ctx: AFSigmaContext, sq: IndexPerm, lam_nu: FreeWord, x: int,
+                  floor: int) -> int:
+    """Smallest m >= floor whose a-run ends x's walk of lam_nu a^m in a component
+    f's index permutation moves (see README, "The a-run exponent").
+
+    The n = 2 identity-index branch keeps the paper's m = |lam_nu| + 1.
+    """
+    sf = ctx.f.index_perm()
+    if ctx.n == 2 and sf.is_identity():
+        return len(lam_nu) + 1
+    c = word_index_image(lam_nu, sq, sf)(ctx.session.component_of(x))
+    m = next((cand for cand in range(floor, floor + sq.order())
+              if sq.power(cand)(c) in sf.support()), None)
+    internal_check(m is not None, "support-reachable",
+                   "the index orbit never meets supp(f-index)")
+    return m
+
+
 def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
                established: list[int], x: int, phi: frozenset[int],
                delta: set[int], window: FreshWindow, depth: int):
     """Absorb one more target point into the word bookkeeping.
 
-    Extends the word by an escape block, a long run of the first letter
-    landing in the support of f's index permutation, one f-letter and
-    one more first letter; then extends b point by point until the
-    target's defined prefix reaches the word's second-to-last letter,
-    keeping the previously established points' landings untouched.
-    ``window``, which fences delta, is widened to the new word's b-count.
-    Returns the new word and the established points.
+    Extends the word by an escape block, the shortest run of the first
+    letter that lands in the support of f's index permutation and
+    outlasts x's lead over a partner walk it shares a value with, one
+    f-letter and one more first letter; then extends b point by point
+    until the target's defined prefix reaches the word's second-to-last
+    letter, keeping the previously established points' landings
+    untouched.  ``window``, which fences delta, is widened to the new
+    word's b-count.  Returns the new word and the established points.
     """
-    f, s, n = ctx.f, ctx.session, ctx.n
+    f, s = ctx.f, ctx.session
     sq = b.index_perm()
-    sf = f.index_perm()
     internal_check(depth <= 1, "role-switch-once",
                    "a second role switch should be impossible")
 
@@ -379,28 +397,26 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     internal_check(chase(concat(lam_nu, reduce_word([("a", 1)])), x, b, f) is None,
                    "x-dies-before-alpha")
 
-    if n == 2 and sf.is_identity():
-        m = len(lam_nu) + 1
-    else:
-        c = word_index_image(lam_nu, sq, sf)(s.component_of(x))
-        m = None
-        for cand in range(len(lam_nu) + 1, len(lam_nu) + 1 + sq.order()):
-            if sq.power(cand)(c) in sf.support():
-                m = cand
-                break
-        internal_check(m is not None, "support-reachable",
-                       "the index orbit never meets supp(f-index)")
-    lam1 = concat(lam_nu, reduce_word([("a", m), ("b", 1), ("a", 1)]))
-    rho_len = len(lam1) - 1
+    def extended(m: int) -> tuple[FreeWord, WordWalks]:
+        word = concat(lam_nu, reduce_word([("a", m), ("b", 1), ("a", 1)]))
+        return word, WordWalks(word, b, f, established + [x])
 
-    walks = WordWalks(lam1, b, f, established + [x])
+    m = _run_exponent(ctx, sq, lam_nu, x, 1)
+    lam1, walks = extended(m)
+    # every walk stops inside lam_nu a, so no stop depends on m
     x_val = walks.value(x)
     partners = [u for u in established if walks.value(u) == x_val]
     internal_check(len(partners) <= 1, "partner-unique")
     y = partners[0] if partners else None
-    if y is not None and walks.consumed(y) > walks.consumed(x):
-        swapped = [u for u in established if u != y] + [x]
-        return _base_step(ctx, b, lam1, swapped, y, phi, delta, window, depth + 1)
+    if y is not None:
+        lead = walks.consumed(x) - walks.consumed(y)
+        if lead < 0:
+            swapped = [u for u in established if u != y] + [x]
+            return _base_step(ctx, b, lam_nu, swapped, y, phi, delta, window, depth + 1)
+        if m < lead:
+            m = _run_exponent(ctx, sq, lam_nu, x, lead)
+            lam1, walks = extended(m)
+    rho_len = len(lam1) - 1
 
     entry_prefix = {u: walks.consumed(u) for u in established}
     window.widen(b_count(lam1))
@@ -688,6 +704,12 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
         else:
             _class_extend(ctx, h, Y, Z)
     h = h.freeze()
+    # the orbit-representative claim, on the finished h: each stage keeps the class,
+    # and this asks it of the whole map once
+    try:
+        check_admissible(ctx, h)
+    except HypothesisError as e:
+        internal_check(False, "h-admissible", str(e))
 
     data = {"k": k, "w1": str(w1), "w2": str(w2), "sigma": list(ctx.sigma)}
     return certify(NKOMEGA_CLAIM, f, q, piso, h, data)

@@ -20,6 +20,7 @@ from ultrahom.perms import IndexPerm
 from ultrahom.words import evaluate, parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ultrahom"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_certificate_round_trip_byte_identical():
@@ -198,6 +199,64 @@ def test_cli_witness_verify_roundtrip(tmp_path, capsys):
     data["p"] = [[data["p"][0][0], data["p"][0][0]]] + data["p"][1:]
     out.write_text(json.dumps(data, sort_keys=True) + "\n")
     assert main(["verify", str(out)]) == 1
+
+
+def test_cli_verify_rejects_hostile_lines_and_reads_on(tmp_path, capsys):
+    """Each hostile line is REJECTED on certificate-shape and the valid record after
+    it is still VERIFIED: lines nested past the bound (a record one level deeper than
+    any certificate, bare ``[`` runs 1000 and 200000 deep, which overflow the JSON
+    decoder's recursion), an integer past the interpreter's 4300-digit limit, and a
+    line that is not UTF-8.  A record at the bound, and a 4300-digit integer, parse."""
+    # a schema-1 Henson record: record -> transcript -> (U, V, F, id) -> U, at the bound
+    valid = (DATA / "certs_v1.jsonl").read_text().splitlines()[0]
+    assert certs.MAX_DEPTH == 4 and '"transcript":[[[],[],[],0],[[0],' in valid
+    doc = json.loads(valid)
+    doc["transcript"][1][0] = [doc["transcript"][1][0]]
+    past = json.dumps(doc, sort_keys=True)
+    hostile = [
+        (past.encode(), "nested 5 deep"),
+        (b"[" * 1000, "nested 1000 deep"),
+        (b"[" * 200000, "nested 200000 deep"),
+        (b'{"schema": ' + b"7" * 4300 + b"}", "unsupported certificate schema 777"),
+        (b'{"schema": ' + b"7" * 4301 + b"}", "not JSON: Exceeds the limit (4300 digits)"),
+        (b'{"schema": 3, "claim": "\xff"}', "can't decode byte 0xff"),
+    ]
+    path = tmp_path / "hostile.jsonl"
+    for line, note in hostile:
+        path.write_bytes(line + b"\n" + valid.encode() + b"\n")
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "certificate 1 (unparsed): REJECTED"
+        assert out[1].startswith("  FAIL certificate-shape: ") and note in out[1], out[1][:120]
+        assert out[2:] == [f"certificate 2 ({HENSON_CLAIM}): VERIFIED"]
+
+
+def _walked_depth(text: str) -> int:
+    """Deepest bracket nesting outside strings, one character at a time."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            in_string, escaped = (True, False) if escaped else (ch != '"', ch == "\\")
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+def test_depth_scan_matches_a_character_walk():
+    """``_depth_past_bound`` against a character walk, on random lines of brackets,
+    quotes and other characters, balanced or not, half of them with escapes."""
+    rng = random.Random(19)
+    for i in range(3000):
+        chars = '[[]]{}""a1,' + "\\" * (i % 2)
+        line = "".join(rng.choice(chars) for _ in range(rng.randint(0, 40)))
+        depth = _walked_depth(line)
+        assert certs._depth_past_bound(line) == (depth if depth > certs.MAX_DEPTH else None), line
 
 
 def test_cli_usage_errors(capsys):

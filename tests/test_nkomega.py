@@ -9,8 +9,8 @@ from ultrahom.campaigns import (n2_trial, nkomega_instance, nkomega_oracle, nkom
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError, InternalCheckError, IsoError
 from ultrahom.graphs import GraphKind, GraphSession
-from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, amalgamate,
-                              build_base_word, build_covering_word,
+from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _base_step, _class_extend,
+                              amalgamate, build_base_word, build_covering_word,
                               check_admissible, classify_stabilizing,
                               density_witness_n2, density_witness_nkomega,
                               escape_exponents, extend_word_domain,
@@ -18,7 +18,8 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _class_extend, ama
 from ultrahom.oracles import NKOracle, oracle_from_description
 from ultrahom.partial_iso import FreshWindow, IsoBuilder, chain_pairs, from_pairs
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
-from ultrahom.words import b_count, chase, check_word_condition, landing_orbit, parse_word
+from ultrahom.words import (WordWalks, b_count, chase, check_word_condition, landing_orbit,
+                            parse_word)
 
 
 def simple_ctx(n=3, sf_cycles=((1, 2, 3),), sigma_comps=(1, 3)):
@@ -327,9 +328,10 @@ def test_covering_word_checks_the_condition_once_per_stage(monkeypatch):
 
 
 def test_each_build_opens_one_builder_and_asks_each_check_once(monkeypatch):
-    """Per n K_omega build: one IsoBuilder, one admissibility check, and word-condition
-    checks that never repeat a (builder state, arguments) pair: 1 + |gamma| per
-    covering word, with |gamma| = |p| for each of the two."""
+    """Per n K_omega build: one IsoBuilder, one admissibility check of q and one of the
+    finished h, and word-condition checks that never repeat a (builder state,
+    arguments) pair: 1 + |gamma| per covering word, with |gamma| = |p| for each of
+    the two."""
     opened, admitted, conditions = [], [], []
     real_init, real_admissible = IsoBuilder.__init__, nkomega.check_admissible
     real_condition = nkomega.check_word_condition
@@ -357,7 +359,8 @@ def test_each_build_opens_one_builder_and_asks_each_check_once(monkeypatch):
         ctx, q, p = nkomega_instance(f, rng, pair_comps=list(range(1, n + 1)))
         opened.clear(), admitted.clear(), conditions.clear()
         cert = density_witness_nkomega(ctx, q, p)
-        assert len(opened) == 1 and len(admitted) == 1
+        assert len(opened) == 1 and len(admitted) == 2 and admitted[0] is q
+        assert sorted(admitted[1].pairs()) == sorted(map(tuple, cert.map_pairs("h")))
         assert len(conditions) == 2 * (1 + len(p.iso)) == len(set(conditions))
         assert verify(cert).ok
 
@@ -413,6 +416,88 @@ def test_density_witness_small_ns():
         cert = nkomega_trial(n, random.Random(seed))
         report = verify(cert)
         assert report.ok, str(report)
+
+
+def test_h_grows_polynomially_in_the_target():
+    """n = 3, |p| = 3, 6, 12, 24 with ``pair_comps`` cycling 1..3 (``Random(1000)``):
+    every certificate verifies, every h is admissible, and |h| grows at most 4x per
+    doubling of |p|.
+
+    Each target point walks the whole word, and each base step adds a bounded
+    number of letters, so |h| is about quadratic in |p| and the ratio nears 4
+    from below: |h| reads 65, 194, 668 and 2480, ratios 2.98, 3.44 and 3.71.
+    With the paper's m > |lam nu| the word doubled with each point: the median
+    |h| over 20 such instances read 178, 3004 and about 390,000 at |p| = 3, 6
+    and 12.
+    """
+    sizes = []
+    for size in (3, 6, 12, 24):
+        rng = random.Random(1000)
+        f = nkomega_oracle(3, rng)
+        ctx, q, p = nkomega_instance(f, rng, pair_comps=[1 + j % 3 for j in range(size)])
+        cert = density_witness_nkomega(ctx, q, p)
+        assert verify(cert).ok
+        h = from_pairs(f.session, cert.map_pairs("h"))
+        check_admissible(ctx, h)
+        sizes.append(len(h))
+    for small, large in zip(sizes, sizes[1:]):
+        assert large <= 4 * small, sizes
+
+
+def test_campaign_certificates_verify_at_n_3_to_8():
+    """Trial 0 of seeds 1-3 at n = 3..8, the campaigns' and the CLI's first witness."""
+    for n in range(3, 9):
+        for seed in (1, 2, 3):
+            cert = run_trial("nkomega", n, seed, 0)
+            report = verify(cert)
+            assert report.ok, (n, seed, str(report))
+
+
+def _partner_state():
+    """A map on which x and an established y walk ``a b a b`` to the same value e,
+    x by all four letters and y by two: x -a-> x1 -b-> y -a-> y1 -b-> e, with e
+    outside the map.  f's index permutation moves every component, so the index
+    condition alone admits a one-letter run."""
+    s = GraphSession(GraphKind.nk_omega(3))
+    f = NKOracle(s, IndexPerm.from_cycles(3, [(1, 2, 3)]))
+    x, x1 = s.vertex(3, 0), s.vertex(3, 1)
+    y, y1 = f.image(x1), s.vertex(2, 2)
+    b = IsoBuilder(from_pairs(s, [(x, x1), (y, y1), (s.vertex(2, 3), s.vertex(1, 3))]))
+    return AFSigmaContext(f, ()), b, x, y, f.image(y1)
+
+
+def test_base_step_run_outlasts_a_partner_walks_lead():
+    """x's walk of ``a b a b`` ends where the established y's stops, two letters
+    later: the run after the word must be at least that lead, or x and y read the
+    same letters to the end and x's value is y's (``collision-resolved``).  The
+    new point's run is then a^2, and a new point that trails its partner switches
+    roles with it and gets the same word and map."""
+    lam = parse_word("a b a b")
+    ctx, b, x, y, e = _partner_state()
+    phi = frozenset(b.dom())
+    walks = WordWalks(lam, b, ctx.f, [x, y])
+    assert [(walks.consumed(u), walks.value(u)) for u in (x, y)] == [(4, e), (2, e)]
+    lam1, established = _base_step(ctx, b, lam, [y], x, phi, set(), FreshWindow(ctx.f), 0)
+    assert str(lam1) == "a b a b a^2 b a" and established == [y, x]
+    walks = WordWalks(lam1, b, ctx.f, established)
+    assert walks.value(x) != walks.value(y) and walks.consumed(x) == len(lam1) - 1
+    assert walks.consumed(y) < len(lam1) - 1
+
+    ctx2, b2, _, _, _ = _partner_state()
+    assert _base_step(ctx2, b2, lam, [x], y, phi, set(), FreshWindow(ctx2.f), 0) == (lam1, [y, x])
+    assert b2.freeze().pairs() == b.freeze().pairs()
+
+
+def test_base_step_run_shorter_than_the_lead_collides(monkeypatch):
+    """The same state with the run held at the index condition's a^1: the walks of
+    x and y never part, and the base step's own check names the collision."""
+    real = nkomega._run_exponent
+    monkeypatch.setattr(nkomega, "_run_exponent",
+                        lambda ctx, sq, lam_nu, x, floor: real(ctx, sq, lam_nu, x, 1))
+    ctx, b, x, y, _ = _partner_state()
+    with pytest.raises(InternalCheckError, match="collision-resolved"):
+        _base_step(ctx, b, parse_word("a b a b"), [y], x, frozenset(b.dom()), set(),
+                   FreshWindow(ctx.f), 0)
 
 
 def test_density_witness_rejects_stabilizing():
