@@ -49,8 +49,8 @@ MAX_DEPTH = 4
 # a JSON string; its closing quote is optional, so no match backtracks and the scan
 # of a line is linear
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
-_ONE_KIND = bytes.maketrans(b"{}", b"[]")
-_NOT_SKELETON = bytes(c for c in range(256) if c not in b'[]{}"')
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_BRACKET = bytes(c for c in range(256) if c not in b"[]{}")
 
 HENSON_CLAIM = "henson_conjugation"      # h^m f h^{2l} f^-1 h^-m  extends target
 OMEGA_CLAIM = "omega_conjugation"        # (h^m f) h (h^m f)^-1    extends target
@@ -74,15 +74,8 @@ def _depth_past_bound(text: str) -> int | None:
     with brackets left after that is walked bracket by bracket; it is too
     deep, or unbalanced, which ``json.loads`` then names.
     """
-    line = text.encode("utf-8", "surrogatepass")
-    if b"\\" in line:  # an escaped quote does not end a string
-        line = _STRING.sub(b"", line)
-    # brackets and quotes only: the brackets outside strings are those outside quote
-    # pairs, and when no string holds a bracket every pair reads '""'
-    skeleton = line.translate(_ONE_KIND, _NOT_SKELETON)
-    brackets = skeleton.replace(b'""', b"")
-    if b'"' in brackets:
-        brackets = b"".join(skeleton.split(b'"')[::2])
+    line = _STRING.sub(b"", text.encode("utf-8", "surrogatepass"))
+    brackets = line.translate(_BRACKETS, _NOT_BRACKET)
     left = brackets
     for _ in range(MAX_DEPTH):
         left = left.replace(b"[]", b"")

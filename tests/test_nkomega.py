@@ -420,15 +420,19 @@ def test_density_witness_small_ns():
 
 def test_h_grows_polynomially_in_the_target():
     """n = 3, |p| = 3, 6, 12, 24 with ``pair_comps`` cycling 1..3 (``Random(1000)``):
-    every certificate verifies, every h is admissible, and |h| grows at most 4x per
-    doubling of |p|.
+    every certificate verifies, every h is admissible, each word has at most 6
+    letters per target point, and |h| grows at most 8x per doubling of |p|.
 
-    Each target point walks the whole word, and each base step adds a bounded
-    number of letters, so |h| is about quadratic in |p| and the ratio nears 4
-    from below: |h| reads 65, 194, 668 and 2480, ratios 2.98, 3.44 and 3.71.
+    Without a partner a base step appends nu a^m b a with m <= ord(sq) <= 3 at
+    n = 3; here nu is empty, so a step adds at most 5 letters, and the sixth
+    per point covers the leading a and the index suffix.  The words read 3.67,
+    3.33, 3.17 and 3.08 letters per point (4.67 at most over ``Random(1..8)``
+    and ``Random(1000..1009)``).  Each target point walks the whole word, so
+    |h| is about quadratic in |p|: 65, 194, 668 and 2480, ratios 2.98, 3.44 and
+    3.71 (4.09 at most over those instances).  The 8x gate is cubic growth.
     With the paper's m > |lam nu| the word doubled with each point: the median
     |h| over 20 such instances read 178, 3004 and about 390,000 at |p| = 3, 6
-    and 12.
+    and 12, ratios 17 and 130.
     """
     sizes = []
     for size in (3, 6, 12, 24):
@@ -437,11 +441,13 @@ def test_h_grows_polynomially_in_the_target():
         ctx, q, p = nkomega_instance(f, rng, pair_comps=[1 + j % 3 for j in range(size)])
         cert = density_witness_nkomega(ctx, q, p)
         assert verify(cert).ok
+        for key in ("w1", "w2"):
+            assert len(parse_word(cert.data[key])) <= 6 * size, (size, cert.data[key])
         h = from_pairs(f.session, cert.map_pairs("h"))
         check_admissible(ctx, h)
         sizes.append(len(h))
     for small, large in zip(sizes, sizes[1:]):
-        assert large <= 4 * small, sizes
+        assert large <= 8 * small, sizes
 
 
 def test_campaign_certificates_verify_at_n_3_to_8():
