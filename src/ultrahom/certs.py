@@ -14,8 +14,10 @@ graph, partial-isomorphism, word and oracle layers.
 Schema 3 writes every map (q, p, h and the oracle's finite map) as the
 vertex lists of ``partial_iso.chain_lists`` and each transcript entry as
 its bare U, the witness ids being 0, 1, ... in order.  Schemas 1 and 2
-wrote maps as pairs and entries as (U, V, F, id) and (U, id); they are
-still read.
+wrote maps as pairs and entries as (U, V, F, id) and (U, id).  ``verify``
+lifts such a record once, after its shape check, into schema 3's form
+(``_lift``), so every clause reads one form; the parsed record itself is
+kept as written and round-trips byte for byte.
 
 A lazy-family record carries only what ``verify`` reads: the oracle
 pairs the product reads, and a transcript that keeps the edges among
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 
 from .errors import GraphError, internal_check
-from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession
+from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession, entry_sets
 from .oracles import OracleBase, oracle_from_description
 from .partial_iso import chain_lists, chain_pairs, validate
 from .words import FreeWord, Syllable, evaluate, parse_word, walk
@@ -182,29 +184,6 @@ class WitnessCertificate:
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise GraphError(f"malformed certificate: {type(e).__name__}: {e}") from None
 
-    def replay(self) -> GraphSession:
-        """The session the transcript replays; a fresh one for a component family.
-
-        Raises GraphError where the transcript does not replay.
-        """
-        if not self.family.is_lazy:
-            return GraphSession(self.family)
-        if self.schema in _ENTRY_ITEMS:
-            return GraphSession.replay(self.family, self.transcript)
-        return GraphSession.replay_sets(self.family, self.transcript)
-
-    def map_pairs(self, name: str) -> list:
-        """Map ``name`` (q, p or h) as pairs; raises IsoError on a schema-3 vertex repeat."""
-        lists = getattr(self, name)
-        return lists if self.schema in _ENTRY_ITEMS else chain_pairs(lists, name)
-
-    def oracle_pairs(self):
-        """The oracle's finite map as a schema-1 or -2 record holds it, as pairs; None for
-        schema 3, whose vertex lists ``oracle_from_description`` reads itself."""
-        if self.schema not in _ENTRY_ITEMS:
-            return None
-        return self.oracle.get("band_pairs" if self.oracle["kind"] == "nk_policy" else "pairs", ())
-
 
 class _ReadLog(OracleBase):
     """f as a walk reads it: every answered query of f is kept as a pair of f."""
@@ -317,29 +296,9 @@ def _pairs(seq) -> bool:
 
 
 def _entries(seq, items: int) -> bool:
-    """Transcript entries of ``items`` items: lists of integer vertices, then an integer id.
-
-    A transcript has an entry per witness, and most entries name a few
-    vertices, so the check runs as C-level passes over the columns of
-    the entries, not as a Python call per entry.  When a pass meets
-    anything but exact lists, tuples and ints, the entry-by-entry loop
-    gives the answer, so the result never depends on which path ran.
-    """
+    """Transcript entries of ``items`` items: lists of integer vertices, then an integer id."""
     if not isinstance(seq, (list, tuple)):
         return False
-    if not seq:  # every component-family transcript: skip the passes' fixed cost
-        return True
-    if set(map(type, seq)) <= {list, tuple} and set(map(len, seq)) <= {items}:
-        columns = list(zip(*seq))  # item i of every entry
-        parts = list(chain.from_iterable(columns[:-1]))
-        if set(map(type, columns[-1])) <= {int} and set(map(type, parts)) <= {list, tuple} \
-                and set(map(type, chain.from_iterable(parts))) <= {int}:
-            return True
-    return _entries_loop(seq, items)
-
-
-def _entries_loop(seq, items: int) -> bool:
-    """``_entries`` one entry at a time, for any sequence the C-level pass does not accept."""
     for entry in seq:
         if not isinstance(entry, (list, tuple)) or len(entry) != items \
                 or type(entry[-1]) is not int:
@@ -444,6 +403,37 @@ def shape_problem(cert: WitnessCertificate) -> str | None:
     return None
 
 
+def _pair_lists(pairs) -> list[list[int]]:
+    """An old record's pair map as ``chain_lists`` vertex lists; a repeated pair is one pair.
+    Pairs that give a point two images or two preimages are written one pair per list,
+    where ``chain_pairs`` names the point as a repeated vertex on ``inputs-validate``."""
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    for x, y in pairs:
+        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
+            return [[x, y] for x, y in pairs]
+    return chain_lists(fwd, bwd)
+
+
+def _lift(cert: WitnessCertificate) -> tuple[WitnessCertificate, list | None]:
+    """A well-shaped record in schema 3's form, and the product pairs an old record carries.
+
+    A schema-3 record is its own form; product pairs it carries go unread.  An older
+    one's maps become vertex lists, and its transcript the U of each entry, handed to
+    replay by ``entry_sets``, which checks ids and schema-1 fences as replay reaches them.
+    """
+    if cert.schema == SCHEMA_VERSION:
+        return cert, None
+    oracle = dict(cert.oracle)
+    for key, ok, _ in _ORACLE_KEYS.get(oracle["kind"], ()):
+        if ok is None and key in oracle:  # the oracle's finite map
+            oracle[key] = _pair_lists(oracle[key])
+    lifted = replace(cert, schema=SCHEMA_VERSION, transcript=entry_sets(cert.transcript),
+                     oracle=oracle, q=_pair_lists(cert.q), p=_pair_lists(cert.p),
+                     h=_pair_lists(cert.h))
+    return lifted, cert.data.get("product_pairs")
+
+
 def verify(cert: WitnessCertificate) -> VerificationReport:
     """Replay, rebuild, re-evaluate; no engine state is consulted."""
     clauses: list[tuple[str, bool, str]] = []
@@ -456,18 +446,20 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     if not record("certificate-shape", problem is None, problem or ""):
         return VerificationReport(False, clauses)
 
+    cert, product_pairs = _lift(cert)
     try:
-        session = cert.replay()
+        session = GraphSession.replay_sets(cert.family, cert.transcript) \
+            if cert.family.is_lazy else GraphSession(cert.family)
         record("transcript-replay", True)
     except GraphError as e:
         record("transcript-replay", False, str(e))
         return VerificationReport(False, clauses)
 
     try:
-        q = validate(session, cert.map_pairs("q"))
-        p = validate(session, cert.map_pairs("p"))
-        h = validate(session, cert.map_pairs("h"))
-        f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
+        q = validate(session, chain_pairs(cert.q, "q"))
+        p = validate(session, chain_pairs(cert.p, "p"))
+        h = validate(session, chain_pairs(cert.h, "h"))
+        f = oracle_from_description(session, cert.oracle)
         word = claim_word(cert.claim, cert.data)
         record("inputs-validate", True)
     except ValueError as e:  # GraphError, IsoError, or a word that does not parse
@@ -477,20 +469,19 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     extends = h.extends(q)
     record("h-extends-q", extends, "" if extends else "h does not extend q")
 
-    # h's components, one list each: a chain, or a cycle closed by its first vertex
-    h_lists = h.chain_lists() if cert.schema in _ENTRY_ITEMS else cert.h
+    # cert.h lists h's components: chains, and cycles closed by their first vertex
     if cert.claim == HENSON_CLAIM:
-        record("h-cycle-free", all(vs[0] != vs[-1] for vs in h_lists))
+        record("h-cycle-free", all(vs[0] != vs[-1] for vs in cert.h))
         dom_p, ran_p = p.dom(), p.ran()
         separated = not (dom_p & ran_p) and session.first_edge(dom_p, ran_p) is None
         record("target-separated", separated, "" if separated else "target class violated")
     elif cert.claim == OMEGA_CLAIM:
         sigma = cert.data.get("sigma", [])
-        chains = sum(vs[0] != vs[-1] for vs in h_lists)
-        record("h-component-count", chains == len(sigma) == len(h_lists),
+        chains = sum(vs[0] != vs[-1] for vs in cert.h)
+        record("h-component-count", chains == len(sigma) == len(cert.h),
                f"{chains} chains for |sigma|={len(sigma)}")
         reps = set(sigma)
-        profile = {vs[0]: len(reps.intersection(vs)) for vs in h_lists}
+        profile = {vs[0]: len(reps.intersection(vs)) for vs in cert.h}
         one_each = all(k == 1 for k in profile.values())
         record("h-orbit-reps", one_each, "" if one_each else str(profile))
         imap = p.index_map()
@@ -511,9 +502,8 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
            "" if bad is None else f"at {bad[0]}: expected {bad[1]}, got {bad[2]}")
 
     # schema 3 writes no product pairs: the product is re-derived above
-    if cert.claim == NKOMEGA_CLAIM and cert.schema in _ENTRY_ITEMS \
-            and "product_pairs" in cert.data:
-        same = list(evaluate(word, h, f).pairs()) == sorted(map(tuple, cert.data["product_pairs"]))
+    if cert.claim == NKOMEGA_CLAIM and product_pairs is not None:
+        same = list(evaluate(word, h, f).pairs()) == sorted(map(tuple, product_pairs))
         record("product-pair-sets-match", same, "" if same else "pair sets differ")
 
     ok = all(c[1] for c in clauses)

@@ -12,7 +12,7 @@ import sys
 
 from .campaigns import FAMILIES, campaign, run_trial, write_certs
 from .certs import WitnessCertificate, verify
-from .errors import GraphError, HypothesisError, InternalCheckError, IsoError
+from .errors import GraphError, InternalCheckError
 from .graphs import GraphKind, GraphSession
 from .nkomega import StabVerdict, classify_stabilizing, piccard_partner
 from .omega_kn import SigmaPlacement, feasible_partition
@@ -26,11 +26,9 @@ VERIFY_ERROR = 1
 
 def _session_for(family: str, n: int | None, transcript_path: str | None) -> GraphSession:
     kind = _kind_for(family, n)
-    if kind.is_lazy:
-        if transcript_path:
-            with open(transcript_path) as fh:
-                return GraphSession.replay_text(kind, fh.read())
-        return GraphSession(kind)
+    if kind.is_lazy and transcript_path:
+        with open(transcript_path) as fh:
+            return GraphSession.replay_text(kind, fh.read())
     return GraphSession(kind)
 
 
@@ -78,6 +76,8 @@ def cmd_oracle(args) -> int:
             print(text)
         return 0
 
+    if args.state is None or args.vertex is None:
+        raise ValueError("oracle query needs --state and --vertex")
     with open(args.state) as fh:
         state = json.load(fh)
     kind = GraphKind.from_dict(state["family"])
@@ -155,8 +155,11 @@ def cmd_sigma_feasible(args) -> int:
 
 
 def cmd_classify_stab(args) -> int:
-    desc = json.loads(args.policy if args.policy.strip().startswith("{")
-                      else open(args.policy).read())
+    text = args.policy
+    if not text.strip().startswith("{"):
+        with open(text) as fh:
+            text = fh.read()
+    desc = json.loads(text)
     session = GraphSession(GraphKind.nk_omega(len(desc["sigma"])))
     f = oracle_from_description(session, desc)
     verdict: StabVerdict = classify_stabilizing(f, args.bound)
@@ -278,14 +281,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (GraphError, IsoError, HypothesisError) as e:
+    except (ValueError, FileNotFoundError) as e:  # GraphError, IsoError and HypothesisError too
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except InternalCheckError as e:
         print(f"internal check failed: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import GraphError
 
@@ -348,10 +348,10 @@ class GraphSession:
         The new w has N(w) = U within the realized session, so it misses
         every other realized vertex; engines pass U only.  For the K_n-free
         family U must not contain a (n-1)-clique.  The fences V and
-        forbidden, kept for schema-1 replay and positional callers, are
-        built and checked (disjoint from U, every vertex known) only when
-        given, and never recorded: the transcript entry is (sorted U, w),
-        all that fixes the graph.  U is sorted once, and the clique test
+        forbidden, kept for positional callers, are checked (disjoint from
+        U, every vertex known) only when given, and never recorded: the
+        transcript entry is (sorted U, w), all that fixes the graph.
+        U is sorted once, and the clique test
         runs once on that list, reading neighbour sets directly: for n = 3
         it is one disjointness test per vertex of U, since a 2-clique is
         an edge.
@@ -360,16 +360,10 @@ class GraphSession:
             raise GraphError("witnesses exist only for the random / K_n-free families")
         members = set(U)
         adj = self._adj
-        known = adj.keys()
         if V or forbidden:
-            fences = set(V), set(forbidden)
-            if members & fences[0]:
-                raise GraphError(f"U and V overlap: {sorted(members & fences[0])}")
-            for part in (members, *fences):
-                if not known >= part:
-                    raise GraphError(f"unknown vertex {min(part - known)}")
-        elif not known >= members:
-            raise GraphError(f"unknown vertex {min(members - known)}")
+            _check_fences(members, V, forbidden, adj.keys())
+        elif not adj.keys() >= members:
+            raise GraphError(f"unknown vertex {min(members - adj.keys())}")
         verts = sorted(members)
         clique = self._forbidden_clique
         if clique and len(verts) >= clique and not self._clique_free(verts, members, clique):
@@ -397,27 +391,10 @@ class GraphSession:
 
     @staticmethod
     def replay(kind: GraphKind,
-               entries: Sequence[Sequence[Sequence[int] | int]]) -> "GraphSession":
-        """Rebuild a session from transcript entries, checking resulting ids.
-
-        An entry is (U, id), or (U, V, F, id) as schema-1 certificates
-        wrote it; the fences V and F of the latter are checked as they
-        were at the call, though they do not change the graph.
-        """
-        s = GraphSession(kind)
-        for entry in entries:
-            if len(entry) == 2:
-                U, w = entry
-                got = s.alice_witness(U)
-            elif len(entry) == 4:
-                U, V, F, w = entry
-                got = s.alice_witness(U, V, F)
-            else:
-                raise GraphError(f"transcript entry of {len(entry)} items;"
-                                 " expected (U, id) or (U, V, F, id)")
-            if got != w:
-                raise GraphError(f"transcript replay diverged: expected id {w}, got {got}")
-        return s
+               entries: Iterable[Sequence[Sequence[int] | int]]) -> "GraphSession":
+        """Rebuild a session from (U, id) or (U, V, F, id) transcript entries, each
+        checked as ``entry_sets`` hands its U to ``replay_sets``."""
+        return GraphSession.replay_sets(kind, entry_sets(entries))
 
     @staticmethod
     def replay_sets(kind: GraphKind, sets: Iterable[Iterable[int]]) -> "GraphSession":
@@ -458,3 +435,35 @@ class GraphSession:
     def __repr__(self) -> str:
         size = len(self._adj) if self.kind.is_lazy else "closed-form"
         return f"GraphSession({self.kind.tag}, n={self.kind.n}, realized={size})"
+
+
+def _check_fences(members: set[int], V, F, known: AbstractSet[int]) -> None:
+    """Raise GraphError where a witness call's fences fail: V meets U, or a vertex of U,
+    V or F is not ``known``, one of the vertices made so far."""
+    fences = set(V), set(F)
+    if members & fences[0]:
+        raise GraphError(f"U and V overlap: {sorted(members & fences[0])}")
+    for part in (members, *fences):
+        if not known >= part:
+            raise GraphError(f"unknown vertex {min(part - known)}")
+
+
+def entry_sets(entries: Iterable[Sequence[Sequence[int] | int]]) -> Iterator[Sequence[int]]:
+    """The U of each (U, id) or schema-1 (U, V, F, id) entry, for ``GraphSession.replay_sets``.
+    Entry w must state id w.  V and F are checked before U is handed over and the id after
+    the call has made vertex w: the order a fenced ``alice_witness`` and an id check met them."""
+    made: set[int] = set()
+    for w, entry in enumerate(entries):
+        if len(entry) == 2:
+            U, stated = entry
+        elif len(entry) == 4:
+            U, V, F, stated = entry
+            if V or F:
+                _check_fences(set(U), V, F, made)
+        else:
+            raise GraphError(f"transcript entry of {len(entry)} items;"
+                             " expected (U, id) or (U, V, F, id)")
+        yield U
+        if stated != w:
+            raise GraphError(f"transcript replay diverged: expected id {stated}, got {w}")
+        made.add(w)

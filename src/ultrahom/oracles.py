@@ -404,24 +404,20 @@ class NKOracle(OracleBase):
         }
 
 
-def oracle_from_description(session: GraphSession, desc: dict, pairs=None) -> OracleBase:
+def oracle_from_description(session: GraphSession, desc: dict) -> OracleBase:
     """Rebuild the oracle a certificate describes; lazy caches become frozen maps.
 
     A description holds its finite map (``pairs``, or the ``band_pairs``
     of an ``nk_policy``) as the vertex lists ``description`` writes.
-    ``pairs`` gives that map as pairs instead, the way schema-1 and
-    schema-2 certificates wrote it.
     """
     kind = desc.get("kind")
     if kind in ("lazy_fresh", "frozen"):
-        return FrozenOracle(session, chain_pairs(desc["pairs"], "the oracle")
-                            if pairs is None else pairs)
+        return FrozenOracle(session, chain_pairs(desc["pairs"], "the oracle"))
     if kind == "omega_shift":
         return OmegaShiftOracle(session, desc["step"], desc.get("pos_perm"))
     if kind == "nk_policy":
         return NKOracle(session, IndexPerm(tuple(desc["sigma"])),
                         desc.get("band_rows", 0),
-                        chain_pairs(desc.get("band_pairs", ()), "the oracle")
-                        if pairs is None else pairs,
+                        chain_pairs(desc.get("band_pairs", ()), "the oracle"),
                         desc.get("fixed_tail", ()))
     raise GraphError(f"unknown oracle description kind {kind!r}")

@@ -42,6 +42,8 @@ class IndexPerm:
         img = list(range(1, n + 1))
         for cyc in cycles:
             for i, a in enumerate(cyc):
+                if not 1 <= a <= n:
+                    raise GraphError(f"point {a} of cycle {tuple(cyc)} outside 1..{n}")
                 img[a - 1] = cyc[(i + 1) % len(cyc)]
         return IndexPerm(tuple(img))
 

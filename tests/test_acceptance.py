@@ -19,7 +19,7 @@ from ultrahom.henson import SeparatedIso, build_conjugator, one_point_extend
 from ultrahom.nkomega import build_covering_word, piccard_partner
 from ultrahom.omega_kn import SigmaPlacement, feasible_partition
 from ultrahom.oracles import FrozenOracle, oracle_from_description
-from ultrahom.partial_iso import IsoBuilder, empty, from_pairs, power
+from ultrahom.partial_iso import IsoBuilder, chain_pairs, empty, from_pairs, power
 from ultrahom.perms import IndexPerm, all_perms, generates_symmetric
 from ultrahom.words import check_word_condition, evaluate, reduce_word
 
@@ -97,7 +97,7 @@ def test_criterion_3_henson_kn_freeness():
         assert s.kn_free_check(s.realized(), 3)
         checked += 1
     for cert in certs:
-        replayed = cert.replay()
+        replayed = GraphSession.replay_sets(cert.family, cert.transcript)
         assert replayed.kn_free_check(replayed.realized(), 3)
         checked += 1
     report(3, True, f"K_3-freeness exhaustive over realized triples in {checked} sessions")
@@ -130,7 +130,7 @@ def test_criterion_5_omega_density_witness():
         if rep.ok:
             hits += 1
         session = GraphSession(cert.family)
-        h = from_pairs(session, cert.map_pairs("h"))
+        h = from_pairs(session, chain_pairs(cert.h))
         comps = h.components()
         if not any(c.complete for c in comps.components) \
                 and len(comps.components) == len(cert.data["sigma"]):
@@ -196,7 +196,7 @@ def test_criterion_8_nkomega_density_witness():
         if rep.ok:
             hits += 1
         session = GraphSession(cert.family)
-        h, p = (from_pairs(session, cert.map_pairs(name)) for name in ("h", "p"))
+        h, p = (from_pairs(session, chain_pairs(lists)) for lists in (cert.h, cert.p))
         f = oracle_from_description(session, cert.oracle)
         if evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f).extends(p):
             pair_matches += 1

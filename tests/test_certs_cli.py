@@ -15,7 +15,7 @@ from ultrahom.cli import main
 from ultrahom.errors import InternalCheckError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import oracle_from_description
-from ultrahom.partial_iso import compose, power, validate
+from ultrahom.partial_iso import chain_pairs, compose, power, validate
 from ultrahom.perms import IndexPerm
 from ultrahom.words import evaluate, parse_word
 
@@ -115,9 +115,9 @@ def test_certify_asks_h_extends_q_then_the_product_for_every_claim(monkeypatch):
         assert asked == ["h-extends-q", "product-extends-target"], family
         monkeypatch.setattr(certs, "internal_check", real)
 
-        session = cert.replay()
-        q, p, h = (validate(session, cert.map_pairs(name)) for name in ("q", "p", "h"))
-        f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
+        session = GraphSession.replay_sets(cert.family, cert.transcript)
+        q, p, h = (validate(session, chain_pairs(lists)) for lists in (cert.q, cert.p, cert.h))
+        f = oracle_from_description(session, cert.oracle)
         assert certify(cert.claim, f, q, p, h, cert.data).h == cert.h
         dropped = q.pairs()[0]
         short = validate(session, [pair for pair in h.pairs() if pair != dropped])
@@ -128,8 +128,8 @@ def test_certify_asks_h_extends_q_then_the_product_for_every_claim(monkeypatch):
 def _old_nkomega_product(cert):
     """w1(h) * h^k * w2(h)^-1 built from its three factors, and evaluate(claim_word)."""
     session = GraphSession(cert.family)
-    h = validate(session, cert.map_pairs("h"))
-    f = oracle_from_description(session, cert.oracle, cert.oracle_pairs())
+    h = validate(session, chain_pairs(cert.h))
+    f = oracle_from_description(session, cert.oracle)
     w1, w2, k = parse_word(cert.data["w1"]), parse_word(cert.data["w2"]), cert.data["k"]
     old = compose(evaluate(w1, h, f), power(h, k), power(evaluate(w2, h, f), -1))
     return old, evaluate(claim_word(NKOMEGA_CLAIM, cert.data), h, f), session
@@ -142,14 +142,14 @@ def test_nkomega_claim_word_realizes_the_old_product_on_the_golden_set():
             cert = run_trial("nkomega", n, 1, index)
             old, product, session = _old_nkomega_product(cert)
             assert product == old
-            assert old.extends(validate(session, cert.map_pairs("p")))
+            assert old.extends(validate(session, chain_pairs(cert.p)))
     # a schema-2 record carries the engine's product pairs
     line = (Path(__file__).parent / "data" / "certs_v2.jsonl").read_text().splitlines()[3]
-    cert = WitnessCertificate.from_json(line)
+    cert, product_pairs = certs._lift(WitnessCertificate.from_json(line))
     assert cert.claim == NKOMEGA_CLAIM
     old, product, _ = _old_nkomega_product(cert)
     assert product == old
-    assert old.pairs() == tuple(sorted(map(tuple, cert.data["product_pairs"])))
+    assert old.pairs() == tuple(sorted(map(tuple, product_pairs)))
 
 
 def test_brute_force_word_eval_basics():
@@ -260,10 +260,22 @@ def test_depth_scan_matches_a_character_walk():
 
 
 def test_cli_usage_errors(capsys):
-    assert main(["piccard", "--n", "9", "--perm", "(1 2)"]) == 2
-    assert main(["verify", "/nonexistent/file.jsonl"]) == 2
-    assert main(["iso", "validate", "--family", "nkomega", "--n", "2",
-                 "--pairs", "[[0, 2], [0, 4]]"]) == 2
+    """Each malformed argument exits 2 with one error line, never a traceback."""
+    for argv in (["piccard", "--n", "9", "--perm", "(1 2)"],
+                 ["piccard", "--n", "3", "--perm", "(1 9)"],
+                 ["piccard", "--n", "3", "--perm", "(0 1)"],
+                 ["piccard", "--n", "3", "--perm", "(1 x)"],
+                 ["verify", "/nonexistent/file.jsonl"],
+                 ["iso", "validate", "--family", "nkomega", "--n", "2",
+                  "--pairs", "[[0, 2], [0, 4]]"],
+                 ["iso", "validate", "--pairs", "[[0,1"],
+                 ["iso", "validate", "--pairs", "[[0,1,2]]"],
+                 ["classify-stab", "--policy", '{"kind":"nk_policy"'],
+                 ["oracle", "query", "--vertex", "0"],
+                 ["oracle", "query", "--state", "/dev/null", "--vertex", "0"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_iso_commands(capsys):

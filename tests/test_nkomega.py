@@ -360,7 +360,7 @@ def test_each_build_opens_one_builder_and_asks_each_check_once(monkeypatch):
         opened.clear(), admitted.clear(), conditions.clear()
         cert = density_witness_nkomega(ctx, q, p)
         assert len(opened) == 1 and len(admitted) == 2 and admitted[0] is q
-        assert sorted(admitted[1].pairs()) == sorted(map(tuple, cert.map_pairs("h")))
+        assert sorted(admitted[1].pairs()) == sorted(chain_pairs(cert.h))
         assert len(conditions) == 2 * (1 + len(p.iso)) == len(set(conditions))
         assert verify(cert).ok
 
@@ -443,7 +443,7 @@ def test_h_grows_polynomially_in_the_target():
         assert verify(cert).ok
         for key in ("w1", "w2"):
             assert len(parse_word(cert.data[key])) <= 6 * size, (size, cert.data[key])
-        h = from_pairs(f.session, cert.map_pairs("h"))
+        h = from_pairs(f.session, chain_pairs(cert.h))
         check_admissible(ctx, h)
         sizes.append(len(h))
     for small, large in zip(sizes, sizes[1:]):

@@ -13,7 +13,7 @@ from ultrahom.omega_kn import (OrbitPartition, SigmaPlacement, WholeComponentIso
                                _index_chains, _index_cycles, build_from_partition,
                                density_witness_omega, feasible_partition, in_orbit_rep_class)
 from ultrahom.oracles import OmegaShiftOracle
-from ultrahom.partial_iso import IsoBuilder, from_pairs, orbit_rep_profile, power
+from ultrahom.partial_iso import IsoBuilder, chain_pairs, from_pairs, orbit_rep_profile, power
 
 
 def comp_bijection(s, a, b):
@@ -331,7 +331,7 @@ def test_chained_witnesses_verify_and_build_linearly_in_q():
         assert cert.q == q.chain_lists()
         sizes.append(len(q))
         counts.append(calls)
-        q = from_pairs(s, cert.map_pairs("h"))
+        q = from_pairs(s, chain_pairs(cert.h))
     assert sizes[-1] == 2268
     for i in range(len(sizes) - 1):
         if sizes[i] >= 250:

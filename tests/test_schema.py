@@ -24,7 +24,7 @@ import pytest
 
 from conftest import CountingDict, brute_components
 from perfbench.workloads import henson_wide_instance, stream
-from ultrahom import oracles, partial_iso
+from ultrahom import certs, oracles, partial_iso
 from ultrahom.campaigns import run_trial
 from ultrahom.certs import HENSON_CLAIM, SCHEMA_VERSION, WitnessCertificate, certify, verify
 from ultrahom.graphs import GraphKind, GraphSession
@@ -106,7 +106,8 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
     engine takes the smallest admissible a-run exponent, so their certificates
     changed on purpose: such a record re-encoded is a schema-3 certificate
     that round-trips and verifies with the same clauses, and today's trial
-    keeps its q and p and grows a smaller h.
+    keeps its q and p and grows a smaller h.  The form ``verify`` lifts each
+    schema-2 record into is the re-encoding, field for field.
     """
     assert SCHEMA_VERSION == 3
     for v1, v2 in zip(_v1_lines(), _v2_lines()):
@@ -123,6 +124,10 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
         for key in ("pairs", "band_pairs"):
             if key in doc["oracle"]:
                 doc["oracle"][key] = _reference_lists(doc["oracle"][key])
+        lifted, _ = certs._lift(WitnessCertificate.from_json(line))
+        assert list(lifted.transcript) == doc["transcript"]
+        assert (lifted.q, lifted.p, lifted.h, lifted.oracle) == \
+            (doc["q"], doc["p"], doc["h"], doc["oracle"])
         doc["data"].pop("product_pairs", None)
         doc["data"].pop("exponents", None)
         reencoded = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -136,7 +141,7 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
         assert report.ok, str(report)
         assert [name for name, _, _ in report.clauses] == MOVED_CLAUSES[family]
         assert (new.q, new.p) == (doc["q"], doc["p"]), index
-        assert len(new.map_pairs("h")) < len(cert.map_pairs("h")), index
+        assert len(chain_pairs(new.h)) < len(chain_pairs(cert.h)), index
 
 
 def test_schema_1_fence_faults_are_still_rejected_on_replay():
@@ -209,6 +214,42 @@ def test_v2_replay_faults_are_rejected_on_replay():
     assert [name for name, _ in _failing(doc)] == ["transcript-replay"]
 
 
+def test_old_map_faults_are_rejected_on_the_inputs():
+    """A pair map of schema 1 or 2 that gives a point two images, or two preimages,
+    is rejected on inputs-validate; a repeated identical pair is one pair."""
+    doc = _v2_henson()
+    (x, y), = doc["q"]
+    doc["q"].append([x, next(v for v in range(len(doc["transcript"])) if v != y)])
+    assert [name for name, _ in _failing(doc)] == ["inputs-validate"]
+
+    doc = json.loads(_v1_lines()[0])
+    pairs = doc["oracle"]["pairs"]
+    dom = {u for u, _ in pairs}
+    pairs.append([next(v for v in range(len(doc["transcript"])) if v not in dom), pairs[0][1]])
+    assert [name for name, _ in _failing(doc)] == ["inputs-validate"]
+
+    doc = _v2_henson()
+    doc["h"].insert(3, doc["h"][0])
+    report = verify(WitnessCertificate.from_json(json.dumps(doc)))
+    assert report.ok, str(report)
+    assert [name for name, _, _ in report.clauses] == HENSON_CLAUSES
+
+
+def test_product_pairs_are_read_only_on_old_records():
+    """A schema-1 n K_omega record whose product pairs differ from the product fails
+    product-pair-sets-match; a schema-3 record's product pairs are not read."""
+    doc = json.loads(_v1_lines()[3])
+    x, y = doc["data"]["product_pairs"][0]
+    doc["data"]["product_pairs"][0] = [x, y + 1]
+    assert _failing(doc) == [("product-pair-sets-match", "pair sets differ")]
+
+    doc = json.loads(run_trial("nkomega", 3, 1, 0).to_json())
+    doc["data"]["product_pairs"] = [[0, 1]]
+    report = verify(WitnessCertificate.from_json(json.dumps(doc)))
+    assert report.ok, str(report)
+    assert [name for name, _, _ in report.clauses] == INDEX_FIXING_CLAUSES
+
+
 def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     """On K_4-free graphs U may hold edges but no triangle: the clique search beyond one edge.
 
@@ -218,7 +259,7 @@ def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     cert = WitnessCertificate.from_json(line)
     assert cert.family == GraphKind.henson(4)
     doc = json.loads(line)
-    adj = cert.replay()._adj
+    adj = GraphSession.replay_sets(cert.family, cert.transcript)._adj
     # the first entry with a triangle among the vertices before it (entry w makes
     # vertex w); edges never change
     w, tri = next((w, C) for w in range(len(doc["transcript"]))
@@ -296,7 +337,7 @@ def test_slim_record_keeps_the_induced_subgraph_on_the_kept_vertices():
         assert len(reads) == 2 * len(p)
         kept = {v for name in ("q", "p", "h") for vs in getattr(cert, name) for v in vs}
         kept |= {v for pair in reads for v in pair}
-        slim = cert.replay()
+        slim = GraphSession.replay_sets(cert.family, cert.transcript)
         assert slim.realized() == list(range(max(kept) + 1))
         for u, w in combinations(sorted(kept), 2):
             assert slim.adjacent(u, w) == full.adjacent(u, w), (u, w)
@@ -395,8 +436,8 @@ def test_verify_cost_of_a_b_power_does_not_grow_with_the_exponent(monkeypatch):
         iso = real_validate(session, pairs)
         return PartialIso(session, CountingDict(iso._fwd), CountingDict(iso._bwd))
 
-    def counting_oracle(session, desc, pairs=None):
-        f = real_oracle(session, desc, pairs)
+    def counting_oracle(session, desc):
+        f = real_oracle(session, desc)
         for name, value in list(vars(f).items()):
             if type(value) is dict:
                 setattr(f, name, CountingDict(value))
@@ -650,39 +691,15 @@ def test_whole_component_target_check_reads_dom_and_ran_once(monkeypatch):
 
 
 class _Pair(tuple):
-    """A tuple subclass: the entry loop accepts it, the C-level passes hand it to the loop."""
-
-
-def _ints_loop(seq):
-    if not isinstance(seq, (list, tuple)):
-        return False
-    for v in seq:
-        if type(v) is not int:
-            return False
-    return True
-
-
-def _entries_loop(seq, items):
-    """Reference: the transcript shape check one entry at a time."""
-    if not isinstance(seq, (list, tuple)):
-        return False
-    for entry in seq:
-        if not isinstance(entry, (list, tuple)) or len(entry) != items \
-                or type(entry[-1]) is not int:
-            return False
-        for part in entry[:-1]:
-            if not _ints_loop(part):
-                return False
-    return True
+    """A tuple subclass, which the shape check accepts as a tuple."""
 
 
 def _hostile(rng, value):
     """value, or with some chance one hostile stand-in for it."""
     if rng.random() < 0.85:
         return value
-    return rng.choice([True, 1.0, "1", None, {1: 2}, {1, 2}, [], [[1, 2]], (1,), (1, 2, 3),
-                       _Pair((1, 2)), _Pair(value) if isinstance(value, (list, tuple)) else 3,
-                       [value], (value,), 2 ** 70, -1])
+    return rng.choice(HOSTILE_VALUES + [_Pair(value) if isinstance(value, (list, tuple)) else 3,
+                                        [value], (value,)])
 
 
 def _hostile_entries(rng, items):
@@ -695,38 +712,65 @@ def _hostile_entries(rng, items):
     return rng.choice([seq, seq, seq, tuple(seq), _Pair(seq), {0: seq}, "seq", None])
 
 
-def test_transcript_shape_pass_matches_the_loop_on_hostile_shapes(monkeypatch):
-    """Bools, floats, big and nested values, tuple subclasses, wrong arity, non-list entries."""
-    from ultrahom import certs
-    rng = random.Random(3)
-    outcomes = set()
-    for _ in range(4000):
-        for items in (2, 4):
-            seq = _hostile_entries(rng, items)
-            got = certs._entries(seq, items)
-            assert got == _entries_loop(seq, items), (seq, items)
-            # wrong arity: entries of one schema read as the other's
-            assert certs._entries(seq, 6 - items) == _entries_loop(seq, 6 - items), seq
-            outcomes.add(got)
-    assert outcomes == {True, False}
+HOSTILE_VALUES = [True, 1.0, "1", None, {1: 2}, {1, 2}, [], [[1, 2]], (1,), (1, 2, 3),
+                  _Pair((1, 2)), 2 ** 70, -1]
 
-    # the certificate-shape notes are the loop's, on real transcripts made hostile
-    docs = [json.loads(line) for line in _v2_lines()[:3]]  # schema 2: (U, id)
-    docs += [json.loads(line) for line in _v1_lines()[:3]]  # schema 1: (U, V, F, id)
+
+def _shape_rejected(cert) -> str:
+    """The shape note of a record verify rejects on certificate-shape alone."""
+    note = certs.shape_problem(cert)
+    assert note is not None, cert.transcript
+    report = verify(cert)
+    assert [c for c in report.clauses if not c[1]] == [("certificate-shape", False, note)]
+    return note
+
+
+def test_hostile_transcript_shapes_are_rejected_on_the_shape():
+    """Bools, floats, big and nested values, tuple subclasses, wrong arity, non-list
+    entries in schema-1 and schema-2 transcripts: the shape check names each fault
+    without raising, and verify rejects it on certificate-shape alone.  A hostile
+    transcript the shape admits gets a report, never an exception."""
+    docs = {1: [json.loads(line) for line in _v1_lines()[:3]],  # (U, V, F, id)
+            2: [json.loads(line) for line in _v2_lines()[:3]]}  # (U, id)
+
+    def cert_with(schema, transcript):
+        cert = WitnessCertificate.from_json(json.dumps(docs[schema][0]))
+        cert.transcript = transcript
+        return cert
+
+    # each stand-in in place of a whole entry, of its U, or of its id is a shape fault
+    for schema, (U, *rest) in ((1, docs[1][0]["transcript"][5]), (2, docs[2][0]["transcript"][5])):
+        scalars = (True, 1.0, "1", None, {1: 2}, {1, 2})
+        for bad in scalars + ((1,), [[1, 2]], (1, 2, 3)):
+            _shape_rejected(cert_with(schema, [bad]))
+        for bad in scalars + ([[1, 2]], [True], [1.0], ["1"], [None], [2 ** 70, (1,)]):
+            _shape_rejected(cert_with(schema, [[bad, *rest]]))
+        for bad in scalars + ((1,), [[1, 2]]):
+            _shape_rejected(cert_with(schema, [[U, *rest[:-1], bad]]))
+        for seq in ({0: [[U, *rest]]}, "seq", None):
+            _shape_rejected(cert_with(schema, seq))
+    # entries of one schema read as the other's
+    _shape_rejected(cert_with(1, docs[2][0]["transcript"]))
+    _shape_rejected(cert_with(2, docs[1][0]["transcript"]))
+
+    rng = random.Random(3)
     notes = set()
     for _ in range(400):
-        cert = WitnessCertificate.from_json(json.dumps(rng.choice(docs)))
-        entries = list(cert.transcript)
-        if entries:
+        schema = rng.choice((1, 2))
+        cert = WitnessCertificate.from_json(json.dumps(rng.choice(docs[schema])))
+        if rng.random() < 0.5:
+            entries = list(cert.transcript)
             i = rng.randrange(len(entries))
             j = rng.randrange(len(entries[i]))
             entries[i] = _hostile(rng, (*entries[i][:j], _hostile(rng, entries[i][j]),
                                         *entries[i][j + 1:]))
-        cert.transcript = rng.choice([entries, tuple(entries)])
-        fast = certs.shape_problem(cert)
-        monkeypatch.setattr(certs, "_entries", _entries_loop)
-        assert certs.shape_problem(cert) == fast, cert.transcript
-        monkeypatch.undo()
-        notes.add(fast)
+            cert.transcript = rng.choice([entries, tuple(entries)])
+        else:
+            cert.transcript = _hostile_entries(rng, rng.choice((2, 4)))
+        note = certs.shape_problem(cert)
+        if note is None:
+            assert verify(cert).clauses[0] == ("certificate-shape", True, "")
+        else:
+            assert _shape_rejected(cert) == note
+        notes.add(note)
     assert None in notes and len(notes) >= 3, notes
-
