@@ -11,21 +11,28 @@ claimed product pointwise and confirms it extends the target.  This
 module must never import the engine modules; it relies only on the
 graph, partial-isomorphism, word and oracle layers.
 
-Schema 3 writes every map (q, p, h and the oracle's finite map) as the
-vertex lists of ``partial_iso.chain_lists`` and each transcript entry as
-its bare U, the witness ids being 0, 1, ... in order.  Schemas 1 and 2
-wrote maps as pairs and entries as (U, V, F, id) and (U, id).  ``verify``
-lifts such a record once, after its shape check, into schema 3's form
-(``_lift``), so every clause reads one form; the parsed record itself is
-kept as written and round-trips byte for byte.
+Schemas 3 and 4 write every map (q, p, h and the oracle's finite map)
+as the vertex lists of ``partial_iso.chain_lists``.  A schema-4
+transcript lists only the vertices it keeps, each as the flat entry
+``[gap, *U]``: gap is the vertex id less the last listed id less 1 (for
+the first entry, the id itself).  Schema 3 wrote each entry as its bare
+U, the witness ids being 0, 1, ... in order.  Schemas 1 and 2 wrote maps
+as pairs and entries as (U, V, F, id) and (U, id).  ``verify`` lifts a
+record once, after its shape check, into one form (``_lift``): vertex
+lists, and a transcript of (id, U) with strictly rising ids.  So every
+clause reads one form; the parsed record itself is kept as written and
+round-trips byte for byte.
 
 A lazy-family record carries only what ``verify`` reads: the oracle
 pairs the product reads, and a transcript that keeps the edges among
-the vertices of q, p, h and those pairs and writes every other vertex
-as an isolated ``[]`` placeholder.  The product reads f only there, and
-the induced subgraph on the kept vertices is the session's, so every
-clause answers as it would on the whole record.  Records written whole,
-before this cut, verify unchanged.
+the vertices of q, p, h and those pairs and lists no other vertex.  The
+product reads f only there, and the induced subgraph on the kept
+vertices is the session's, so every clause answers as it would on the
+whole record.  Schema-3 records wrote every other vertex up to the last
+kept one as an isolated ``[]`` placeholder; they, and records written
+whole before that cut, verify unchanged.  A component-family record has
+an empty transcript, alike in both forms, and is still written as
+schema 3.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
+from typing import Iterator
 
 from .errors import GraphError, internal_check
 from .graphs import HENSON, NK_OMEGA, OMEGA_KN, RANDOM, GraphKind, GraphSession, entry_sets
@@ -41,12 +49,11 @@ from .oracles import OracleBase, oracle_from_description
 from .partial_iso import chain_lists, chain_pairs, validate
 from .words import FreeWord, Syllable, evaluate, parse_word, walk
 
-SCHEMA_VERSION = 3
-SCHEMAS = (1, 2, 3)
-# items per transcript entry of the pair-map schemas: (U, V, F, id) in 1, (U, id) in 2
-_ENTRY_ITEMS = {1: 4, 2: 2}
+SCHEMA_VERSION = 4  # lazy-family records; component-family records are written as schema 3
+SCHEMAS = (1, 2, 3, 4)
 # deepest nesting of a record, the record itself counting 1: record -> transcript ->
-# entry -> U in schemas 1 and 2, record -> oracle -> pairs -> pair in all three
+# entry -> U in schemas 1 and 2, record -> oracle -> pairs -> vertex list in all four.
+# A schema-3 or -4 transcript nests 3 deep: record -> transcript -> U or [gap, *U]
 MAX_DEPTH = 4
 # a JSON string; its closing quote is optional, so no match backtracks and the scan
 # of a line is linear
@@ -216,15 +223,15 @@ def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
     pairs.  The transcript and the oracle are read only after that: a
     lazy f's misses in the product check realize vertices.
 
-    A component session's transcript is empty and its oracle is
-    ``f.description()``.  A lazy session's record is cut to what
-    ``verify`` reads.  Its oracle is the f_read pairs the product check
-    read from f.  The kept vertices are supp(h) ∪ supp(p) ∪ supp(f_read),
-    which holds supp(q) since h extends q.  The transcript ends at the
-    last kept vertex: each kept vertex keeps U ∩ kept, and every other
-    vertex is an isolated ``[]`` placeholder.  h is written whole, so a
-    chained step's q can be the last step's h.  The session keeps its
-    full transcript.
+    A component session's record is schema 3: its transcript is empty
+    and its oracle is ``f.description()``.  A lazy session's record is
+    schema 4, cut to what ``verify`` reads.  Its oracle is the f_read
+    pairs the product check read from f.  The kept vertices are
+    supp(h) ∪ supp(p) ∪ supp(f_read), which holds supp(q) since h
+    extends q.  The transcript lists the kept vertices in id order, each
+    as ``[gap, *(U ∩ kept)]``, and no other vertex.  h is written whole,
+    so a chained step's q can be the last step's h.  The session keeps
+    its full transcript.
     """
     internal_check(h.extends(q), "h-extends-q")
     s = h.session
@@ -236,13 +243,14 @@ def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
     if lazy:
         f_lists = chain_lists(reads.fwd, reads.bwd)
         kept = set(chain.from_iterable(chain(h_lists, p_lists, f_lists)))
-        entries = s.transcript()  # entry w made vertex w
-        transcript = [[] for _ in range(max(kept, default=-1) + 1)]
-        for w in kept:
-            transcript[w] = [u for u in entries[w][0] if u in kept]
-        oracle = {"kind": "lazy_fresh", "pairs": f_lists}
+        transcript, last = [], -1
+        for U, w in s.transcript():  # ids rise, and U is sorted
+            if w in kept:
+                transcript.append([w - last - 1, *(u for u in U if u in kept)])
+                last = w
+        oracle, schema = {"kind": "lazy_fresh", "pairs": f_lists}, SCHEMA_VERSION
     else:
-        transcript, oracle = [], f.description()
+        transcript, oracle, schema = [], f.description(), 3
     return WitnessCertificate(
         family=s.kind,
         claim=claim,
@@ -252,6 +260,7 @@ def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
         p=p_lists,
         h=h_lists,
         data=data,
+        schema=schema,
     )
 
 
@@ -348,7 +357,27 @@ _ORACLE_KEYS = {
 }
 # per schema: the check of a map, and how the shape note names it
 _MAP_CHECKS = {1: (_pairs, "integer pairs"), 2: (_pairs, "integer pairs"),
-               3: (_vertex_lists, "lists of at least two integer vertices")}
+               3: (_vertex_lists, "lists of at least two integer vertices"),
+               4: (_vertex_lists, "lists of at least two integer vertices")}
+# per schema: the check of a transcript with its size argument (items per entry, or
+# fewest items), and how the shape note names an entry
+_TRANSCRIPT_CHECKS = {1: (_entries, 4, "(U, V, F, id)"), 2: (_entries, 2, "(U, id)"),
+                      3: (_int_lists, 0, "U"), 4: (_int_lists, 1, "[gap, *U]")}
+
+
+def oracle_problem(oracle, map_ok=_vertex_lists) -> str | None:
+    """The first way an oracle description departs from its kind's shape, or None;
+    ``map_ok`` checks its finite map.  A kind this module does not know is left to
+    ``oracle_from_description``, which names it."""
+    if not isinstance(oracle, dict) or not isinstance(oracle.get("kind"), str):
+        return "oracle must be an object with a string kind"
+    for key, ok, required in _ORACLE_KEYS.get(oracle["kind"], ()):
+        if key in oracle:
+            if not (ok or map_ok)(oracle[key]):
+                return f"oracle field {key} has the wrong type"
+        elif required:
+            return f"oracle {oracle['kind']} lacks {key}"
+    return None
 
 
 def shape_problem(cert: WitnessCertificate) -> str | None:
@@ -370,23 +399,16 @@ def shape_problem(cert: WitnessCertificate) -> str | None:
         return f"unknown claim form {cert.claim!r}"
     if fam.tag not in CLAIM_FAMILIES[cert.claim]:
         return f"claim {cert.claim} cannot be made over family {fam.tag}"
-    items = _ENTRY_ITEMS.get(cert.schema)
-    if not (_entries(cert.transcript, items) if items else _int_lists(cert.transcript, 0)):
-        form = {1: "(U, V, F, id)", 2: "(U, id)"}.get(cert.schema, "U")
+    transcript_ok, size, form = _TRANSCRIPT_CHECKS[cert.schema]
+    if not transcript_ok(cert.transcript, size):
         return f"transcript entries of schema {cert.schema} must be {form} with integer vertices"
     map_ok, map_form = _MAP_CHECKS[cert.schema]
     for name in ("q", "p", "h"):
         if not map_ok(getattr(cert, name)):
             return f"{name} must be a list of {map_form}"
-    oracle = cert.oracle
-    if not isinstance(oracle, dict) or not isinstance(oracle.get("kind"), str):
-        return "oracle must be an object with a string kind"
-    for key, ok, required in _ORACLE_KEYS.get(oracle["kind"], ()):
-        if key in oracle:
-            if not (ok or map_ok)(oracle[key]):
-                return f"oracle field {key} has the wrong type"
-        elif required:
-            return f"oracle {oracle['kind']} lacks {key}"
+    problem = oracle_problem(cert.oracle, map_ok)
+    if problem:
+        return problem
     data = cert.data
     if not isinstance(data, dict):
         return "data must be an object"
@@ -415,23 +437,35 @@ def _pair_lists(pairs) -> list[list[int]]:
     return chain_lists(fwd, bwd)
 
 
-def _lift(cert: WitnessCertificate) -> tuple[WitnessCertificate, list | None]:
-    """A well-shaped record in schema 3's form, and the product pairs an old record carries.
+def _gap_ids(entries) -> Iterator[tuple[int, list[int]]]:
+    """(id, U) of each schema-4 entry [gap, *U]: its id is gap + 1 past the last id."""
+    w = -1
+    for gap, *U in entries:
+        w += gap + 1
+        yield w, U
 
-    A schema-3 record is its own form; product pairs it carries go unread.  An older
-    one's maps become vertex lists, and its transcript the U of each entry, handed to
-    replay by ``entry_sets``, which checks ids and schema-1 fences as replay reaches them.
+
+def _lift(cert: WitnessCertificate) -> tuple[WitnessCertificate, Iterator, list | None]:
+    """A well-shaped record with its maps in the form every clause reads, its transcript
+    as one stream of (id, U), and the product pairs an old record carries.
+
+    Maps are vertex lists, and ids rise strictly, as ``GraphSession.replay_sets``
+    checks.  A schema-4 entry's id comes from its gap.  A schema-3 entry w makes vertex
+    w, a placeholder ``[]`` too.  A schema-1 or -2 record's maps are pairs, re-encoded
+    here; its entries are handed over by ``entry_sets``, which checks their stated ids
+    and schema-1 fences as replay reaches them; product pairs are read only there.
     """
-    if cert.schema == SCHEMA_VERSION:
-        return cert, None
+    if cert.schema == 4:
+        return cert, _gap_ids(cert.transcript), None
+    if cert.schema == 3:
+        return cert, enumerate(cert.transcript), None
     oracle = dict(cert.oracle)
     for key, ok, _ in _ORACLE_KEYS.get(oracle["kind"], ()):
         if ok is None and key in oracle:  # the oracle's finite map
             oracle[key] = _pair_lists(oracle[key])
-    lifted = replace(cert, schema=SCHEMA_VERSION, transcript=entry_sets(cert.transcript),
-                     oracle=oracle, q=_pair_lists(cert.q), p=_pair_lists(cert.p),
+    lifted = replace(cert, oracle=oracle, q=_pair_lists(cert.q), p=_pair_lists(cert.p),
                      h=_pair_lists(cert.h))
-    return lifted, cert.data.get("product_pairs")
+    return lifted, entry_sets(cert.transcript), cert.data.get("product_pairs")
 
 
 def verify(cert: WitnessCertificate) -> VerificationReport:
@@ -446,9 +480,9 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     if not record("certificate-shape", problem is None, problem or ""):
         return VerificationReport(False, clauses)
 
-    cert, product_pairs = _lift(cert)
+    cert, entries, product_pairs = _lift(cert)
     try:
-        session = GraphSession.replay_sets(cert.family, cert.transcript) \
+        session = GraphSession.replay_sets(cert.family, entries) \
             if cert.family.is_lazy else GraphSession(cert.family)
         record("transcript-replay", True)
     except GraphError as e:
@@ -501,7 +535,7 @@ def verify(cert: WitnessCertificate) -> VerificationReport:
     record("product-extends-target", bad is None,
            "" if bad is None else f"at {bad[0]}: expected {bad[1]}, got {bad[2]}")
 
-    # schema 3 writes no product pairs: the product is re-derived above
+    # schemas 3 and 4 write no product pairs: the product is re-derived above
     if cert.claim == NKOMEGA_CLAIM and product_pairs is not None:
         same = list(evaluate(word, h, f).pairs()) == sorted(map(tuple, product_pairs))
         record("product-pair-sets-match", same, "" if same else "pair sets differ")

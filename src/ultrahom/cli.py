@@ -11,7 +11,7 @@ import json
 import sys
 
 from .campaigns import FAMILIES, campaign, run_trial, write_certs
-from .certs import WitnessCertificate, verify
+from .certs import WitnessCertificate, _entries, oracle_problem, verify
 from .errors import GraphError, InternalCheckError
 from .graphs import GraphKind, GraphSession
 from .nkomega import StabVerdict, classify_stabilizing, piccard_partner
@@ -46,7 +46,27 @@ def _kind_for(family: str, n: int | None) -> GraphKind:
 
 def _load_pairs(text: str) -> list[tuple[int, int]]:
     data = json.loads(text)
+    if not isinstance(data, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+            for pair in data):
+        raise ValueError("pairs must be a JSON list of [x, y] integer pairs")
     return [tuple(pair) for pair in data]
+
+
+def _load_state(path: str) -> dict:
+    """An ``oracle query`` state file, checked for the shape ``oracle new`` writes."""
+    with open(path) as fh:
+        state = json.load(fh)
+    if not isinstance(state, dict) or not isinstance(state.get("family"), dict):
+        raise ValueError(f"{path}: a state is an object with a family object")
+    transcript = state.get("transcript")
+    if not (_entries(transcript, 2) or _entries(transcript, 4)):
+        raise ValueError(f"{path}: the state transcript must list [U, id] or"
+                         " [U, V, F, id] entries of integers")
+    problem = oracle_problem(state.get("oracle"))
+    if problem:
+        raise ValueError(f"{path}: {problem}")
+    return state
 
 
 def cmd_oracle(args) -> int:
@@ -78,8 +98,7 @@ def cmd_oracle(args) -> int:
 
     if args.state is None or args.vertex is None:
         raise ValueError("oracle query needs --state and --vertex")
-    with open(args.state) as fh:
-        state = json.load(fh)
+    state = _load_state(args.state)
     kind = GraphKind.from_dict(state["family"])
     session = (GraphSession.replay(kind, state["transcript"])
                if kind.is_lazy else GraphSession(kind))
@@ -160,6 +179,11 @@ def cmd_classify_stab(args) -> int:
         with open(text) as fh:
             text = fh.read()
     desc = json.loads(text)
+    problem = oracle_problem(desc)
+    if problem is None and desc["kind"] != "nk_policy":
+        problem = f"classify-stab reads an nk_policy description, not {desc['kind']}"
+    if problem:
+        raise ValueError(problem)
     session = GraphSession(GraphKind.nk_omega(len(desc["sigma"])))
     f = oracle_from_description(session, desc)
     verdict: StabVerdict = classify_stabilizing(f, args.bound)

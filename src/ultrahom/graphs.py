@@ -64,16 +64,16 @@ class GraphKind:
 
     @staticmethod
     def from_dict(d: dict) -> "GraphKind":
-        tag, n = d["tag"], d.get("n")
+        tag, n = d.get("tag"), d.get("n")
         if tag == RANDOM:
             return GraphKind.random()
-        if tag == HENSON:
-            return GraphKind.henson(n)
-        if tag == OMEGA_KN:
-            return GraphKind.omega_kn(n)
-        if tag == NK_OMEGA:
-            return GraphKind.nk_omega(n)
-        raise GraphError(f"unknown graph family tag {tag!r}")
+        make = {HENSON: GraphKind.henson, OMEGA_KN: GraphKind.omega_kn,
+                NK_OMEGA: GraphKind.nk_omega}.get(tag)
+        if make is None:
+            raise GraphError(f"unknown graph family tag {tag!r}")
+        if type(n) is not int:
+            raise GraphError(f"graph family {tag} needs an integer n, got {n!r}")
+        return make(n)
 
 
 def _zigzag(c: int) -> int:
@@ -111,7 +111,8 @@ class FreshComponents:
 class GraphSession:
     """A finite, monotonically growing realization of one graph.
 
-    Random / K_n-free: vertices carry ids 0,1,2,... in creation order and
+    Random / K_n-free: vertices carry rising ids in creation order (0, 1, 2,
+    ... unless a replayed transcript skips some) and
     a new vertex's adjacencies to all earlier vertices are fixed at
     creation (edges exactly to the requested U set), so replaying a
     transcript reproduces ids and adjacency answers bit for bit.
@@ -131,6 +132,7 @@ class GraphSession:
         # the clique size no witness set U may hold: K_{n-1} on the K_n-free family
         self._forbidden_clique = kind.n - 1 if kind.tag == HENSON else 0
         self._adj: dict[int, set[int]] = {}
+        self._next = 0  # the id the next witness takes: past every vertex made
         self._transcript: list[tuple[tuple[int, ...], int]] = []
 
     # -- vertex bookkeeping -------------------------------------------------
@@ -368,7 +370,8 @@ class GraphSession:
         clique = self._forbidden_clique
         if clique and len(verts) >= clique and not self._clique_free(verts, members, clique):
             raise GraphError("forbidden clique in U")
-        w = len(adj)
+        w = self._next
+        self._next = w + 1
         adj[w] = members
         for u in verts:
             adj[u].add(w)
@@ -393,25 +396,23 @@ class GraphSession:
     def replay(kind: GraphKind,
                entries: Iterable[Sequence[Sequence[int] | int]]) -> "GraphSession":
         """Rebuild a session from (U, id) or (U, V, F, id) transcript entries, each
-        checked as ``entry_sets`` hands its U to ``replay_sets``."""
+        checked as ``entry_sets`` hands it to ``replay_sets``."""
         return GraphSession.replay_sets(kind, entry_sets(entries))
 
     @staticmethod
-    def replay_sets(kind: GraphKind, sets: Iterable[Iterable[int]]) -> "GraphSession":
-        """Rebuild a session from the U of each witness call in order, as schema-3
-        certificates write the transcript: call w makes vertex w, so no id is checked.
-        An empty U adds an isolated vertex the way ``alice_witness(())`` does, without
-        the call: lazy records write every vertex they do not keep that way."""
+    def replay_sets(kind: GraphKind,
+                    entries: Iterable[tuple[int, Iterable[int]]]) -> "GraphSession":
+        """Rebuild a session from (id, U) entries, ids strictly rising: entry (w, U) makes
+        vertex w with N(w) = U, after the checks ``alice_witness`` makes.  An id no entry
+        names makes no vertex, so a skip costs nothing, and the session's next witness
+        id comes after the largest."""
         s = GraphSession(kind)
         witness = s.alice_witness
-        adj, entries = s._adj, s._transcript
-        for U in sets:
-            if U:
-                witness(U)
-            else:
-                w = len(adj)
-                adj[w] = set()
-                entries.append(((), w))
+        for w, U in entries:
+            if w < s._next:
+                raise GraphError(f"transcript ids must rise: {w} where {s._next} or more was due")
+            s._next = w
+            witness(U)
         return s
 
     @staticmethod
@@ -448,10 +449,12 @@ def _check_fences(members: set[int], V, F, known: AbstractSet[int]) -> None:
             raise GraphError(f"unknown vertex {min(part - known)}")
 
 
-def entry_sets(entries: Iterable[Sequence[Sequence[int] | int]]) -> Iterator[Sequence[int]]:
-    """The U of each (U, id) or schema-1 (U, V, F, id) entry, for ``GraphSession.replay_sets``.
-    Entry w must state id w.  V and F are checked before U is handed over and the id after
-    the call has made vertex w: the order a fenced ``alice_witness`` and an id check met them."""
+def entry_sets(entries: Iterable[Sequence[Sequence[int] | int]]
+               ) -> Iterator[tuple[int, Sequence[int]]]:
+    """(w, U) of the w-th (U, id) or schema-1 (U, V, F, id) entry, for
+    ``GraphSession.replay_sets``.  Entry w must state id w.  V and F are checked before
+    U is handed over and the id after the call has made vertex w: the order a fenced
+    ``alice_witness`` and an id check met them."""
     made: set[int] = set()
     for w, entry in enumerate(entries):
         if len(entry) == 2:
@@ -463,7 +466,7 @@ def entry_sets(entries: Iterable[Sequence[Sequence[int] | int]]) -> Iterator[Seq
         else:
             raise GraphError(f"transcript entry of {len(entry)} items;"
                              " expected (U, id) or (U, V, F, id)")
-        yield U
+        yield w, U
         if stated != w:
             raise GraphError(f"transcript replay diverged: expected id {stated}, got {w}")
         made.add(w)

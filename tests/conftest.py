@@ -6,9 +6,38 @@ import random
 
 import pytest
 
+from ultrahom import certs
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.oracles import NKOracle
 from ultrahom.perms import all_perms
+
+
+def transcript_entries(cert) -> list[tuple[int, list[int]]]:
+    """(id, U) of each transcript entry of a certificate, as ``verify`` replays them."""
+    return [(w, list(U)) for w, U in certs._lift(cert)[1]]
+
+
+def replayed(cert) -> GraphSession:
+    """The session a lazy-family certificate's transcript replays to."""
+    return GraphSession.replay_sets(cert.family, transcript_entries(cert))
+
+
+def gap_ids(transcript) -> list[int]:
+    """The vertex id of each schema-4 entry [gap, *U] of a transcript."""
+    ids, w = [], -1
+    for gap, *_ in transcript:
+        w += gap + 1
+        ids.append(w)
+    return ids
+
+
+def schema_3_transcript(transcript) -> list[list[int]]:
+    """A schema-4 transcript with its skipped ids put back as schema 3's [] placeholders."""
+    out = []
+    for gap, *U in transcript:
+        out += [[] for _ in range(gap)]
+        out.append(U)
+    return out
 
 
 def chase_pairs(pairs, x, k):

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_injection_in_clique
+from conftest import random_injection_in_clique, replayed
 from test_omega import brute_orbit_partition_exists
 from ultrahom.campaigns import (henson_trial, n2_trial, nkomega_instance,
                                 nkomega_oracle, nkomega_trial, omega_trial)
@@ -97,8 +97,8 @@ def test_criterion_3_henson_kn_freeness():
         assert s.kn_free_check(s.realized(), 3)
         checked += 1
     for cert in certs:
-        replayed = GraphSession.replay_sets(cert.family, cert.transcript)
-        assert replayed.kn_free_check(replayed.realized(), 3)
+        session = replayed(cert)
+        assert session.kn_free_check(session.realized(), 3)
         checked += 1
     report(3, True, f"K_3-freeness exhaustive over realized triples in {checked} sessions")
 

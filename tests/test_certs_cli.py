@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import replayed, transcript_entries
 from ultrahom import certs
 from ultrahom.campaigns import campaign, henson_trial, run_trial, write_certs, read_certs
 from ultrahom.certs import (HENSON_CLAIM, N2_CLAIM, NKOMEGA_CLAIM, OMEGA_CLAIM,
@@ -115,7 +116,7 @@ def test_certify_asks_h_extends_q_then_the_product_for_every_claim(monkeypatch):
         assert asked == ["h-extends-q", "product-extends-target"], family
         monkeypatch.setattr(certs, "internal_check", real)
 
-        session = GraphSession.replay_sets(cert.family, cert.transcript)
+        session = replayed(cert)
         q, p, h = (validate(session, chain_pairs(lists)) for lists in (cert.q, cert.p, cert.h))
         f = oracle_from_description(session, cert.oracle)
         assert certify(cert.claim, f, q, p, h, cert.data).h == cert.h
@@ -145,7 +146,7 @@ def test_nkomega_claim_word_realizes_the_old_product_on_the_golden_set():
             assert old.extends(validate(session, chain_pairs(cert.p)))
     # a schema-2 record carries the engine's product pairs
     line = (Path(__file__).parent / "data" / "certs_v2.jsonl").read_text().splitlines()[3]
-    cert, product_pairs = certs._lift(WitnessCertificate.from_json(line))
+    cert, _, product_pairs = certs._lift(WitnessCertificate.from_json(line))
     assert cert.claim == NKOMEGA_CLAIM
     old, product, _ = _old_nkomega_product(cert)
     assert product == old
@@ -259,9 +260,21 @@ def test_depth_scan_matches_a_character_walk():
         assert certs._depth_past_bound(line) == (depth if depth > certs.MAX_DEPTH else None), line
 
 
-def test_cli_usage_errors(capsys):
-    """Each malformed argument exits 2 with one error line, never a traceback."""
-    for argv in (["piccard", "--n", "9", "--perm", "(1 2)"],
+def test_cli_usage_errors(tmp_path, capsys):
+    """Each malformed argument exits 2 with one error line, never a traceback: also
+    JSON that parses but has the wrong structure."""
+    lazy = {"family": {"tag": "henson_free", "n": 3},
+            "oracle": {"kind": "lazy_fresh", "pairs": []}, "transcript": []}
+    states = []
+    for i, state in enumerate(({**lazy, "transcript": [5]},
+                               {key: lazy[key] for key in ("oracle", "transcript")},
+                               {**lazy, "family": {"tag": "henson_free"}},
+                               {**lazy, "oracle": {"kind": "lazy_fresh"}},
+                               {**lazy, "oracle": 5})):
+        path = tmp_path / f"state{i}.json"
+        path.write_text(json.dumps(state))
+        states.append(["oracle", "query", "--state", str(path), "--vertex", "0"])
+    for argv in (*states,["piccard", "--n", "9", "--perm", "(1 2)"],
                  ["piccard", "--n", "3", "--perm", "(1 9)"],
                  ["piccard", "--n", "3", "--perm", "(0 1)"],
                  ["piccard", "--n", "3", "--perm", "(1 x)"],
@@ -270,7 +283,11 @@ def test_cli_usage_errors(capsys):
                   "--pairs", "[[0, 2], [0, 4]]"],
                  ["iso", "validate", "--pairs", "[[0,1"],
                  ["iso", "validate", "--pairs", "[[0,1,2]]"],
+                 ["iso", "validate", "--pairs", "[5]"],
+                 ["iso", "validate", "--pairs", '{"0": 1}'],
                  ["classify-stab", "--policy", '{"kind":"nk_policy"'],
+                 ["classify-stab", "--policy", '{"kind":"nk_policy"}'],
+                 ["classify-stab", "--policy", '{"kind":"frozen","pairs":[]}'],
                  ["oracle", "query", "--vertex", "0"],
                  ["oracle", "query", "--state", "/dev/null", "--vertex", "0"]):
         assert main(argv) == 2, argv
@@ -444,7 +461,7 @@ def test_large_band_rows_is_rejected_before_the_band_is_built(monkeypatch):
 
 def test_target_with_an_edge_across_is_not_separated():
     cert = henson_trial(3, random.Random(3))
-    w, U = next((w, U) for w, U in enumerate(cert.transcript) if U)
+    w, U = next((w, U) for w, U in transcript_entries(cert) if U)
     tampered = WitnessCertificate.from_json(cert.to_json())
     tampered.p = [(U[0], w)]  # an edge from the domain into the range
     report = verify(tampered)

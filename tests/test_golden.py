@@ -12,9 +12,9 @@ from ultrahom.campaigns import run_trial
 # (family, n, trials), all with campaign seed 1
 GOLDEN_SET = (("nkomega", 3, 6), ("nkomega", 4, 2), ("n2", 2, 10), ("omega-kn", 3, 10))
 GOLDEN_SHA256 = "2ddf951d440529810a46456ddf2a644b0506f989ef66e0f88bbeb627df89b5da"
-# the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, transcripts of U sets
+# the lazy-graph path: K_3-free and K_4-free sessions, lazy oracles, schema-4 transcripts
 HENSON_GOLDEN_SET = (("henson", 3, 20), ("henson", 4, 5))
-HENSON_GOLDEN_SHA256 = "ee51ff9c39ccc7744f57912eae8dba2abd3d6ede62c66be344de6fecc14b6c1b"
+HENSON_GOLDEN_SHA256 = "9c7736db02a1482bf359bfb26b1c79d7397eca19f1bd817272b86e8b27d59c54"
 
 
 def _digest(golden_set) -> str:

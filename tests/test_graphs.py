@@ -161,6 +161,23 @@ def test_replay_reads_schema_1_entries_and_text(h3):
         GraphSession.replay(h3.kind, [((), (), 0)])
 
 
+def test_replay_with_skipped_ids_makes_no_vertex_there_and_witnesses_past_the_largest():
+    """An id no entry names makes no vertex, a skip of 10^18 included; ids must rise, and
+    the next witness id comes after the largest, so no id is handed out twice."""
+    big = 10 ** 18
+    s = GraphSession.replay_sets(GraphKind.henson(3), [(0, []), (5, [0]), (big, [5])])
+    assert s.realized() == [0, 5, big]
+    assert s.adjacent(0, 5) and s.adjacent(5, big) and not s.adjacent(0, big)
+    assert s.transcript() == [((), 0), ((0,), 5), ((5,), big)]
+    assert s.alice_witness([0]) == big + 1
+    assert s.alice_witness(()) == big + 2
+    with pytest.raises(GraphError, match="^unknown vertex 3$"):  # a skipped id is no vertex
+        GraphSession.replay_sets(GraphKind.henson(3), [(0, []), (5, [3])])
+    for entries in ([(0, []), (0, [])], [(4, []), (2, [])], [(-1, [])]):
+        with pytest.raises(GraphError, match="^transcript ids must rise"):
+            GraphSession.replay_sets(GraphKind.random(), entries)
+
+
 LAZY_KINDS = (GraphKind.henson(3), GraphKind.henson(4), GraphKind.henson(5), GraphKind.random())
 
 

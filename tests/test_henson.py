@@ -1,11 +1,12 @@
+import json
 import random
 
 import pytest
 
-from conftest import chase_pairs
+from conftest import chase_pairs, gap_ids, schema_3_transcript
 from ultrahom import henson
 from ultrahom.campaigns import _random_kfree_subset, henson_trial
-from ultrahom.certs import certify, verify
+from ultrahom.certs import WitnessCertificate, certify, verify
 from ultrahom.errors import GraphError, HypothesisError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
@@ -353,8 +354,10 @@ def test_chained_henson_witnesses_verify_and_m_at_most_doubles():
 
 def test_chained_slim_records_verify_and_certify_leaves_the_session_whole(monkeypatch):
     """Each chained step's record is cut to what verify reads, yet keeps h whole: it is
-    VERIFIED, its q is the last step's h, and certify neither grows nor cuts the
-    session that the next step builds on."""
+    VERIFIED, its q is the last step's h, its transcript lists exactly the vertices of
+    h, p and the oracle pairs the product read, and certify neither grows nor cuts the
+    session that the next step builds on.  The last record is at most half its schema-3
+    re-encoding, which writes every vertex it skips as a [] placeholder."""
     lengths = []
 
     def recorded(claim, f, q, p, h, data):
@@ -370,9 +373,16 @@ def test_chained_slim_records_verify_and_certify_leaves_the_session_whole(monkey
         report = verify(cert)
         assert report.ok, str(report)
         assert before == after >= written
+        kept = {v for lists in (cert.h, cert.p, cert.oracle["pairs"]) for vs in lists for v in vs}
+        assert gap_ids(cert.transcript) == sorted(kept)
         if i:
             assert cert.q == certs[i - 1].h
             assert lengths[i - 1][1] < before  # the next step built on the whole session
+    doc = json.loads(certs[-1].to_json())
+    doc["schema"], doc["transcript"] = 3, schema_3_transcript(doc["transcript"])
+    whole = WitnessCertificate.from_json(json.dumps(doc))
+    assert verify(whole).ok
+    assert len(certs[-1].to_json()) <= 0.5 * len(whole.to_json())
 
 def test_domain_image_escapes_reads_r_m_as_the_per_point_chase(monkeypatch):
     """On each chained step, the r^m that ``domain-image-escapes`` reads is defined on

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import replayed
 from perfbench.workloads import henson_wide_instance, stream
 from ultrahom.campaigns import henson_trial
 from ultrahom.certs import verify
@@ -304,7 +305,7 @@ def test_add_witness_matches_witness_then_add(kind):
         for _ in range(rng.randint(0, 12)):  # a valid start map
             v = rng.choice(s.realized())
             base.image(v) if rng.random() < 0.5 else base.preimage(v)
-        twin = GraphSession.replay_sets(kind, [U for U, _ in s.transcript()])
+        twin = GraphSession.replay_sets(kind, [(w, U) for U, w in s.transcript()])
         start = base.cache.freeze()
         b, ref = IsoBuilder(start), IsoBuilder(validate(twin, start._fwd.items()))
         assert builder_fields(b) == builder_fields(ref)
@@ -440,7 +441,7 @@ def test_replaying_and_verifying_a_wide_certificate_ask_no_adjacency(monkeypatch
             return _real(self, *args)
 
         monkeypatch.setattr(GraphSession, name, counted)
-    GraphSession.replay_sets(cert.family, cert.transcript)
+    replayed(cert)
     assert calls == {"adjacent": 0, "neighbors_within": 0}
     assert verify(cert).ok
     assert calls == {"adjacent": 0, "neighbors_within": 0}

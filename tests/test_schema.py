@@ -12,17 +12,24 @@ before lazy-family records were cut to what ``verify`` reads: the seed-1
 ``henson-wide`` instances 0-2, then seed 1 ``henson`` n=3 trials 0-1 and
 n=4 trial 0.  Every vertex the engine made is in their transcripts, and
 their oracles hold the lazy oracle's whole map.
+
+``data/certs_v3_slim.jsonl`` holds schema-3 Henson records written after
+that cut and before schema 4: seed 1 ``henson`` n=3 trials 0-9 and n=4
+trials 0-9, then the seed-1 ``henson-wide`` instances 0-3.  Each writes
+every vertex it does not keep, up to its last kept one, as a ``[]``
+placeholder; schema 4 lists only the kept vertices.
 """
 
 import json
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from conftest import CountingDict, brute_components
+from conftest import CountingDict, brute_components, gap_ids, replayed, schema_3_transcript
 from perfbench.workloads import henson_wide_instance, stream
 from ultrahom import certs, oracles, partial_iso
 from ultrahom.campaigns import run_trial
@@ -35,6 +42,7 @@ DATA = Path(__file__).parent / "data"
 V1_PATH, V2_PATH = DATA / "certs_v1.jsonl", DATA / "certs_v2.jsonl"
 V3_FULL_PATH = DATA / "certs_v3_full.jsonl"
 V3_FULL_K4_LINE = 5  # seed 1 henson n=4 trial 0
+V3_SLIM_PATH = DATA / "certs_v3_slim.jsonl"
 V1_TRIALS = (("henson", 3, 0), ("henson", 3, 1), ("henson", 3, 2),
              ("nkomega", 3, 0), ("omega-kn", 3, 0))
 V2_TRIALS = V1_TRIALS + (("n2", 2, 0),)
@@ -107,9 +115,10 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
     changed on purpose: such a record re-encoded is a schema-3 certificate
     that round-trips and verifies with the same clauses, and today's trial
     keeps its q and p and grows a smaller h.  The form ``verify`` lifts each
-    schema-2 record into is the re-encoding, field for field.
+    schema-2 record into is the re-encoding, field for field, with entry w's U
+    read as (w, U).  Today's Henson records are schema 4 (see the slim tests).
     """
-    assert SCHEMA_VERSION == 3
+    assert SCHEMA_VERSION == 4
     for v1, v2 in zip(_v1_lines(), _v2_lines()):
         doc = json.loads(v1)
         doc["schema"] = 2
@@ -124,8 +133,8 @@ def test_new_certificate_is_the_schema_2_one_reencoded():
         for key in ("pairs", "band_pairs"):
             if key in doc["oracle"]:
                 doc["oracle"][key] = _reference_lists(doc["oracle"][key])
-        lifted, _ = certs._lift(WitnessCertificate.from_json(line))
-        assert list(lifted.transcript) == doc["transcript"]
+        lifted, entries, _ = certs._lift(WitnessCertificate.from_json(line))
+        assert list(entries) == list(enumerate(doc["transcript"]))
         assert (lifted.q, lifted.p, lifted.h, lifted.oracle) == \
             (doc["q"], doc["p"], doc["h"], doc["oracle"])
         doc["data"].pop("product_pairs", None)
@@ -259,7 +268,7 @@ def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     cert = WitnessCertificate.from_json(line)
     assert cert.family == GraphKind.henson(4)
     doc = json.loads(line)
-    adj = GraphSession.replay_sets(cert.family, cert.transcript)._adj
+    adj = replayed(cert)._adj
     # the first entry with a triangle among the vertices before it (entry w makes
     # vertex w); edges never change
     w, tri = next((w, C) for w in range(len(doc["transcript"]))
@@ -268,8 +277,24 @@ def test_v2_triangle_in_u_is_rejected_on_replay_of_a_k4_free_certificate():
     doc["transcript"][w] = list(tri)
     assert _failing(doc) == [("transcript-replay", "forbidden clique in U")]
     doc["transcript"][w] = list(tri[:2])  # one edge is allowed: the entry replays
-    GraphSession.replay_sets(GraphKind.henson(4), doc["transcript"][:w + 1])
+    GraphSession.replay_sets(GraphKind.henson(4), enumerate(doc["transcript"][:w + 1]))
 
+
+def test_slim_schema_3_henson_certificates_still_verify():
+    """A schema-3 record with [] placeholders verifies with the Henson clauses and
+    round-trips; today's record of the same trial is schema 4, the same record with
+    its placeholders left out."""
+    lines = V3_SLIM_PATH.read_text().splitlines()
+    _assert_old_records_verify(lines, 3, [HENSON_CLAUSES] * 24)
+    today = [run_trial("henson", n, 1, index) for n in (3, 4) for index in range(10)]
+    for i in range(4):
+        f, q, p = henson_wide_instance(stream(1, "henson-wide", i))
+        today.append(density_witness_henson(f, q, p))
+    for line, cert in zip(lines, today):
+        old, new = json.loads(line), json.loads(cert.to_json())
+        assert (old.pop("schema"), new.pop("schema")) == (3, 4)
+        assert schema_3_transcript(new.pop("transcript")) == old.pop("transcript")
+        assert new == old
 
 
 def _v3_full_instances():
@@ -327,9 +352,9 @@ def _slim_instances():
 
 
 def test_slim_record_keeps_the_induced_subgraph_on_the_kept_vertices():
-    """Brute force: the replayed slim session has the full session's edges on the kept
-    vertices and none at any other vertex, ends at the last kept vertex, and its oracle
-    holds exactly the pairs the product reads, two for each pair of p."""
+    """Brute force: the replayed slim session is the full session's induced subgraph on
+    the kept vertices, its transcript lists exactly those, and its oracle holds exactly
+    the pairs the product reads, two for each pair of p."""
     for full, f, p, h, cert in _slim_instances():
         assert verify(cert).ok
         reads = _product_reads(f, p, h, cert.data["m"], cert.data["l"])
@@ -337,13 +362,10 @@ def test_slim_record_keeps_the_induced_subgraph_on_the_kept_vertices():
         assert len(reads) == 2 * len(p)
         kept = {v for name in ("q", "p", "h") for vs in getattr(cert, name) for v in vs}
         kept |= {v for pair in reads for v in pair}
-        slim = GraphSession.replay_sets(cert.family, cert.transcript)
-        assert slim.realized() == list(range(max(kept) + 1))
+        slim = replayed(cert)
+        assert gap_ids(cert.transcript) == slim.realized() == sorted(kept)
         for u, w in combinations(sorted(kept), 2):
             assert slim.adjacent(u, w) == full.adjacent(u, w), (u, w)
-        for w in slim.realized():
-            if w not in kept:
-                assert cert.transcript[w] == [] and not slim.neighbors_within(w, slim.realized())
         # vertices the session makes past the kept ones change nothing in the record
         full.alice_witness(())
         q = partial_iso.validate(full, chain_pairs(cert.q))
@@ -360,7 +382,7 @@ def test_slim_record_keeps_the_vertices_of_every_pair_the_product_reads():
     p = partial_iso.validate(s, [(x, x)])
     cert = certify(HENSON_CLAIM, oracles.LazyOracle(s), none, p, none, {"m": 0, "l": 0})
     assert cert.oracle == {"kind": "lazy_fresh", "pairs": [[x, x + 1]]}
-    assert cert.transcript == [[], []]
+    assert cert.transcript == [[x], [0]]  # vertices x and x + 1, no edge
     assert _failing(json.loads(cert.to_json())) == [("target-separated", "target class violated")]
 
 
@@ -377,7 +399,7 @@ def test_slim_record_without_an_oracle_pair_is_rejected_on_the_product():
 def test_slim_transcript_cut_before_its_last_kept_vertex_is_rejected():
     for full, f, p, h, cert in _slim_instances():
         doc = json.loads(cert.to_json())
-        last = len(doc["transcript"]) - 1
+        last = gap_ids(doc["transcript"])[-1]
         doc["transcript"].pop()
         assert _failing(doc) == [("inputs-validate", f"unknown vertex {last}")]
 
@@ -387,11 +409,138 @@ def test_slim_record_without_an_edge_inside_dom_p_is_rejected_on_the_inputs():
     to an edge of ran(p); dropping u from the kept U of w breaks p."""
     for full, f, p, h, cert in _slim_instances():
         dom_p = p.dom()
-        w, u = next((w, u) for w in sorted(dom_p) for u in cert.transcript[w] if u in dom_p)
+        i, w, u = next((i, w, u) for i, w in enumerate(gap_ids(cert.transcript)) if w in dom_p
+                       for u in cert.transcript[i][1:] if u in dom_p)
         doc = json.loads(cert.to_json())
-        doc["transcript"][w].remove(u)
+        entry = doc["transcript"][i]
+        del entry[entry.index(u, 1)]
         (name, _), = _failing(doc)
         assert name == "inputs-validate", (u, w)
+
+
+def _henson_doc(n: int = 3) -> dict:
+    doc = json.loads(run_trial("henson", n, 1, 0).to_json())
+    assert doc["schema"] == 4
+    return doc
+
+
+def _timed_report(doc: dict):
+    t0 = time.perf_counter()
+    report = verify(WitnessCertificate.from_json(json.dumps(doc)))
+    return report, time.perf_counter() - t0
+
+
+def test_a_gap_of_10_18_costs_what_its_bytes_cost():
+    """Every vertex moved 10^18 up is VERIFIED, and the last entry moved 10^18 past the
+    others leaves a map vertex unlisted; neither makes a vertex for a skipped id, so each
+    verify takes well under 50 ms."""
+    big = 10 ** 18
+    doc = _henson_doc()
+    last = gap_ids(doc["transcript"])[-1]
+    moved = json.loads(json.dumps(doc))
+    moved["transcript"][0][0] += big
+    for entry in moved["transcript"]:
+        entry[1:] = [u + big for u in entry[1:]]
+    for lists in (moved["q"], moved["p"], moved["h"], moved["oracle"]["pairs"]):
+        for vs in lists:
+            vs[:] = [v + big for v in vs]
+    report, seconds = _timed_report(moved)
+    assert report.ok, str(report)
+    assert [name for name, _, _ in report.clauses] == HENSON_CLAUSES
+    assert seconds < 0.05, seconds
+
+    doc["transcript"][-1][0] += big
+    report, seconds = _timed_report(doc)
+    assert report.failing() == [("inputs-validate", False, f"unknown vertex {last}")]
+    assert seconds < 0.05, seconds
+
+
+SHAPE_NOTE_4 = "transcript entries of schema 4 must be [gap, *U] with integer vertices"
+
+
+def _set_gap(i, gap):
+    def mutate(doc):
+        ids = gap_ids(doc["transcript"])
+        doc["transcript"][i][0] = gap
+        due = ids[i - 1] + 1 if i else 0  # the id the entry would have with gap 0
+        note = f"transcript ids must rise: {due + gap} where {due} or more was due"
+        return "transcript-replay", note
+    return mutate
+
+
+def _bad_gap(value):
+    def mutate(doc):
+        doc["transcript"][1][0] = value
+        return "certificate-shape", SHAPE_NOTE_4
+    return mutate
+
+
+def _empty_entry(doc):
+    doc["transcript"][1] = []
+    return "certificate-shape", SHAPE_NOTE_4
+
+
+# a schema-4 entry whose gap is negative, not an integer, or missing
+GAP_FAULTS = {
+    "negative-first-gap": _set_gap(0, -3),
+    "gap-of-minus-one": _set_gap(1, -1),
+    "gap-of-minus-two": _set_gap(2, -2),
+    "float-gap": _bad_gap(1.0),
+    "str-gap": _bad_gap("1"),
+    "bool-gap": _bad_gap(True),
+    "null-gap": _bad_gap(None),
+    "empty-entry": _empty_entry,
+}
+
+
+@pytest.mark.parametrize("mutate", GAP_FAULTS.values(), ids=GAP_FAULTS.keys())
+def test_bad_gaps_are_rejected_on_a_named_clause(mutate):
+    doc = _henson_doc()
+    want = mutate(doc)
+    assert _failing(doc) == [want]
+
+
+def test_a_map_or_oracle_vertex_no_entry_lists_is_rejected_on_the_inputs():
+    """Each listed vertex left out, with the next gap grown so that no other id moves and
+    the vertex dropped from every later U: the maps name it, and nothing else fails."""
+    doc = _henson_doc()
+    ids = gap_ids(doc["transcript"])
+    named = {v for key in ("q", "p", "h") for vs in doc[key] for v in vs}
+    named |= {v for vs in doc["oracle"]["pairs"] for v in vs}
+    assert named == set(ids)  # every listed vertex is a map or oracle vertex
+    for i, w in enumerate(ids):
+        cut = json.loads(json.dumps(doc))
+        gap = cut["transcript"].pop(i)[0]
+        if i < len(ids) - 1:
+            cut["transcript"][i][0] += gap + 1
+        for entry in cut["transcript"][i:]:
+            entry[1:] = [u for u in entry[1:] if u != w]
+        assert gap_ids(cut["transcript"]) == ids[:i] + ids[i + 1:]
+        assert _failing(cut) == [("inputs-validate", f"unknown vertex {w}")], w
+
+
+def test_a_u_naming_an_unlisted_or_later_id_is_rejected_on_replay():
+    doc = _henson_doc()
+    ids = gap_ids(doc["transcript"])
+    i = next(i for i in range(1, len(ids)) if ids[i] > ids[i - 1] + 1)  # a skip before i
+    for target, named in ((i, ids[i] - 1), (i - 1, ids[i]), (i, ids[-1] + 1)):
+        bad = json.loads(json.dumps(doc))
+        bad["transcript"][target].append(named)  # skipped, listed later, or past the last
+        assert _failing(bad) == [("transcript-replay", f"unknown vertex {named}")], named
+
+
+def test_a_triangle_in_u_is_rejected_on_replay_at_n_4():
+    """K_4-free: a U may hold an edge but no triangle.  Grow U of a later vertex c to
+    hold an edge u ~ w, which replays, then U of a vertex after c to hold u, w and c."""
+    doc = _henson_doc(4)
+    ids = gap_ids(doc["transcript"])
+    i = next(i for i, entry in enumerate(doc["transcript"]) if len(entry) > 1)
+    u, w = doc["transcript"][i][1], ids[i]
+    c = i + 1
+    doc["transcript"][c] += [u, w]
+    GraphSession.replay_sets(GraphKind.henson(4), zip(ids, (e[1:] for e in doc["transcript"])))
+    doc["transcript"][c + 1] += [u, w, ids[c]]
+    assert _failing(doc) == [("transcript-replay", "forbidden clique in U")]
 
 def _wide_cert_bytes(width: int) -> int:
     f, q, p = henson_wide_instance(stream(1, "henson-wide", 0), width=width)
@@ -406,7 +555,7 @@ def test_henson_certificate_bytes_grow_linearly_in_the_target():
 def test_verify_cost_does_not_grow_with_the_exponent(monkeypatch):
     doc = json.loads(run_trial("henson", 3, 1, 0).to_json())
     x = doc["p"][0][0]
-    z = next(w for w in range(len(doc["transcript"])) if w != x)
+    z = next(w for w in gap_ids(doc["transcript"]) if w != x)
     doc["q"], doc["h"] = [], [[x, z, x]]  # a 2-cycle
     real_validate = partial_iso.validate
 
@@ -551,14 +700,15 @@ def _oracle_vertex_of_type(d, value):
 
 
 def _unmade_vertex_in_u(d, ahead):
-    w = next(w for w, U in enumerate(d["transcript"]) if U)  # entry w makes vertex w
-    d["transcript"][w].append(w + ahead)
+    i = next(i for i, entry in enumerate(d["transcript"]) if len(entry) > 1)
+    w = gap_ids(d["transcript"])[i]
+    d["transcript"][i].append(w + ahead)
     return "transcript-replay", f"unknown vertex {w + ahead}"
 
 
 def _set_entry(d, entry):
     d["transcript"][-1] = entry
-    return "certificate-shape", "transcript entries of schema 3 must be U with integer vertices"
+    return "certificate-shape", SHAPE_NOTE_4
 
 
 def _omega_cycle(d):
@@ -569,7 +719,8 @@ def _omega_cycle(d):
     return [("h-component-count", "6 chains for |sigma|=6"), ("h-orbit-reps", str(profile))]
 
 
-# (trial, mutation returning the failing clause and note) on schema-3 vertex lists
+# (trial, mutation returning the failing clause and note) on the vertex lists of schemas
+# 3 (component families) and 4 (Henson)
 HOSTILE_V3 = {
     "vertex-on-two-lists": (("omega-kn", 3), _on_two_lists),
     "nkomega-vertex-on-two-lists": (("nkomega", 3), _on_two_lists),
@@ -594,7 +745,7 @@ HOSTILE_V3 = {
 @pytest.mark.parametrize("trial, mutate", HOSTILE_V3.values(), ids=HOSTILE_V3.keys())
 def test_hostile_vertex_lists_are_rejected_on_a_named_clause(trial, mutate):
     doc = json.loads(run_trial(*trial, 1, 0).to_json())
-    assert doc["schema"] == 3
+    assert doc["schema"] == (4 if trial[0] == "henson" else 3)
     want = mutate(doc)
     assert _failing(doc) == (want if isinstance(want, list) else [want])
 
