@@ -14,8 +14,8 @@ from .certs import WitnessCertificate, verify
 from .errors import GraphError
 from .graphs import GraphKind, GraphSession
 from .henson import SeparatedIso, density_witness_henson, one_point_extend
-from .nkomega import (AFSigmaContext, IndexFixingIso, classify_stabilizing,
-                      density_witness_nkomega, piccard_partner)
+from .nkomega import (AFSigmaContext, IndexFixingIso, density_witness_nkomega,
+                      piccard_partner)
 from .omega_kn import WholeComponentIso, density_witness_omega
 from .oracles import LazyOracle, NKOracle, OmegaShiftOracle
 from .partial_iso import IsoBuilder, empty, from_pairs
@@ -157,8 +157,10 @@ def nkomega_oracle(n: int, rng: random.Random,
     requested index permutation admits no generating partner.
 
     An invariant band is itself a finite stabilized set with equal
-    component counts, so non-stabilizing policy oracles are exactly the
-    band-free spine walks; variation comes from the index permutation.
+    component counts, and so is one fixed tail point per component.  The
+    oracles drawn here have neither band nor fixed tail, so they are
+    non-stabilizing (see ``classify_stabilizing``) without asking;
+    variation comes from the index permutation.
     """
     s = GraphSession(GraphKind.nk_omega(n))
     for _ in range(40):
@@ -170,11 +172,8 @@ def nkomega_oracle(n: int, rng: random.Random,
             if index_perm is not None:
                 return None
             continue
-        f = NKOracle(s, sf)
-        verdict = classify_stabilizing(f, 32)
-        if not verdict.stabilizing:
-            return f
-    raise GraphError("could not draw a non-stabilizing oracle")
+        return NKOracle(s, sf)
+    raise GraphError("could not draw an index permutation with a generating partner")
 
 
 def nkomega_instance(f: NKOracle, rng: random.Random,

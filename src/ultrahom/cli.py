@@ -186,7 +186,7 @@ def cmd_classify_stab(args) -> int:
         raise ValueError(problem)
     session = GraphSession(GraphKind.nk_omega(len(desc["sigma"])))
     f = oracle_from_description(session, desc)
-    verdict: StabVerdict = classify_stabilizing(f, args.bound)
+    verdict: StabVerdict = classify_stabilizing(f)
     if verdict.stabilizing:
         print(f"stabilizing: witness {list(verdict.witness)} ({verdict.detail})")
     else:
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cs = sub.add_parser("classify-stab", help="stabilizing / non-stabilizing verdict")
     cs.add_argument("--policy", required=True, help="oracle description JSON or file")
-    cs.add_argument("--bound", type=int, default=64)
     cs.set_defaults(run=cmd_classify_stab)
 
     v = sub.add_parser("verify", help="verify a certificate file (JSON lines)")

@@ -417,8 +417,10 @@ class GraphSession:
 
     @staticmethod
     def replay_text(kind: GraphKind, text: str) -> "GraphSession":
-        """Replay ``transcript_text`` lines; older lines with ``V=``/``F=`` still read."""
-        entries = []
+        """Replay ``transcript_text`` lines, each at the id it states, as ``replay_sets``
+        reads them; text with older ``V=``/``F=`` lines reads as schema-1 entries, through
+        ``entry_sets``."""
+        entries, fenced = [], False
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -429,9 +431,11 @@ class GraphSession:
                 key, _, val = field.partition("=")
                 sets[key] = tuple(int(x) for x in val.split(",") if x)
             U = sets.pop("U")
-            entries.append((U, sets.get("V", ()), sets.get("F", ()), int(head)) if sets
-                           else (U, int(head)))
-        return GraphSession.replay(kind, entries)
+            fenced = fenced or bool(sets)
+            entries.append((U, sets.get("V", ()), sets.get("F", ()), int(head)))
+        if fenced:
+            return GraphSession.replay(kind, entries)
+        return GraphSession.replay_sets(kind, ((w, U) for U, _, _, w in entries))
 
     def __repr__(self) -> str:
         size = len(self._adj) if self.kind.is_lazy else "closed-form"

@@ -20,9 +20,6 @@ from .words import (FreeWord, WordConditionReport, WordWalks, b_count, chase,
                     check_word_condition, concat, empty_word, landing_orbit, reduce_word,
                     swap_a_sign, word_index_image)
 
-# Largest equal per-component count the engines' stabilized-set search tries.
-STAB_BOUND = 64
-
 
 @dataclass(frozen=True)
 class IndexFixingIso:
@@ -209,120 +206,59 @@ class StabVerdict:
     detail: str
 
 
-def classify_stabilizing(f: NKOracle, bound: int) -> StabVerdict:
-    """Search for a finite f-stabilized set meeting every component equally.
+def classify_stabilizing(f: NKOracle) -> StabVerdict:
+    """Whether some finite f-stabilized set meets every component equally, with one.
 
-    Finite stabilized sets are unions of finite orbits; under the policy
-    those are exactly the band orbits plus single points of fixed tails,
-    so the search is exhaustive: dynamic programming over band-orbit
-    count vectors, with fixed-tail components topping up freely.  The
-    verdict is exact relative to the policy class.
+    Finite stabilized sets are unions of finite orbits, and under the policy
+    those are the band orbits and the points of fixed tails.  The band maps
+    onto itself and holds ``band_rows`` vertices of every component, so it
+    is one whenever it is not empty.  Without it only fixed tails hold finite
+    orbits, so every component needs one.  The verdict is exact for the
+    policy class, and a witness is one fixed tail point per component when
+    every tail is fixed, or else the band.
     """
-    if bound < 1:
-        raise GraphError("bound must be at least 1")
     s = f.session
     n = s.kind.n
-    ft = f.fixed_components()
-    free = [c for c in range(1, n + 1) if c not in ft]
-    if not free:
-        witness = tuple(s.vertex(c, f.band_rows) for c in sorted(ft))
+    loose = [c for c in range(1, n + 1) if c not in f.fixed_tail]
+    if not loose:
+        witness = tuple(s.vertex(c, f.band_rows) for c in range(1, n + 1))
         return StabVerdict(True, witness, "every tail is fixed pointwise")
-    orbits = f.band_orbits()
-    vectors: dict[tuple[int, ...], list[int]] = {tuple([0] * n): []}
-    for idx, orb in enumerate(orbits):
-        vec = [0] * n
-        for v in orb:
-            vec[s.component_of(v) - 1] += 1
-        for base, picks in list(vectors.items()):
-            new = tuple(b + d for b, d in zip(base, vec))
-            if new not in vectors:
-                vectors[new] = picks + [idx]
-    cap = min(bound, sum(len(o) for o in orbits) + 1)
-    for m in range(1, cap + 1):
-        for vec, picks in sorted(vectors.items()):
-            if all(vec[c - 1] == m for c in free) and \
-                    all(vec[c - 1] <= m for c in ft):
-                pts: list[int] = []
-                for idx in picks:
-                    pts.extend(orbits[idx])
-                for c in sorted(ft):
-                    need = m - sum(1 for v in pts if s.component_of(v) == c)
-                    pts.extend(s.vertex(c, f.band_rows + 2 * i) for i in range(need))
-                return StabVerdict(True, tuple(sorted(pts)),
-                                   f"equal count {m} per component")
+    if f.band_rows:
+        witness = tuple(sorted(s.vertex(c, t) for c in range(1, n + 1)
+                               for t in range(f.band_rows)))
+        return StabVerdict(True, witness, f"the band: {f.band_rows} per component")
     return StabVerdict(False, None,
-                       "all finite orbits enumerated under the policy; no nonempty "
-                       "equal-count stabilized union exists")
+                       f"no band, and component {loose[0]} has no fixed tail, so no "
+                       "finite orbit meets it")
 
 
 def escape_exponents(f: NKOracle, q: PartialIso, x: int) -> list[int]:
-    """Exponents m1, m2, ..., odd positions positive, driving x out of dom(q).
+    """[m1, m2], m1 > 0, with (x)q^m1 f^m2 outside dom(q); [] if x is outside already.
 
-    Realizes the alternating product q^{m1} f^{m2} q^{m3} ...; breadth
-    first over the finite support of q, so the product is shortest and
-    deterministic.  The empty list means x is already outside dom(q).
+    m1 is the least exponent that takes x out along its chain of q (with
+    m2 = 0), or else x's q-cycle is searched by least vertex for the
+    least-|m2| escape of f.  f has no band: then an orbit of f that dom(q)
+    traps is a fixed tail point, which f carries onto no other point of
+    dom(q), so no longer alternating product escapes where these do not.
     """
-    if x not in q.dom():
-        return []
+    if f.band_rows:
+        raise HypothesisError("no-band", "escape products are searched for band-free f only")
     dom = q.dom()
-
-    def q_moves(v: int) -> list[tuple[int, int]]:
-        out = []
-        cur = v
-        for k in range(1, len(q) + 1):
-            cur = q.apply(cur)
-            if cur is None:
-                break
-            out.append((k, cur))
-            if cur == v:
-                break
-        return out
-
-    start = ("pre", x)
-    prev: dict[tuple[str, int], tuple] = {start: None}
-    frontier = [start]
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for state in frontier:
-            phase, v = state
-            if phase == "pre":
-                for k, w in q_moves(v):
-                    if w not in dom:
-                        goal = (state, k, None)
-                        break
-                    tgt = ("post", w)
-                    if tgt not in prev:
-                        prev[tgt] = (state, k)
-                        nxt.append(tgt)
-                if goal:
-                    break
-            else:
-                j = f.escape_power(v, dom)
-                if j is not None:
-                    goal = (state, j, None)
-                    break
-                for j, u in f.orbit_meetings(v, dom):
-                    tgt = ("pre", u)
-                    if tgt not in prev:
-                        prev[tgt] = (state, j)
-                        nxt.append(tgt)
-        frontier = sorted(nxt, key=lambda st: (st[0], st[1]))
-    internal_check(goal is not None, "escape-exists",
+    if x not in dom:
+        return []
+    cycle: dict[int, int] = {}
+    v, k = x, 0
+    while x not in cycle:
+        v, k = q.apply(v), k + 1
+        if v not in dom:
+            return [k, 0]
+        cycle[v] = k
+    for v in sorted(cycle):
+        j = f.escape_power((v,), dom)
+        if j is not None:
+            return [cycle[v], j]
+    internal_check(False, "escape-exists",
                    "non-stabilizing certificate violated: no escape product")
-
-    steps = [goal[1]]
-    state = goal[0]
-    while prev[state] is not None:
-        parent, exp = prev[state]
-        steps.append(exp)
-        state = parent
-    steps.reverse()
-    if len(steps) % 2 == 1:
-        steps.append(0)  # trailing f^0, removed by word reduction
-    for i in range(0, len(steps), 2):
-        internal_check(steps[i] > 0, "odd-positions-positive")
-    return steps
 
 
 def _exponents_word(exps: list[int]) -> FreeWord:
@@ -476,13 +412,9 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
         raise HypothesisError("ran-avoids-delta")
     if b is not ctx._own:
         check_admissible(ctx, b)
-    specials: set[int] = set()
-    if n == 2 and f.index_perm().is_identity():
-        if f.fixed_components():
-            raise HypothesisError("fix-finite",
-                                  "fix(f) is infinite; route to the n=2 special witness")
-        specials = f.fixed_band_points()
-    _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set() | specials, avoid=delta)
+    if n == 2 and f.index_perm().is_identity() and f.fixed_components():
+        raise HypothesisError("fix-finite", "fix(f) is infinite; route to the n=2 special witness")
+    _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set(), avoid=delta)
     phi = frozenset(b.dom())
     b.mark(phi)
     window.fence(delta)
@@ -630,7 +562,7 @@ def density_witness_nkomega(ctx: AFSigmaContext, q: PartialIso,
     f, s, n = ctx.f, ctx.session, ctx.n
     if n == 2 and f.index_perm().is_identity() and f.fixed_components():
         return density_witness_n2(ctx, q, p)
-    verdict = classify_stabilizing(f, STAB_BOUND)
+    verdict = classify_stabilizing(f)
     if verdict.stabilizing:
         raise HypothesisError("non-stabilizing", verdict.detail)
     sq = check_admissible(ctx, q)
@@ -729,7 +661,7 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     if n != 2 or not sf.is_identity() or not f.fixed_components():
         raise HypothesisError("routing",
                               "needs n = 2, identity index map and an infinite fixed line")
-    verdict = classify_stabilizing(f, STAB_BOUND)
+    verdict = classify_stabilizing(f)
     if verdict.stabilizing:
         raise HypothesisError("non-stabilizing", verdict.detail)
     sq = check_admissible(ctx, q)
@@ -749,14 +681,10 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     rp2 = sorted(v for v in piso.ran() if s.component_of(v) == ell2)
 
     def escape_exp(pts, blocked) -> int:
-        if not pts:
-            return 0
-        bound = f._orbit_scan_bound(set(blocked) | set(pts)) + 2
-        for mag in range(0, bound):
-            for mm in ((0,) if mag == 0 else (mag, -mag)):
-                if all(f.iterate(v, mm) not in blocked for v in pts):
-                    return mm
-        raise HypothesisError("escape-power", "no power of f clears the blocked set")
+        mm = f.escape_power(pts, blocked)
+        if mm is None:
+            raise HypothesisError("escape-power", "no power of f clears the blocked set")
+        return mm
 
     # stage 1: park the domain side on fixed points of f
     m1 = escape_exp(dp1, h.support())

@@ -9,8 +9,10 @@ replayable by the verifier without any engine code.
 
 from __future__ import annotations
 
+import math
+
 from .errors import GraphError, internal_check
-from .graphs import GraphSession, NK_OMEGA, OMEGA_KN, _unzigzag, _zigzag
+from .graphs import GraphSession, NK_OMEGA, OMEGA_KN, _unzigzag
 from .partial_iso import (IsoBuilder, PartialIso, chain_lists, chain_pairs, empty as empty_iso,
                           validate)
 from .partial_iso import extend  # noqa: F401  (perfbench's tracer test patches this binding)
@@ -185,7 +187,9 @@ class NKOracle(OracleBase):
     all tail orbits are infinite -- except in components listed in
     ``fixed_tail``, whose tails are fixed pointwise.  Finite orbits are
     therefore exactly the band orbits plus the fixed tails, which makes
-    fix / support / finite-orbit questions decidable.
+    fix / support / finite-orbit questions decidable.  ``orbit_coord``
+    and ``vertex_at`` are the one definition of f: a step, a power and
+    an escape are all read off them.
     """
 
     def __init__(self, session: GraphSession, sigma: IndexPerm,
@@ -226,61 +230,23 @@ class NKOracle(OracleBase):
         for cyc in sigma.cycles(include_fixed=True):
             for i, c in enumerate(cyc):
                 self._cycle_pos[c] = (cyc, i)
-        self._memo_fwd: dict[int, int] = {}
-        self._memo_bwd: dict[int, int] = {}
         self._memo_coord: dict[int, tuple[int, int, int]] = {}
         self._band_place: dict[int, tuple[tuple[int, ...], int]] | None = None
 
     def index_perm(self) -> IndexPerm:
         return self.sigma
 
-    def _spine(self, c: int, t: int, forward: bool) -> int:
-        s = self.session
-        cyc, i = self._cycle_pos[c]
-        u = t - self.band_rows
-        if forward:
-            c2 = cyc[(i + 1) % len(cyc)]
-            u2 = _zigzag(_unzigzag(u) + 1) if i == len(cyc) - 1 else u
-        else:
-            c2 = cyc[(i - 1) % len(cyc)]
-            u2 = _zigzag(_unzigzag(u) - 1) if i == 0 else u
-        return s.vertex(c2, u2 + self.band_rows)
-
     def try_image(self, v: int) -> int:
-        out = self._memo_fwd.get(v)
-        if out is not None:
-            return out
-        s = self.session
-        c, t = s.component_of(v), s.position_of(v)
-        if t < self.band_rows:
-            out = self._band_fwd[v]
-        elif c in self.fixed_tail:
-            out = v
-        else:
-            out = self._spine(c, t, forward=True)
-        self._memo_fwd[v] = out
-        return out
+        return self.iterate(v, 1)
 
     def try_preimage(self, v: int) -> int:
-        out = self._memo_bwd.get(v)
-        if out is not None:
-            return out
-        s = self.session
-        c, t = s.component_of(v), s.position_of(v)
-        if t < self.band_rows:
-            out = self._band_bwd[v]
-        elif c in self.fixed_tail:
-            out = v
-        else:
-            out = self._spine(c, t, forward=False)
-        self._memo_bwd[v] = out
-        return out
+        return self.iterate(v, -1)
 
     # -- orbit structure -----------------------------------------------------
 
     def _band_orbit_of(self, v: int) -> tuple[tuple[int, ...], int]:
         """The band orbit through band vertex v, lowest vertex first, and v's index on it."""
-        if self._band_place is None:  # built on first use: verification never asks
+        if self._band_place is None:  # built on first use, in O(band): steps read it too
             self._band_place = {u: (orb, i) for orb in self.band_orbits()
                                 for i, u in enumerate(orb)}
         return self._band_place[v]
@@ -291,10 +257,11 @@ class NKOracle(OracleBase):
         f adds 1 to s, modulo the period on a finite orbit.  The orbits:
         a sigma-cycle (c_0 ... c_{L-1}) has one two-way infinite tail
         orbit, keyed -c_0, on which (c_i, t) sits at
-        s = unzigzag(t - band_rows) * L + i (see ``_spine``); a band orbit
-        is a cycle, keyed by its lowest vertex; a fixed-tail vertex is its
-        own orbit, keyed by itself.  Keys of different orbits differ.
-        Memoized per vertex, like ``try_image``.
+        s = unzigzag(t - band_rows) * L + i, so f carries (c_i, t) on to
+        c_{i+1} at the same position and (c_{L-1}, t) on to c_0 one place
+        further along Z; a band orbit is a cycle, keyed by its lowest vertex;
+        a fixed-tail vertex is its own orbit, keyed by itself.  Keys of
+        different orbits differ.  Memoized per vertex.
         """
         out = self._memo_coord.get(v)
         if out is not None:
@@ -348,9 +315,6 @@ class NKOracle(OracleBase):
         """Components whose tail is pointwise fixed (fix(f) infinite there)."""
         return set(self.fixed_tail)
 
-    def fixed_band_points(self) -> set[int]:
-        return {v for v, w in self._band_fwd.items() if v == w}
-
     def fixed_tail_point(self, component: int, avoid=()) -> int:
         """Lowest fixed tail point of a fixed component outside ``avoid``."""
         if component not in self.fixed_tail:
@@ -366,33 +330,25 @@ class NKOracle(OracleBase):
         permutation, so every ``chain_lists`` list is closed, and its repeat is dropped."""
         return [tuple(orb[:-1]) for orb in chain_lists(self._band_fwd, self._band_bwd)]
 
-    def orbit_meetings(self, v: int, targets: set[int]) -> list[tuple[int, int]]:
-        """All (j, u) with (v)f^j = u in targets, j != 0; finite by policy."""
-        out = []
-        bound = self._orbit_scan_bound(targets)
-        for direction in (1, -1):
-            u = v
-            for j in range(1, bound + 1):
-                u = self.image(u) if direction > 0 else self.preimage(u)
-                if u == v:
-                    break  # finite orbit fully scanned
-                if u in targets:
-                    out.append((direction * j, u))
-        return sorted(out)
+    def escape_power(self, pts, avoid) -> int | None:
+        """The j of least |j|, 0 first and j before -j, with (pts)f^j outside ``avoid``;
+        None if there is none.
 
-    def escape_power(self, v: int, avoid: set[int]) -> int:
-        """Smallest-|j| nonzero j with (v)f^j outside ``avoid``; None on finite trapped orbits."""
-        bound = self._orbit_scan_bound(avoid) + len(avoid) + 2
-        for j in range(1, bound + 1):
-            for sj in (j, -j):
-                if self.iterate(v, sj) not in avoid:
-                    return sj
-        return None
-
-    def _orbit_scan_bound(self, pts: set[int]) -> int:
-        maxpos = max((self.session.position_of(u) for u in pts), default=0)
-        n = self.session.kind.n
-        return n * (2 * maxpos + self.band_rows + 6) + len(self._band_fwd) + 4
+        Read off orbit coordinates.  The points on finite orbits repeat with the lcm L
+        of their periods, so whether some j clears them is decided by j = 0 .. L-1; if
+        one does, so does every j of its class mod L, and the points on infinite orbits
+        meet the finite ``avoid`` only finitely often, so the walk out from 0 ends.
+        """
+        coords = [self.orbit_coord(v) for v in pts]
+        finite = [(key, s) for key, s, period in coords if period]
+        lcm = math.lcm(*(period for _, _, period in coords if period))
+        at = self.vertex_at
+        if all(any(at(key, s + j) in avoid for key, s in finite) for j in range(lcm)):
+            return None
+        j = 0
+        while any(at(key, s + j) in avoid for key, s, _ in coords):
+            j = -j if j > 0 else 1 - j
+        return j
 
     def description(self) -> dict:
         return {

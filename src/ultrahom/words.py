@@ -330,6 +330,8 @@ def check_word_condition(p: PartialIso | IsoBuilder, gamma: Iterable[int], theta
     """Check the six clauses tying a word realization w(p) to the sets given.
 
     p is a ``PartialIso`` or a growing ``IsoBuilder``; both read the same.
+    p must induce a total index permutation and f must have one
+    (``index_perm``), so that clause 1 is read in the index group.
 
     (1) the induced index permutation of w(p) is the identity;
     (2) ran(p) is disjoint from delta;
@@ -348,16 +350,11 @@ def check_word_condition(p: PartialIso | IsoBuilder, gamma: Iterable[int], theta
     failed: dict[int, object] = {}
 
     sigma_p = p.index_perm()
-    if sigma_p is not None and getattr(f, "index_perm", None) is not None:
-        img = word_index_image(w, sigma_p, f.index_perm())
-        if not img.is_identity():
-            failed[1] = f"index image {img.cycle_notation()}"
-    else:
-        wp = evaluate(w, p, f)
-        bad = [x for x in wp.dom()
-               if p.session.component_of(x) != p.session.component_of(wp.apply(x))]
-        if bad:
-            failed[1] = f"component moved at {bad[0]}"
+    if sigma_p is None:
+        raise HypothesisError("index-perm-total", "p does not cover every component")
+    img = word_index_image(w, sigma_p, f.index_perm())
+    if not img.is_identity():
+        failed[1] = f"index image {img.cycle_notation()}"
 
     overlap = p.ran() & delta
     if overlap:

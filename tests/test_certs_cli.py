@@ -343,7 +343,15 @@ def test_cli_classify_stab(capsys):
     assert "non-stabilizing" in capsys.readouterr().out
     fixed = '{"kind":"nk_policy","sigma":[1,2],"band_rows":0,"band_pairs":[],"fixed_tail":[1,2]}'
     assert main(["classify-stab", "--policy", fixed]) == 0
-    assert "stabilizing: witness" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("stabilizing: witness [0, 1] ")
+    # a 65-row band that is one 130-vertex orbit: the band itself is the witness
+    # (vertex 2t is (1, t) and 2t + 1 is (2, t))
+    band = json.dumps({"kind": "nk_policy", "sigma": [2, 1], "band_rows": 65,
+                       "band_pairs": [list(range(130)) + [0]], "fixed_tail": []})
+    assert main(["classify-stab", "--policy", band]) == 0
+    assert capsys.readouterr().out.startswith(f"stabilizing: witness {list(range(130))} ")
+    with pytest.raises(SystemExit):  # the search cap is gone with the search
+        main(["classify-stab", "--policy", band, "--bound", "64"])
 
 
 def test_cli_campaign_class_empty(capsys):

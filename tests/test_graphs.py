@@ -161,6 +161,19 @@ def test_replay_reads_schema_1_entries_and_text(h3):
         GraphSession.replay(h3.kind, [((), (), 0)])
 
 
+def test_transcript_text_of_a_session_with_skipped_ids_replays():
+    """Each text line makes the vertex it names, so a session replayed with gaps reads
+    back from its own text, and a line whose id does not rise is refused."""
+    s = GraphSession.replay_sets(GraphKind.henson(3), [(0, []), (5, [0]), (9, [5])])
+    text = s.transcript_text()
+    assert text == "0: U=\n5: U=0\n9: U=5"
+    clone = GraphSession.replay_text(s.kind, text)
+    assert clone.transcript() == s.transcript() and clone.realized() == [0, 5, 9]
+    assert clone.alice_witness([9]) == s.alice_witness([9]) == 10
+    with pytest.raises(GraphError, match="ids must rise"):
+        GraphSession.replay_text(s.kind, "0: U=\n5: U=0\n5: U=")
+
+
 def test_replay_with_skipped_ids_makes_no_vertex_there_and_witnesses_past_the_largest():
     """An id no entry names makes no vertex, a skip of 10^18 included; ids must rise, and
     the next witness id comes after the largest, so no id is handed out twice."""

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import brute_components, random_band_oracle
+from conftest import (PolicySteps, brute_components, brute_stabilized_set, no_escape_proof,
+                      random_band_oracle, scan_escape_exp, scan_escape_exponents,
+                      scan_escape_power, scan_orbit_meetings)
 from ultrahom import certs, nkomega
 from ultrahom.campaigns import (n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial,
                                 run_trial)
@@ -129,19 +131,17 @@ def test_classify_stabilizing():
     # band orbit hitting each component once: stabilizing with witness
     band = [(s.vertex(1, 0), s.vertex(2, 0)), (s.vertex(2, 0), s.vertex(1, 0))]
     f = NKOracle(s, IndexPerm.from_cycles(2, [(1, 2)]), band_rows=1, band_pairs=band)
-    verdict = classify_stabilizing(f, 8)
+    verdict = classify_stabilizing(f)
     assert verdict.stabilizing and set(verdict.witness) == {s.vertex(1, 0), s.vertex(2, 0)}
     # pure spine: no finite orbits at all
     g = NKOracle(s, IndexPerm.from_cycles(2, [(1, 2)]))
-    assert not classify_stabilizing(g, 8).stabilizing
+    assert not classify_stabilizing(g).stabilizing
     # unequal component counts in every stabilized set
     s3 = GraphSession(GraphKind.nk_omega(3))
     band3 = [(s3.vertex(1, 0), s3.vertex(1, 0))] + \
         [(s3.vertex(c, 0), s3.vertex(c, 0)) for c in (2, 3)]
     h = NKOracle(s3, IndexPerm.identity(3), band_rows=1, band_pairs=band3)
-    assert classify_stabilizing(h, 8).stabilizing  # all three fixed: equal count 1
-    with pytest.raises(GraphError):
-        classify_stabilizing(g, 0)
+    assert classify_stabilizing(h).stabilizing  # all three fixed: equal count 1
 
 
 def test_classify_stabilizing_unequal_band():
@@ -151,12 +151,12 @@ def test_classify_stabilizing_unequal_band():
             (s.vertex(2, 0), s.vertex(2, 1)), (s.vertex(2, 1), s.vertex(2, 0))]
     f = NKOracle(s, IndexPerm.identity(2), band_rows=2, band_pairs=band)
     # both components carry one 2-orbit: equal counts exist
-    assert classify_stabilizing(f, 8).stabilizing
+    assert classify_stabilizing(f).stabilizing
     band_skew = [(s.vertex(1, 0), s.vertex(1, 1)), (s.vertex(1, 1), s.vertex(1, 0)),
                  (s.vertex(2, 0), s.vertex(2, 0)), (s.vertex(2, 1), s.vertex(2, 1))]
     g = NKOracle(s, IndexPerm.identity(2), band_rows=2, band_pairs=band_skew)
     # 2-orbit in L1 vs singletons in L2: counts 2 vs 2 achievable -> stabilizing
-    assert classify_stabilizing(g, 8).stabilizing
+    assert classify_stabilizing(g).stabilizing
 
 
 def test_escape_exponents_cases():
@@ -178,6 +178,158 @@ def test_escape_exponents_cases():
     for i, e in enumerate(exps):
         val = _apply_power(cyc, val, e) if i % 2 == 0 else _apply_f(f, val, e)
     assert val not in cyc.dom()
+
+
+def _single_orbit_band(s, rows):
+    """n = 2, sigma = (1 2): band pairs making all 2 * rows band vertices one cycle."""
+    v = s.vertex
+    return ([(v(1, t), v(2, t)) for t in range(rows)]
+            + [(v(2, t), v(1, (t + 1) % rows)) for t in range(rows)])
+
+
+def test_a_band_of_one_long_orbit_is_stabilizing():
+    """A 65-row band that is one 130-vertex orbit is itself a stabilized set with 65
+    vertices in each component, though no union of band orbits holds 64 or fewer."""
+    s = GraphSession(GraphKind.nk_omega(2))
+    f = NKOracle(s, IndexPerm.from_cycles(2, [(1, 2)]), 65, _single_orbit_band(s, 65))
+    assert [len(orb) for orb in f.band_orbits()] == [130]
+    verdict = classify_stabilizing(f)
+    band = tuple(sorted(s.vertex(c, t) for c in (1, 2) for t in range(65)))
+    assert verdict.stabilizing and verdict.witness == band
+    assert brute_stabilized_set(f) == band
+
+
+def test_stabilizing_verdict_matches_a_brute_force_search():
+    """On random policies, stabilizing exactly when some union of band orbits, topped
+    up with fixed tail points, meets every component equally; the witness is invariant
+    under the reference policy and meets every component equally."""
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(1500):
+        n = 2 + trial % 3
+        f = random_band_oracle(n, rng, max_rows=3)
+        verdict = classify_stabilizing(f)
+        assert verdict.stabilizing == (brute_stabilized_set(f) is not None)
+        if verdict.stabilizing:
+            ref, wit = PolicySteps(f), set(verdict.witness)
+            assert wit and {ref.step(v) for v in wit} == wit
+            counts = {sum(f.session.component_of(v) == c for v in wit)
+                      for c in range(1, n + 1)}
+            assert len(counts) == 1
+        seen.add((verdict.stabilizing, f.band_rows > 0))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def _first_escape(f, pts, avoid):
+    """The least-|j| j, 0 first and j before -j, clearing pts of avoid by reference steps,
+    tried out to |j| = 60."""
+    ref = PolicySteps(f)
+    for mag in range(61):
+        for j in ((0,) if mag == 0 else (mag, -mag)):
+            if not {ref.power(v, j) for v in pts} & avoid:
+                return j
+    return None
+
+
+def test_escape_power_matches_the_scans():
+    """The closed-form escape against the bounded reference scans, one point in the
+    avoided set as escape_exponents asks and up to three points as the n = 2 engine asks,
+    trapped orbits included: equal wherever a scan finds a power, and where none is
+    found, no power clears the points by brute force over the periods."""
+    rng = random.Random(30)
+    tally = {"single": 0, "trapped": 0, "several": 0, "none": 0, "past-the-scan": 0}
+    for trial in range(4000):
+        n = 2 + trial % 4
+        f = random_band_oracle(n, rng, max_rows=3)
+        s = f.session
+        pool = [s.vertex(c, t) for c in range(1, n + 1) for t in range(f.band_rows + 5)]
+        avoid = set(rng.sample(pool, rng.randint(1, len(pool) // 2 + 1)))
+        v = rng.choice(sorted(avoid))
+        j = f.escape_power((v,), avoid)
+        assert j == scan_escape_power(f, v, avoid)
+        tally["single"] += 1
+        if j is None:
+            assert no_escape_proof(f, (v,), avoid)
+            tally["trapped"] += 1
+        pts = rng.sample(pool, rng.randint(0, 3))
+        m = f.escape_power(pts, avoid)
+        old = scan_escape_exp(f, pts, avoid)
+        tally["several"] += 1
+        if old is not None:
+            assert m == old
+        elif m is None:
+            assert no_escape_proof(f, pts, avoid)
+            tally["none"] += 1
+        else:  # past the scan's bound: checked step by step
+            assert m == _first_escape(f, pts, avoid)
+            tally["past-the-scan"] += 1
+    assert tally["single"] + tally["several"] >= 8000
+    assert tally["trapped"] > 100 and tally["none"] > 100
+
+
+def _random_q(s, rng, rows):
+    """A random injection among the first rows of n K_omega along a random index map,
+    so that its chains and cycles cross components."""
+    n = s.kind.n
+    tau = rng.choice(list(all_perms(n)))
+    dom = rng.sample([s.vertex(c, t) for c in range(1, n + 1) for t in range(rows)],
+                     rng.randint(1, n * rows))
+    free = {c: [s.vertex(c, t) for t in range(rows)] for c in range(1, n + 1)}
+    for c in free.values():
+        rng.shuffle(c)
+    return from_pairs(s, [(x, free[tau(s.component_of(x))].pop()) for x in dom])
+
+
+def test_escape_exponents_match_the_breadth_first_scan():
+    """On band-free policies, the two-exponent escape equals the breadth-first search
+    over q-moves and f-meetings it replaced, and its product leaves dom(q)."""
+    rng = random.Random(31)
+    dead = 0
+    for trial in range(1200):
+        n = 2 + trial % 3
+        f = random_band_oracle(n, rng, max_rows=0)
+        q = _random_q(f.session, rng, 3)
+        x = rng.choice(sorted(q.dom()))
+        try:
+            want = scan_escape_exponents(f, q, x)
+        except AssertionError:
+            with pytest.raises(InternalCheckError, match="escape-exists"):
+                escape_exponents(f, q, x)
+            dead += 1
+            continue
+        assert escape_exponents(f, q, x) == want
+        m1, m2 = want
+        assert PolicySteps(f).power(q.chase(x, m1), m2) not in q.dom()
+    assert 0 < dead < 1200
+
+
+def test_escape_exponents_pass_a_trapped_fixed_point():
+    """x's q-cycle is searched by least vertex: the first, a fixed tail point of f in
+    dom(q), is trapped, and f meets no other point of dom(q) from it; the second escapes.
+    The exponents are the breadth-first scan's, and their product leaves dom(q)."""
+    s = GraphSession(GraphKind.nk_omega(3))
+    v = s.vertex
+    f = NKOracle(s, IndexPerm.from_cycles(3, [(2, 3)]), fixed_tail=(1,))
+    q = from_pairs(s, [(v(1, 0), v(2, 0)), (v(2, 0), v(1, 0))])
+    x = v(1, 0)
+    assert f.escape_power((v(1, 0),), q.dom()) is None
+    assert scan_orbit_meetings(f, v(1, 0), q.dom()) == []
+    exps = escape_exponents(f, q, x)
+    assert exps == scan_escape_exponents(f, q, x) == [1, 1]
+    # the product a b, letter by letter, over f's pairs on the first rows
+    ref = PolicySteps(f)
+    f_pairs = [(u, ref.step(u)) for u in (v(c, t) for c in (1, 2, 3) for t in range(4))]
+    assert dict(certs.brute_force_word_eval("a b", q.pairs(), f_pairs))[x] == v(3, 0)
+    assert v(3, 0) not in q.dom()
+
+
+def test_escape_exponents_need_a_band_free_f():
+    s = GraphSession(GraphKind.nk_omega(2))
+    f = NKOracle(s, IndexPerm.from_cycles(2, [(1, 2)]), 1,
+                 [(s.vertex(1, 0), s.vertex(2, 0)), (s.vertex(2, 0), s.vertex(1, 0))])
+    q = from_pairs(s, [(s.vertex(1, 1), s.vertex(2, 1))])
+    with pytest.raises(HypothesisError, match="no-band"):
+        escape_exponents(f, q, s.vertex(1, 1))
 
 
 def _apply_power(q, x, k):
@@ -557,13 +709,15 @@ def test_n2_wrong_routing_rejected():
 
 
 def test_nk_iterate_and_orbit_coord_match_oracle_steps():
-    """(v)f^k in closed form against |k| image or preimage steps, for k in -60..60, on
-    band, fixed-tail and spine vertices; f adds 1 to the orbit coordinate."""
+    """(v)f^k in closed form, and the steps read off it, against |k| steps of the
+    reference policy for k in -60..60, on band, fixed-tail and spine vertices; f adds 1
+    to the orbit coordinate."""
     rng = random.Random(11)
     seen = set()
     for trial in range(24):
         n = 2 + trial % 4
         f = random_band_oracle(n, rng, max_rows=3)
+        ref = PolicySteps(f)
         s, rows, fixed = f.session, f.band_rows, f.fixed_tail
         for _ in range(6):
             v = s.vertex(rng.randint(1, n), rng.randrange(rows + 8))
@@ -573,14 +727,14 @@ def test_nk_iterate_and_orbit_coord_match_oracle_steps():
             seen.add(kind)
             assert (period == 0) == (kind == "spine")
             assert f.vertex_at(key, at) == v
-            nxt = f.orbit_coord(f.image(v))
+            nxt = f.orbit_coord(ref.step(v))
             assert nxt == (key, (at + 1) % period if period else at + 1, period)
             fw, bw = v, v
             assert f.iterate(v, 0) == v
             for k in range(1, 61):
-                fw, bw = f.image(fw), f.preimage(bw)
-                assert f.iterate(v, k) == fw
-                assert f.iterate(v, -k) == bw
+                fw, bw = ref.step(fw), ref.step(bw, forward=False)
+                assert f.iterate(v, k) == f.image(f.iterate(v, k - 1)) == fw
+                assert f.iterate(v, -k) == f.preimage(f.iterate(v, 1 - k)) == bw
     assert seen == {"band", "fixed", "spine"}
 
 
@@ -608,14 +762,14 @@ def test_memoized_orbit_coord_matches_a_fresh_oracle():
 
 def test_band_orbits_match_brute_components():
     """The band's cycles, each from its lowest vertex, in order of it, against the
-    pointwise walk over f's images of the band."""
+    pointwise walk over the reference policy's images of the band."""
     rng = random.Random(13)
     lengths = set()
     for trial in range(40):
         n = 2 + trial % 4
         f = random_band_oracle(n, rng)
         s = f.session
-        pairs = [(v, f.image(v)) for v in
+        pairs = [(v, PolicySteps(f).step(v)) for v in
                  (s.vertex(c, t) for c in range(1, n + 1) for t in range(f.band_rows))]
         comps = brute_components(pairs)
         assert all(cyclic for _, cyclic in comps)

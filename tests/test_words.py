@@ -197,6 +197,16 @@ def test_check_word_condition_vacuous_and_failures(nk2):
         check_word_condition(q, (), (v(1, 0),), (), (), w, f)
 
 
+def test_check_word_condition_needs_a_total_index_perm(nk2):
+    """Clause 1 is read in the index group, so p must move every component."""
+    v = nk2.vertex
+    f = NKOracle(nk2, IndexPerm.from_cycles(2, [(1, 2)]))
+    q = from_pairs(nk2, [(v(1, 0), v(2, 0))])  # nothing leaves component 2
+    assert q.index_perm() is None
+    with pytest.raises(HypothesisError, match="index-perm-total"):
+        check_word_condition(q, (), (), (), (), parse_word("a^2"), f)
+
+
 def test_check_word_condition_clause6(nk2):
     v = nk2.vertex
     f = NKOracle(nk2, IndexPerm.from_cycles(2, [(1, 2)]))
