@@ -454,9 +454,10 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     One fresh pair per first-letter death point of x's walk; the other
     target points' landings are pinned by the exclusion windows around
     every choice.  ``window`` must have radius b_count(w); it fences
-    delta and carries its centres over from earlier growth of b.  b is
-    marked with phi unless it already is, so a builder grown on from the
-    base word keeps its chain counts.  The entry check on b is the base
+    delta and carries its centres over from earlier growth of b.  A
+    builder grown on from the base word keeps the chain counts of phi that
+    ``build_base_word`` marked; on any other, the landing checks walk the
+    orbit (``_orbit_avoids``).  The entry check on b is the base
     word's final check or the previous fill's exit check whenever those
     read the same state with the same arguments, and then reuses it.
     """
@@ -484,8 +485,6 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     if window.radius != B:
         raise HypothesisError("window-radius", f"the window must have radius b_count(w) = {B}")
     window.fence(delta)
-    if b.marked is not phi:
-        b.mark(phi)
     entry = {u: walks.consumed(u) for u in others}
     guard = 0
     internal_check(2 <= walks.consumed(x) + 1 <= W, "death-position")
@@ -689,12 +688,10 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     # stage 1: park the domain side on fixed points of f
     m1 = escape_exp(dp1, h.support())
     for v in dp1:
-        y = f.fixed_tail_point(ell2, h.support() | piso_support)
-        _class_extend(ctx, h, f.iterate(v, m1), y)
+        _class_extend(ctx, h, f.iterate(v, m1), h.fresh(ell2, piso_support))
     for v in dp2:
-        vv = f.iterate(v, m1)
-        if vv not in h.dom():
-            _class_extend(ctx, h, vv, h.fresh(ell1, piso_support))
+        # f fixes ell2 pointwise, and _absorb_into_dom put all of supp(p) into dom(h)
+        internal_check(f.iterate(v, m1) in h.dom(), "dp2-in-dom")
     pts2 = [h.apply(f.iterate(v, m1)) for v in dp2]
     m2 = escape_exp(pts2, h.support())
     a_vals = {x: f.iterate(h.apply(f.iterate(x, m1)), m2) for x in dp2}
@@ -705,8 +702,7 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     # stage 2: the range side, mirrored
     m3 = escape_exp(rp1, h.support() | a_set)
     for v in rp1:
-        x2 = f.fixed_tail_point(ell2, h.support() | a_set | piso_support)
-        h.add(x2, f.iterate(v, m3))
+        h.add(h.fresh(ell2, a_set | piso_support), f.iterate(v, m3))
     for v in rp2:
         vv = f.iterate(v, m3)
         if vv not in h.ran():

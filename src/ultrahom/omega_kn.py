@@ -71,28 +71,19 @@ def _index_chains(imap: dict[int, int]) -> list[list[int]]:
     return sorted(chain_lists(imap, {d: c for c, d in imap.items()}), key=lambda ch: _zigzag(ch[0]))
 
 
-def in_orbit_rep_class(q: PartialIso | IsoBuilder, sigma) -> bool:
+def in_orbit_rep_class(q: IsoBuilder, sigma) -> bool:
     """Can q grow to an automorphism with no finite orbit and sigma as orbit reps?
 
     Requires dom(q) to be a union of components with sigma inside it
     hitting every component of q exactly once; the answer is then read
-    off the induced index map: no cycles.  The index map and the
-    domain's share of each component come from one pass over q, or from
-    a builder, which keeps both; a failing requirement is then named by
-    the scan that names it for a frozen value.
+    off the induced index map: no cycles.  The builder keeps the index
+    map and the domain's share of each component; only a failing
+    requirement scans the map, to name it.
     """
     s = q.session
     sigma = set(sigma)
     comp, n = s.component_of, s.kind.n
-    if isinstance(q, IsoBuilder):
-        imap, in_dom = q.cmap, q.pairs_from
-    else:
-        imap, in_dom = {}, {}  # in_dom: component -> its vertices in dom(q)
-        for x, y in q._fwd.items():
-            c = comp(x)
-            imap[c] = comp(y)
-            in_dom[c] = in_dom.get(c, 0) + 1
-    if any(k != n for k in in_dom.values()):
+    if any(k != n for k in q.pairs_from.values()):
         dom = set(q._fwd)
         for c in {comp(v) for v in dom}:
             missing = set(s.component_vertices(c)) - dom
@@ -106,7 +97,7 @@ def in_orbit_rep_class(q: PartialIso | IsoBuilder, sigma) -> bool:
             if k != 1:
                 raise HypothesisError("sigma-one-per-component",
                                       f"component of {head} has {k} representatives")
-    return not _index_cycles(imap)
+    return not _index_cycles(q.cmap)
 
 
 @dataclass(frozen=True)
@@ -290,13 +281,13 @@ def density_witness_omega(f: OmegaShiftOracle, q: PartialIso,
     sigma = sorted(set(sigma))
     if not sigma:
         raise HypothesisError("class-nonempty", "no orbit representatives given")
-    if not in_orbit_rep_class(q, sigma):
+    b = IsoBuilder(q)
+    if not in_orbit_rep_class(b, sigma):
         raise HypothesisError("class-membership", "index map of q has a cycle")
     q_in = q
     piso = p.iso
 
     # -- stage 0: absorb p's components, then equalize chain lengths ---------
-    b = IsoBuilder(q)
     heads = b.cmap.keys() - b.cinv.keys()
     internal_check(len(heads) * s.kind.n == len(sigma), "chain-count")
     p_comps = sorted({s.component_of(v) for v in piso.support()}, key=_zigzag)

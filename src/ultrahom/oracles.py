@@ -315,16 +315,6 @@ class NKOracle(OracleBase):
         """Components whose tail is pointwise fixed (fix(f) infinite there)."""
         return set(self.fixed_tail)
 
-    def fixed_tail_point(self, component: int, avoid=()) -> int:
-        """Lowest fixed tail point of a fixed component outside ``avoid``."""
-        if component not in self.fixed_tail:
-            raise GraphError(f"component {component} has no fixed tail")
-        avoid = set(avoid)
-        t = self.band_rows
-        while self.session.vertex(component, t) in avoid:
-            t += 1
-        return self.session.vertex(component, t)
-
     def band_orbits(self) -> list[tuple[int, ...]]:
         """The band's cycles, lowest vertex first, in order of it: the band is a
         permutation, so every ``chain_lists`` list is closed, and its repeat is dropped."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from typing import Iterable, KeysView
 
-from .errors import GraphError, IsoError
+from .errors import GraphError, HypothesisError, IsoError
 from .graphs import GraphSession
 from .perms import IndexPerm
 
@@ -691,29 +691,6 @@ class IsoBuilder(_MapReads):
         bwd[y] = x
 
 
-def _meets(pts: list[int], lo: int, hi: int) -> bool:
-    """Whether the sorted list pts holds a value in [lo, hi]."""
-    i = bisect_left(pts, lo)
-    return i < len(pts) and pts[i] <= hi
-
-
-def _within(pts: list[int] | None, s: int, period: int, radius: int) -> bool:
-    """Whether sorted orbit coordinates pts hold one at most radius from s along the
-    orbit: on a finite orbit of length period, distance is taken cyclically."""
-    if not pts:
-        return False
-    lo, hi = s - radius, s + radius
-    if not period:
-        return _meets(pts, lo, hi)
-    if 2 * radius + 1 >= period:  # the window covers the whole orbit
-        return True
-    if lo < 0:
-        return _meets(pts, 0, hi) or _meets(pts, lo + period, period - 1)
-    if hi >= period:
-        return _meets(pts, lo, period - 1) or _meets(pts, 0, hi - period)
-    return _meets(pts, lo, hi)
-
-
 def _clear(lists: list[list[int]], s: int, step: int, radius: int) -> int:
     """Fewest steps k >= 0 such that s + k * step, on an infinite orbit, lies farther
     than radius from every coordinate in the sorted lists.
@@ -741,29 +718,37 @@ def _clear(lists: list[list[int]], s: int, step: int, radius: int) -> int:
 
 
 class FreshWindow:
-    """Lowest vertices outside the radius-B f-window of a growing map's support.
+    """Lowest vertices outside the radius-B f-window of a growing map's support, for a
+    band-free f.
 
     A vertex v lies in the window {(u)f^i : u in S, |i| <= B} exactly when
-    v and some u in S share an f-orbit at distance at most B along it
-    (cyclically, on a finite orbit).  f gives that distance in closed form
-    through ``orbit_coord`` and ``tail_line`` (see ``NKOracle``), so each
-    centre (a support vertex, or a vertex ``fence`` adds) is kept as its
-    coordinate in a sorted list per orbit: testing a candidate is one
-    bisect and costs no oracle step, and ``widen`` only sets the radius.
-    The support, the fence and the radius only grow, so the covered set
-    only grows and the per-component cursors only move forward.  One
-    window may serve a sequence of builders whose maps extend one another.
+    v and some u in S share an f-orbit at distance at most B along it.
+    Without a band, f has two kinds of orbit (see ``NKOracle``): a
+    fixed-tail vertex is its own orbit, in the window exactly when it is a
+    centre, and a tail line is one infinite orbit, on which f gives the
+    distance in closed form through ``orbit_coord`` and ``tail_line``.  So
+    each centre (a support vertex, or a vertex ``fence`` adds) is kept as
+    its coordinate in a sorted list per orbit: testing a candidate costs
+    no oracle step, and ``widen`` only sets the radius.  The support, the
+    fence and the radius only grow, so the covered set only grows and the
+    per-component cursors only move forward.  One window may serve a
+    sequence of builders whose maps extend one another.
+
+    A band is itself a finite f-stabilized set, so no n K_omega build
+    reaches a window with one: both witnesses refuse a stabilizing f.
     """
 
     def __init__(self, f):
+        if f.band_rows:
+            raise HypothesisError("no-band", "fresh windows serve band-free f only")
         self.f = f
         self.radius = 0
         self._centers: set[int] = set()
         self._orbits: dict[int, list[int]] = {}  # orbit key -> sorted centre coordinates
         self._builder: IsoBuilder | None = None
         self._seen = 0
-        # component -> lowest uncovered band or fixed-tail position, and steps taken
-        # along its two tail rays
+        # component -> lowest uncovered fixed-tail position, and steps taken along
+        # its two tail rays
         self._cursor: dict[int, int] = {}
         self._rays: dict[int, list[int]] = {}
 
@@ -792,12 +777,6 @@ class FreshWindow:
                 key, s, _ = coord(v)
                 insort(orbits.setdefault(key, []), s)
 
-    def _covered(self, v: int, near: list[tuple[int, int, int]]) -> bool:
-        """Whether v lies in the window of a centre or of a coordinate in ``near``."""
-        key, s, period = self.f.orbit_coord(v)
-        return (_within(self._orbits.get(key), s, period, self.radius)
-                or _within(sorted(t for k, t, _ in near if k == key), s, period, self.radius))
-
     def fresh(self, b: IsoBuilder, comp: int, near: Iterable[int] = ()) -> int:
         """Lowest-position vertex of the component outside the window of b's support,
         the fence and ``near``."""
@@ -806,24 +785,23 @@ class FreshWindow:
         self.fence(b.arrivals[self._seen:])
         self._seen = len(b.arrivals)
         f, vertex = self.f, b.session.vertex
-        near_coords = [f.orbit_coord(u) for u in near]
         line = f.tail_line(comp)
-        # band positions, and a fixed tail (each vertex its own orbit), one by one
-        p = self._cursor.get(comp, 0)
-        while (p < f.band_rows or line is None) and self._covered(vertex(comp, p), []):
-            p += 1
-        self._cursor[comp] = p
-        while p < f.band_rows or line is None:
-            if not self._covered(vertex(comp, p), near_coords):
-                return vertex(comp, p)
-            p += 1
-        # the tail is one infinite orbit, on which position band_rows + u sits at
-        # unzigzag(u) * L + i: even u (z = 0, 1, ...) and odd u (z = -1, -2, ...) are
-        # two rays along it, each with a cursor past the centres' windows
+        if line is None:  # a fixed tail: each vertex its own orbit
+            centers, near = self._centers, set(near)
+            p = self._cursor.get(comp, 0)
+            while vertex(comp, p) in centers:
+                p += 1
+            self._cursor[comp] = p
+            while vertex(comp, p) in centers or vertex(comp, p) in near:
+                p += 1
+            return vertex(comp, p)
+        # the tail is one infinite orbit, on which position u sits at unzigzag(u) * L + i:
+        # even u (z = 0, 1, ...) and odd u (z = -1, -2, ...) are two rays along it, each
+        # with a cursor past the centres' windows
         key, length, i = line
         radius = self.radius
         centres = [self._orbits[key]] if key in self._orbits else []
-        near_pts = sorted(s for k, s, _ in near_coords if k == key)
+        near_pts = sorted(s for k, s, _ in map(f.orbit_coord, near) if k == key)
         rays = self._rays.setdefault(comp, [0, 0])
         up = rays[0] = rays[0] + _clear(centres, i + rays[0] * length, length, radius)
         down = rays[1] = rays[1] + _clear(centres, i - (rays[1] + 1) * length, -length, radius)
@@ -831,4 +809,4 @@ class FreshWindow:
             both = centres + [near_pts]
             up += _clear(both, i + up * length, length, radius)
             down += _clear(both, i - (down + 1) * length, -length, radius)
-        return vertex(comp, f.band_rows + min(2 * up, 2 * down + 1))
+        return vertex(comp, min(2 * up, 2 * down + 1))

@@ -147,7 +147,7 @@ def all_perms(n: int):
         yield IndexPerm._of(img)
 
 
-def closure(n: int, gens: list[IndexPerm], stop_at: int | None = None) -> set[IndexPerm]:
+def closure(n: int, gens: list[IndexPerm]) -> set[IndexPerm]:
     """Subgroup generated by gens, by breadth-first multiplication: up to n! elements.
 
     The reference that ``group_order`` is tested against.
@@ -162,8 +162,6 @@ def closure(n: int, gens: list[IndexPerm], stop_at: int | None = None) -> set[In
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-                    if stop_at is not None and len(seen) >= stop_at:
-                        return seen
         frontier = nxt
     return seen
 

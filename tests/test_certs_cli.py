@@ -176,6 +176,9 @@ def test_campaign_class_empty_for_exceptional_perm():
                        index_perm=IndexPerm.from_cycles(4, [(1, 2), (3, 4)]))
     assert summary.class_empty and summary.trials == 0
     assert "class empty" in str(summary)
+    # a trial asked for directly is None, with no oracle drawn
+    assert run_trial("nkomega", 4, 0, 0, index_perm=IndexPerm.from_cycles(4, [(1, 2), (3, 4)])) \
+        is None
 
 
 def test_cli_piccard_and_sigma(capsys):
@@ -337,6 +340,24 @@ def test_cli_oracle_new_and_query(tmp_path, capsys):
     assert int(capsys.readouterr().out.strip()) == img
 
 
+def test_cli_oracle_query_on_a_frozen_oracle_writes_its_description(tmp_path, capsys):
+    """A lazy state whose oracle is a frozen map answers from the map, and the state
+    is written back with the map's own description."""
+    state = tmp_path / "oracle.json"
+    pairs = [[0, 1, 2]]  # the chain 0 -> 1 -> 2 among three isolated vertices
+    state.write_text(json.dumps({"family": GraphKind.henson(3).to_dict(),
+                                 "oracle": {"kind": "frozen", "pairs": pairs},
+                                 "transcript": [[[], 0], [[], 1], [[], 2]]}))
+    assert main(["oracle", "query", "--state", str(state), "--vertex", "1"]) == 0
+    assert int(capsys.readouterr().out) == 2
+    assert main(["oracle", "query", "--state", str(state), "--vertex", "1", "--inverse"]) == 0
+    assert int(capsys.readouterr().out) == 0
+    assert json.loads(state.read_text())["oracle"] == {"kind": "frozen", "pairs": pairs}
+    # a frozen map is finite: past its end the query is a usage error
+    assert main(["oracle", "query", "--state", str(state), "--vertex", "2"]) == 2
+    assert "oracle exhausted" in capsys.readouterr().err
+
+
 def test_cli_classify_stab(capsys):
     spine = '{"kind":"nk_policy","sigma":[2,1],"band_rows":0,"band_pairs":[],"fixed_tail":[]}'
     assert main(["classify-stab", "--policy", spine]) == 0
@@ -352,6 +373,38 @@ def test_cli_classify_stab(capsys):
     assert capsys.readouterr().out.startswith(f"stabilizing: witness {list(range(130))} ")
     with pytest.raises(SystemExit):  # the search cap is gone with the search
         main(["classify-stab", "--policy", band, "--bound", "64"])
+
+
+def test_cli_reads_files_and_skips_blank_lines(tmp_path, capsys):
+    """A policy from a file, a lazy session from transcript text with a blank line,
+    a certificate file with a blank line, an empty count, a state printed without
+    --out, and a partner printed as the identity."""
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"kind":"nk_policy","sigma":[2,1],"band_rows":0,"band_pairs":[],'
+                      '"fixed_tail":[]}')
+    assert main(["classify-stab", "--policy", str(policy)]) == 0
+    assert capsys.readouterr().out.startswith("non-stabilizing: ")
+    s = GraphSession(GraphKind.henson(3))
+    a, b = s.alice_witness(()), s.alice_witness(())
+    c = s.alice_witness((a,))
+    transcript = tmp_path / "transcript.txt"
+    transcript.write_text(s.transcript_text().replace("\n", "\n\n"))
+    assert main(["iso", "validate", "--family", "henson", "--n", "3",
+                 "--transcript", str(transcript), "--pairs", json.dumps([[a, b]])]) == 0
+    assert "valid partial isomorphism on 1 pairs" in capsys.readouterr().out
+    # the transcript's one edge a ~ c is read: b is isolated, so a -> b, c -> c is no map
+    assert main(["iso", "validate", "--family", "henson", "--n", "3",
+                 "--transcript", str(transcript), "--pairs", json.dumps([[a, b], [c, c]])]) == 2
+    certs_file = tmp_path / "certs.jsonl"
+    certs_file.write_text("\n" + run_trial("n2", 2, 1, 0).to_json() + "\n\n")
+    assert main(["verify", str(certs_file)]) == 0
+    assert capsys.readouterr().out == "certificate 2 (n2_word): VERIFIED\n"
+    assert main(["sigma-feasible", "--n", "3", "--counts", "0:2,,1:1,"]) == 0
+    assert capsys.readouterr().out.startswith("feasible: 1 parts")
+    assert main(["oracle", "new", "--family", "omega-kn", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["kind"] == "omega_shift"
+    assert main(["piccard", "--n", "1", "--perm", "()"]) == 0
+    assert capsys.readouterr().out == "id\n"
 
 
 def test_cli_campaign_class_empty(capsys):

@@ -106,6 +106,18 @@ def test_kn_free_check_matches_exhaustive(h3):
         h3.kn_free_check(verts, 1)
 
 
+def test_kn_free_check_on_component_graphs_matches_exhaustive():
+    """On omega K_3 the cliques are the components: a k-clique exists iff k <= 3."""
+    s = GraphSession(GraphKind.omega_kn(3))
+    verts = sorted(s.component_vertices(0) + s.component_vertices(1))
+    for k in (2, 3, 4):
+        naive = not any(all(s.adjacent(u, v) for u, v in combinations(S, 2))
+                        for S in combinations(verts, k))
+        assert s.kn_free_check(verts, k) == naive == (k > 3)
+    with pytest.raises(GraphError, match="unknown vertex -1"):
+        GraphSession(GraphKind.nk_omega(2)).kn_free_check([0, -1], 2)
+
+
 def test_henson_stays_kn_free_after_campaign():
     s = GraphSession(GraphKind.henson(3))
     rng = random.Random(2)

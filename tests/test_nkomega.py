@@ -172,9 +172,7 @@ def test_escape_exponents_cases():
                          (v(3, 0), v(3, 1))])
     exps = escape_exponents(f, cyc, v(1, 0))
     assert any(e for i, e in enumerate(exps) if i % 2 == 1)  # some f power used
-    x = v(1, 0)
-    fwd = {True: lambda u, k: _chase_alt(cyc, f, u, k)}
-    val = x
+    val = v(1, 0)
     for i, e in enumerate(exps):
         val = _apply_power(cyc, val, e) if i % 2 == 0 else _apply_f(f, val, e)
     assert val not in cyc.dom()
@@ -338,10 +336,6 @@ def _apply_power(q, x, k):
 
 def _apply_f(f, x, k):
     return f.iterate(x, k)
-
-
-def _chase_alt(q, f, x, k):
-    return None
 
 
 def test_base_and_fill_word():

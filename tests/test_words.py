@@ -217,6 +217,17 @@ def test_check_word_condition_clause6(nk2):
     assert 6 in rep.failed_clauses
 
 
+def test_check_word_condition_clause5(nk2):
+    v = nk2.vertex
+    f = NKOracle(nk2, IndexPerm.identity(2))
+    # w = a on an index-fixing map: (1,1) walks onto (1,0), where the walk of (1,0)
+    # stops at once, so the two largest-prefix images collide
+    q = from_pairs(nk2, [(v(1, 1), v(1, 0)), (v(2, 0), v(2, 1))])
+    rep = check_word_condition(q, (v(1, 0), v(1, 1)), (v(1, 1),), (), (), parse_word("a"), f)
+    assert rep.failed_clauses == [5]
+    assert rep.witnesses[5] == f"points {v(1, 0)} and {v(1, 1)} collide at {v(1, 0)}"
+
+
 def test_prefix_matches_letter_slicing():
     rng = random.Random(14)
     for _ in range(300):
