@@ -47,12 +47,10 @@ class AFSigmaContext:
         self.session = self.f.session
         self.n = self.session.kind.n
         # checks already made on a growing builder, so that none is asked twice:
-        # the builder whose support holds sigma (a support only grows); the builder
-        # density_witness_nkomega opened on q once check_admissible passed, which
-        # only _class_extend, amalgamate and IsoBuilder.invert grow, and they keep
-        # every clause of that check; and the last word-condition report, with
-        # the builder version and the arguments it read
-        self._sigma_held: IsoBuilder | None = None
+        # the builder density_witness_nkomega opened on q once check_admissible
+        # passed, which only _class_extend, amalgamate and IsoBuilder.invert grow,
+        # and they keep every clause of that check; and the last word-condition
+        # report, with the builder version and the arguments it read
         self._own: IsoBuilder | None = None
         self._word_check: tuple[tuple, WordConditionReport] | None = None
 
@@ -121,16 +119,13 @@ def _class_extend(ctx: AFSigmaContext, b: IsoBuilder, x: int, y: int) -> None:
     """One-point extension staying in the orbit-representative class.
 
     The class is closed under inversion, so sigma need only lie in the
-    support of the map, on either side of it.  The support only grows, so
-    that is tested once per builder.
+    support of the map, on either side of it.
     """
     sq = b.index_perm()
     if sq is None:
         raise HypothesisError("index-perm-total")
-    if ctx._sigma_held is not b:
-        if not all(b.in_support(v) for v in ctx.sigma):
-            raise HypothesisError("sigma-in-support")
-        ctx._sigma_held = b
+    if not all(map(b.in_support, ctx.sigma)):
+        raise HypothesisError("sigma-in-support")
     if x in b.dom():
         raise HypothesisError("x-free", f"{x} already in dom(q)")
     if b.in_support(y):
@@ -281,15 +276,6 @@ def _absorb_into_dom(ctx: AFSigmaContext, b: IsoBuilder, pts, avoid=()) -> None:
         _class_extend(ctx, b, x, b.fresh(sq(s.component_of(x)), blocked))
 
 
-def _orbit_avoids(b: IsoBuilder, z: int, phi: frozenset[int]) -> bool:
-    """Whether z's component in b misses phi: O(1) through b's chain marks once b is
-    marked with phi, unless z lies inside a chain or on a cycle."""
-    hits = b.chain_marks(z) if b.marked is phi else None
-    if hits is None:
-        return phi.isdisjoint(landing_orbit(b, z))
-    return hits == 0
-
-
 def _run_exponent(ctx: AFSigmaContext, sq: IndexPerm, lam_nu: FreeWord, x: int,
                   floor: int) -> int:
     """Smallest m >= floor whose a-run ends x's walk of lam_nu a^m in a component
@@ -367,7 +353,7 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
         vals = [walks.value(u) for u in established]
         internal_check(len(set(vals)) == len(vals), "inner-iv")
         for v in vals:
-            internal_check(_orbit_avoids(b, v, phi), "inner-v")
+            internal_check(phi.isdisjoint(landing_orbit(b, v)), "inner-v")
         internal_check(x_val not in b.dom(), "inner-vi")
         internal_check(all(x_val != walks.value(u) for u in established if u != y),
                        "inner-vi-distinct")
@@ -388,7 +374,7 @@ def _base_step(ctx: AFSigmaContext, b: IsoBuilder, lam: FreeWord,
     vals = [walks.value(u) for u in out_est]
     internal_check(len(set(vals)) == len(vals), "post-II")
     for u in out_est:
-        internal_check(_orbit_avoids(b, walks.value(u), phi), "post-III")
+        internal_check(phi.isdisjoint(landing_orbit(b, walks.value(u))), "post-III")
         internal_check(walks.consumed(u) < len(lam1), "post-IV")
     return lam1, out_est
 
@@ -416,7 +402,6 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
         raise HypothesisError("fix-finite", "fix(f) is infinite; route to the n=2 special witness")
     _absorb_into_dom(ctx, b, set(gamma) | ctx.sigma_set(), avoid=delta)
     phi = frozenset(b.dom())
-    b.mark(phi)
     window.fence(delta)
 
     lam = reduce_word([("a", 1)])
@@ -454,17 +439,16 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     One fresh pair per first-letter death point of x's walk; the other
     target points' landings are pinned by the exclusion windows around
     every choice.  ``window`` must have radius b_count(w); it fences
-    delta and carries its centres over from earlier growth of b.  A
-    builder grown on from the base word keeps the chain counts of phi that
-    ``build_base_word`` marked; on any other, the landing checks walk the
-    orbit (``_orbit_avoids``).  The entry check on b is the base
+    delta and carries its centres over from earlier growth of b.  Each
+    landing check walks the landing's component (``landing_orbit``).  The
+    entry check on b is the base
     word's final check or the previous fill's exit check whenever those
     read the same state with the same arguments, and then reuses it.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
     theta = set(theta)
-    phi = frozenset(phi)  # the same set when phi is one already, so b's marks carry over
+    phi = frozenset(phi)  # the landing checks ask it, and _word_condition's key hashes it
     delta = set(delta)
     rep = _word_condition(ctx, b, gamma, theta, phi, delta, w)
     if not rep.holds:
@@ -512,8 +496,8 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
             internal_check(dom.isdisjoint(window.window(newval, radius)), "fill-iii")
         internal_check(all(newval != walks.value(u) for u in others), "fill-iv")
         for u in others:
-            internal_check(_orbit_avoids(b, walks.value(u), phi), "fill-v")
-        internal_check(_orbit_avoids(b, newval, phi), "fill-v-x")
+            internal_check(phi.isdisjoint(landing_orbit(b, walks.value(u))), "fill-v")
+        internal_check(phi.isdisjoint(landing_orbit(b, newval)), "fill-v-x")
 
     rep = _word_condition(ctx, b, gamma, theta | {x}, phi, delta, w)
     internal_check(rep.holds, "word-condition-exit", str(rep))
@@ -681,8 +665,9 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
 
     def escape_exp(pts, blocked) -> int:
         mm = f.escape_power(pts, blocked)
-        if mm is None:
-            raise HypothesisError("escape-power", "no power of f clears the blocked set")
+        # every point asked about lies on the spine of the component without a fixed
+        # tail, an infinite orbit, where some power clears any finite blocked set
+        internal_check(mm is not None, "escape-power", "no power of f clears the blocked set")
         return mm
 
     # stage 1: park the domain side on fixed points of f
@@ -702,7 +687,8 @@ def density_witness_n2(ctx: AFSigmaContext, q: PartialIso,
     # stage 2: the range side, mirrored
     m3 = escape_exp(rp1, h.support() | a_set)
     for v in rp1:
-        h.add(h.fresh(ell2, a_set | piso_support), f.iterate(v, m3))
+        # a_set's points on ell2 are stage-1 fixed points in ran(h), which fresh skips
+        h.add(h.fresh(ell2, piso_support), f.iterate(v, m3))
     for v in rp2:
         vv = f.iterate(v, m3)
         if vv not in h.ran():

@@ -54,11 +54,14 @@ class WholeComponentIso:
         for c in imap:
             if not set(s.component_vertices(c)) <= dom:
                 raise HypothesisError("whole-dom", f"component {c} only partly in the domain")
+        # a valid map sends each whole component of the domain onto a whole component
         for c in imap.values():
-            if not set(s.component_vertices(c)) <= ran:
-                raise HypothesisError("whole-ran", f"component {c} only partly in the range")
-        if _index_cycles(imap):
-            raise HypothesisError("index-cycle-free", "induced index map has a cycle")
+            internal_check(set(s.component_vertices(c)) <= ran, "whole-ran",
+                           f"component {c} only partly in the range")
+        # an index cycle puts a component in both the domain and the range, so
+        # whole-disjoint or whole-dom refuses it first
+        internal_check(not _index_cycles(imap), "index-cycle-free",
+                       "induced index map has a cycle")
 
 
 def _index_cycles(imap: dict[int, int]) -> bool:

@@ -450,8 +450,7 @@ class IsoBuilder(_MapReads):
     chain head and tail links, the number of components, the total index
     permutation once it exists, per component a cursor at the lowest
     position outside the support (it only moves forward, because the
-    support only grows), and per chain the number of its vertices in the
-    set ``mark`` was given.  What only a rare caller asks is read off the
+    support only grows).  What only a rare caller asks is read off the
     map when asked: the longest component from ``chain_lists``, and the
     pair a rejected pair clashes with from one scan of the map.  ``add``
     accepts and rejects exactly the pairs ``extend`` does, with the same
@@ -475,8 +474,6 @@ class IsoBuilder(_MapReads):
         self.pairs_from: dict[int, int] = {}  # component index -> pairs leaving it
         self._head_of: dict[int, int] = {}    # chain tail -> chain head
         self._tail_of: dict[int, int] = {}    # chain head -> chain tail
-        self.marked: frozenset[int] = frozenset()
-        self._marks: dict[int, int] | None = None  # chain head -> its vertices in marked
         self.count = 0
         self.arrivals: list[int] = []         # support vertices in the order they joined
         self._cursor: dict[int, int] = {}
@@ -510,25 +507,6 @@ class IsoBuilder(_MapReads):
     def cycle_free(self) -> bool:
         """True iff no component is a cycle (a fixed point is a cycle of one)."""
         return len(self._tail_of) == self.count
-
-    def mark(self, marked: frozenset[int]) -> None:
-        """Count the vertices of ``marked`` on every chain; later adds keep the counts."""
-        self.marked = marked
-        self._marks = {chain[0]: sum(v in marked for v in chain) for chain in self.chains()}
-
-    def chain_marks(self, v: int) -> int | None:
-        """Marked vertices on v's component, in O(1) when v is outside the support
-        (v alone) or a chain's head or tail; None for v inside a chain or on a cycle."""
-        in_dom, in_ran = v in self._fwd, v in self._bwd
-        if in_dom and in_ran:
-            return None
-        if self._marks is None:  # nothing marked yet
-            return 0
-        if in_dom:
-            return self._marks[v]
-        if in_ran:
-            return self._marks[self._head_of[v]]
-        return int(v in self.marked)
 
     def index_perm(self) -> IndexPerm | None:
         """Total induced index permutation (n K_omega), or None while partial."""
@@ -565,8 +543,8 @@ class IsoBuilder(_MapReads):
 
         Afterwards the builder reads exactly as ``IsoBuilder`` re-recorded
         from the inverse map: the same ``_fwd`` order, structure and
-        clashes, and no marks.  Only ``arrivals`` keeps the order in which
-        the support joined.
+        clashes.  Only ``arrivals`` keeps the order in which the support
+        joined.
         """
         self._fwd, self._bwd = self._bwd, self._fwd
         # every pair leaving index cx enters cmap[cx], and no other pair does
@@ -574,7 +552,6 @@ class IsoBuilder(_MapReads):
         self.cmap, self.cinv = self.cinv, self.cmap
         # each chain now runs from its old tail to its old head
         self._head_of, self._tail_of = self._tail_of, self._head_of
-        self.marked, self._marks = frozenset(), None
         if self._perm is not None:
             self._perm = self._perm.inverse()
         self._inversions += 1
@@ -652,16 +629,12 @@ class IsoBuilder(_MapReads):
         if not y_heads_chain and y != x:
             self.arrivals.append(y)
         head_of, tail_of = self._head_of, self._tail_of
-        marked, marks = self.marked, self._marks  # marks is None until mark() is called
         if x == y:
             self.count += 1
         elif x_ends_chain and y_heads_chain:
             head = head_of.pop(x)
             tail = tail_of.pop(y)
-            hits = marks.pop(y) if marks is not None else 0
             if head != y:  # two chains join; otherwise the chain closes into a cycle
-                if marks is not None:
-                    marks[head] += hits
                 tail_of[head] = tail
                 head_of[tail] = head
                 self.count -= 1
@@ -669,19 +642,13 @@ class IsoBuilder(_MapReads):
             head = head_of.pop(x)
             tail_of[head] = y
             head_of[y] = head
-            if marks is not None:
-                marks[head] += y in marked
         elif y_heads_chain:
             tail = tail_of.pop(y)
             tail_of[x] = tail
             head_of[tail] = x
-            if marks is not None:
-                marks[x] = marks.pop(y) + (x in marked)
         else:
             tail_of[x] = y
             head_of[y] = x
-            if marks is not None:
-                marks[x] = (x in marked) + (y in marked)
             self.count += 1
         if cx is not None:
             self.pairs_from[cx] = self.pairs_from.get(cx, 0) + 1

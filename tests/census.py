@@ -54,10 +54,6 @@ ALLOWED = {
     # the default walk stops at an undefined step, but only a FrozenOracle has one,
     # and it walks its own map
     "oracles:OracleBase.chase": 1,
-    # a builder never marked: _orbit_avoids asks only one marked with phi, and an
-    # unmarked builder matches only an empty phi (frozenset() is a singleton), which
-    # no build has, since phi holds sigma
-    "partial_iso:IsoBuilder.chain_marks": 1,
     # hashing and printing for a reader at a prompt; no path hashes or prints them
     "partial_iso:PartialIso.__hash__": 1,
     "partial_iso:PartialIso.__repr__": 1,

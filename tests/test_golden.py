@@ -9,8 +9,8 @@ import hashlib
 import random
 
 from conftest import random_band_oracle
-from ultrahom.campaigns import nkomega_instance, run_trial
-from ultrahom.certs import N2_CLAIM
+from ultrahom.campaigns import nkomega_instance, nkomega_oracle, run_trial
+from ultrahom.certs import N2_CLAIM, verify
 from ultrahom.nkomega import classify_stabilizing, density_witness_nkomega, piccard_partner
 
 # (family, n, trials), all with campaign seed 1
@@ -22,6 +22,9 @@ HENSON_GOLDEN_SHA256 = "9c7736db02a1482bf359bfb26b1c79d7397eca19f1bd817272b86e8b
 # n K_omega (and n2) builds over oracles with a fixed tail, which no campaign draws: the
 # fresh-window path past a fixed tail
 FIXED_TAIL_SHA256 = "a5fec8c293ec053dc0244a7c44e850523ff46995e8d5d25a6d87ac350ca15899"
+# n K_omega builds with |p| = 12 and 24 at n = 3, wider than any campaign draws: the
+# landing checks against a many-chain prepared domain
+WIDE_SHA256 = "a19a418b8188da6e56cb0ce8210bab062b23552eccbef0f826505db987a6b09d"
 
 
 def _digest(golden_set) -> str:
@@ -58,3 +61,18 @@ def test_fixed_tail_nkomega_certificates_are_byte_identical():
         digest.update(b"\n")
     assert (len(claims), claims.count(N2_CLAIM)) == (190, 40)
     assert digest.hexdigest() == FIXED_TAIL_SHA256
+
+
+def test_wide_nkomega_certificates_are_byte_identical():
+    """Seeds 1000-1003, n = 3: p pairs cycling over components 1-3, 12 and 24 of them."""
+    digest = hashlib.sha256()
+    for seed in range(1000, 1004):
+        for width in (12, 24):
+            rng = random.Random(seed)
+            f = nkomega_oracle(3, rng)
+            cert = density_witness_nkomega(
+                *nkomega_instance(f, rng, pair_comps=[1 + i % 3 for i in range(width)]))
+            assert verify(cert).ok
+            digest.update(cert.to_json().encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == WIDE_SHA256

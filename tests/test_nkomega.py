@@ -787,10 +787,11 @@ def test_covering_word_grows_a_given_builder_and_leaves_a_map_unchanged():
     assert q.pairs() == before
 
 
-def test_chain_marks_match_landing_orbit_on_random_growth():
-    """After every add (fresh pairs, growth at a head or a tail, joins by amalgamate,
-    cycle closures), each vertex's chain mark count equals phi's hits on its landing
-    orbit, and _orbit_avoids agrees with the walk at every kind of vertex."""
+def test_landing_orbit_matches_brute_components_on_random_growth():
+    """On a builder grown in place, after every add (fresh pairs, growth at a head or a
+    tail, joins by amalgamate, cycle closures), landing_orbit gives each vertex's chain
+    or cycle as pointwise chasing finds it, at every kind of vertex, and a vertex
+    outside the support alone: what the landing checks read against phi."""
     kinds = set()
     for seed in range(16):
         rng = random.Random(seed)
@@ -800,9 +801,6 @@ def test_chain_marks_match_landing_orbit_on_random_growth():
         s = f.session
         b = IsoBuilder(q)
         sq = b.index_perm()
-        phi = frozenset(v for v in b.support() if rng.random() < 0.5) | \
-            {s.vertex(rng.randint(1, n), rng.randrange(40)) for _ in range(6)}
-        b.mark(phi)
         for _ in range(40):
             tails = sorted(set(b.ran()) - set(b.dom()))
             heads = sorted(set(b.dom()) - set(b.ran()))
@@ -826,18 +824,16 @@ def test_chain_marks_match_landing_orbit_on_random_growth():
                     b.add(x, b.fresh(sq(c), {x}))
             except (HypothesisError, IsoError):
                 continue
+            comp_of = {v: set(chain) for chain, _ in brute_components(b.pairs())
+                       for v in chain}
             outside = {s.vertex(rng.randint(1, n), rng.randrange(60)) for _ in range(4)}
             for z in sorted(b.support() | (outside - b.support())):
-                hits = len(phi & set(landing_orbit(b, z)))
-                got = b.chain_marks(z)
-                inside = z in b.dom() and z in b.ran()
                 kinds.add("outside" if not b.in_support(z) else
                           "head" if z not in b.ran() else "tail" if z not in b.dom() else
                           "cycle" if b.component(z).complete else "mid-chain")
-                assert (got is None) == inside
-                if got is not None:
-                    assert got == hits
-                assert nkomega._orbit_avoids(b, z, phi) == (hits == 0)
+                orbit = landing_orbit(b, z)
+                assert len(set(orbit)) == len(orbit)
+                assert set(orbit) == comp_of.get(z, {z})
     assert kinds == {"outside", "head", "tail", "mid-chain", "cycle"}
 
 

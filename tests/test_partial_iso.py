@@ -295,12 +295,12 @@ def _re_recorded_inverse(b):
 
 def _builder_state(b):
     return (list(b._fwd.items()), list(b._bwd.items()), b.cmap, b.cinv, b.pairs_from,
-            b._head_of, b._tail_of, b.marked, b._marks, b.longest_component(), b.count,
+            b._head_of, b._tail_of, b.longest_component(), b.count,
             b.index_perm(), b.support())
 
 
 def test_in_place_inversion_reads_as_the_inverse_re_recorded():
-    """Random growth, marks and in-place inversions: after each step the builder equals
+    """Random growth and in-place inversions: after each step the builder equals
     one re-recorded from its inverse at every inversion, field for field (the maps in
     insertion order), and both accept and reject the same pairs with the same errors."""
     inversions = 0
@@ -317,10 +317,6 @@ def test_in_place_inversion_reads_as_the_inverse_re_recorded():
                 ref = _re_recorded_inverse(ref)
                 assert b.version != version
                 inversions += 1
-            elif move < 0.2:
-                marked = frozenset(v for v in b.support() if rng.random() < 0.5)
-                b.mark(marked)
-                ref.mark(marked)
             else:
                 tails = sorted(set(b.ran()) - set(b.dom()))
                 heads = sorted(set(b.dom()) - set(b.ran()))
