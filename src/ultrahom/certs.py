@@ -238,7 +238,7 @@ def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
     lazy = s.kind.is_lazy
     reads = _ReadLog(f) if lazy else f
     miss = product_miss(claim_word(claim, data), p.pairs(), h, reads)
-    internal_check(miss is None, "product-extends-target", f"(x, y, got) = {miss}")
+    internal_check(miss is None, "product-extends-target", lambda: f"(x, y, got) = {miss}")
     p_lists, h_lists = p.chain_lists(), h.chain_lists()
     if lazy:
         f_lists = chain_lists(reads.fwd, reads.bwd)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class GraphError(ValueError):
     """Malformed graph request: unknown vertex, bad family parameter, etc."""
@@ -46,6 +48,8 @@ class InternalCheckError(RuntimeError):
         super().__init__(f"internal check {clause} failed" + (f": {detail}" if detail else ""))
 
 
-def internal_check(cond: bool, clause: str, detail: str = "") -> None:
+def internal_check(cond: bool, clause: str, detail: str | Callable[[], str] = "") -> None:
+    """Raise InternalCheckError unless cond holds.  A detail that costs work to write
+    may be passed as a function, which is called only on failure."""
     if not cond:
-        raise InternalCheckError(clause, detail)
+        raise InternalCheckError(clause, detail() if callable(detail) else detail)

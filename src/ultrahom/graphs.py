@@ -134,6 +134,9 @@ class GraphSession:
         self._adj: dict[int, set[int]] = {}
         self._next = 0  # the id the next witness takes: past every vertex made
         self._transcript: list[tuple[tuple[int, ...], int]] = []
+        # a vertex's component index and position, bound once per family: engines ask
+        # them of every vertex they touch
+        self.component_of, self.position_of = _coordinates(kind)
 
     # -- vertex bookkeeping -------------------------------------------------
 
@@ -176,14 +179,6 @@ class GraphSession:
             return position * n + (component - 1)
         raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
 
-    def component_of(self, v: int) -> int:
-        n = self.kind.n
-        if self.kind.tag == OMEGA_KN:
-            return _unzigzag(v // n)
-        if self.kind.tag == NK_OMEGA:
-            return v % n + 1
-        raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
-
     def component_key(self) -> Callable[[int], int]:
         """A function that names each vertex's component by an integer, one per
         component but not its index, in one arithmetic step: for checks that only
@@ -193,14 +188,6 @@ class GraphSession:
             return lambda v: v // n
         if self.kind.tag == NK_OMEGA:
             return lambda v: v % n
-        raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
-
-    def position_of(self, v: int) -> int:
-        n = self.kind.n
-        if self.kind.tag == OMEGA_KN:
-            return v % n
-        if self.kind.tag == NK_OMEGA:
-            return v // n
         raise GraphError(f"{self.kind.tag} vertices are not component-encoded")
 
     def component_vertices(self, component: int) -> list[int]:
@@ -440,6 +427,22 @@ class GraphSession:
     def __repr__(self) -> str:
         size = len(self._adj) if self.kind.is_lazy else "closed-form"
         return f"GraphSession({self.kind.tag}, n={self.kind.n}, realized={size})"
+
+
+def _coordinates(kind: GraphKind) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """(component_of, position_of): a vertex's component index and its position in the
+    component, in closed form on the component families; on the lazy families both
+    raise GraphError."""
+    n = kind.n
+    if kind.tag == OMEGA_KN:
+        return (lambda v: _unzigzag(v // n)), (lambda v: v % n)
+    if kind.tag == NK_OMEGA:
+        return (lambda v: v % n + 1), (lambda v: v // n)
+
+    def not_encoded(v: int) -> int:
+        raise GraphError(f"{kind.tag} vertices are not component-encoded")
+
+    return not_encoded, not_encoded
 
 
 def _check_fences(members: set[int], V, F, known: AbstractSet[int]) -> None:

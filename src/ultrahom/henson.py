@@ -148,7 +148,8 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
         for v in xs[1:-1]:
             internal_check(v not in fence, "interior-avoids-sigma")
             internal_check(not s.mapped_neighbours(v, fence), "interior-no-sigma-edges")
-        internal_check(b.chase(x, 2 * m) == y, "chain-connects", f"{x} does not reach {y}")
+        internal_check(b.chase(x, 2 * m) == y, "chain-connects",
+                       lambda: f"{x} does not reach {y}")
         internal_check(b.cycle_free(), "result-cycle-free")
 
 

@@ -50,9 +50,11 @@ class AFSigmaContext:
         # the builder density_witness_nkomega opened on q once check_admissible
         # passed, which only _class_extend, amalgamate and IsoBuilder.invert grow,
         # and they keep every clause of that check; and the last word-condition
-        # report, with the builder version and the arguments it read
+        # report, with the builder version and the arguments it read.  Likewise
+        # the last fill's walks, with the builder version, word and points they follow
         self._own: IsoBuilder | None = None
         self._word_check: tuple[tuple, WordConditionReport] | None = None
+        self._walks: tuple[tuple, WordWalks] | None = None
 
     def sigma_set(self) -> set[int]:
         return set(self.sigma)
@@ -415,7 +417,7 @@ def build_base_word(ctx: AFSigmaContext, b: IsoBuilder, gamma, delta,
     w = reduce_word(list(lam.syllables) + suffix)
     internal_check(w.starts_with("a") and not w.has_negative("a"), "word-shape")
     rep = _word_condition(ctx, b, gamma, (), phi, delta, w)
-    internal_check(rep.holds, "base-word-condition", str(rep))
+    internal_check(rep.holds, "base-word-condition", lambda: str(rep))
     return w, phi
 
 
@@ -443,7 +445,8 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     landing check walks the landing's component (``landing_orbit``).  The
     entry check on b is the base
     word's final check or the previous fill's exit check whenever those
-    read the same state with the same arguments, and then reuses it.
+    read the same state with the same arguments, and then reuses it; in
+    the same way the walks start as the previous fill left them.
     """
     f, s, n = ctx.f, ctx.session, ctx.n
     gamma = sorted(set(gamma))
@@ -465,7 +468,13 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
     B = b_count(w)
     W = len(w)
     others = [u for u in gamma if u != x]
-    walks = WordWalks(w, b, f, gamma)
+    # a fill starts from the walks the previous one ended with; a WordWalks reads b's
+    # own maps, which invert swaps, so reuse needs the same version of the same b
+    last, points = ctx._walks, tuple(gamma)
+    if last is not None and last[0] == (b, b.version, w, points):
+        walks = last[1]
+    else:
+        walks = WordWalks(w, b, f, points)
     if window.radius != B:
         raise HypothesisError("window-radius", f"the window must have radius b_count(w) = {B}")
     window.fence(delta)
@@ -500,7 +509,8 @@ def extend_word_domain(ctx: AFSigmaContext, b: IsoBuilder, gamma, theta,
         internal_check(phi.isdisjoint(landing_orbit(b, newval)), "fill-v-x")
 
     rep = _word_condition(ctx, b, gamma, theta | {x}, phi, delta, w)
-    internal_check(rep.holds, "word-condition-exit", str(rep))
+    internal_check(rep.holds, "word-condition-exit", lambda: str(rep))
+    ctx._walks = (b, b.version, w, points), walks
 
 
 def build_covering_word(ctx: AFSigmaContext, q: PartialIso | IsoBuilder, gamma, delta):

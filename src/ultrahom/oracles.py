@@ -230,17 +230,29 @@ class NKOracle(OracleBase):
         for cyc in sigma.cycles(include_fixed=True):
             for i, c in enumerate(cyc):
                 self._cycle_pos[c] = (cyc, i)
+        # orbit coordinates, and one-step images and preimages, per vertex asked:
+        # a step found either way fills both
         self._memo_coord: dict[int, tuple[int, int, int]] = {}
+        self._memo_next: dict[int, int] = {}
+        self._memo_prev: dict[int, int] = {}
         self._band_place: dict[int, tuple[tuple[int, ...], int]] | None = None
 
     def index_perm(self) -> IndexPerm:
         return self.sigma
 
     def try_image(self, v: int) -> int:
-        return self.iterate(v, 1)
+        out = self._memo_next.get(v)
+        if out is None:
+            out = self._memo_next[v] = self.iterate(v, 1)
+            self._memo_prev[out] = v
+        return out
 
     def try_preimage(self, v: int) -> int:
-        return self.iterate(v, -1)
+        out = self._memo_prev.get(v)
+        if out is None:
+            out = self._memo_prev[v] = self.iterate(v, -1)
+            self._memo_next[out] = v
+        return out
 
     # -- orbit structure -----------------------------------------------------
 

@@ -764,16 +764,22 @@ class FreshWindow:
             return vertex(comp, p)
         # the tail is one infinite orbit, on which position u sits at unzigzag(u) * L + i:
         # even u (z = 0, 1, ...) and odd u (z = -1, -2, ...) are two rays along it, each
-        # with a cursor past the centres' windows
+        # with a cursor past the centres' windows.  The answer is position 2 * up or
+        # 2 * down + 1, whichever is lower, and down only moves on from its cursor: once
+        # 2 * up is below 2 * cursor + 1 the down ray cannot win, and is left for a
+        # later call to walk
         key, length, i = line
         radius = self.radius
         centres = [self._orbits[key]] if key in self._orbits else []
-        near_pts = sorted(s for k, s, _ in map(f.orbit_coord, near) if k == key)
+        near_pts = sorted([s for k, s, _ in map(f.orbit_coord, near) if k == key])
+        both = centres + [near_pts] if near_pts else centres
         rays = self._rays.setdefault(comp, [0, 0])
         up = rays[0] = rays[0] + _clear(centres, i + rays[0] * length, length, radius)
-        down = rays[1] = rays[1] + _clear(centres, i - (rays[1] + 1) * length, -length, radius)
         if near_pts:
-            both = centres + [near_pts]
             up += _clear(both, i + up * length, length, radius)
+        if 2 * up < 2 * rays[1] + 1:
+            return vertex(comp, 2 * up)
+        down = rays[1] = rays[1] + _clear(centres, i - (rays[1] + 1) * length, -length, radius)
+        if near_pts and 2 * down + 1 < 2 * up:
             down += _clear(both, i - (down + 1) * length, -length, radius)
         return vertex(comp, min(2 * up, 2 * down + 1))

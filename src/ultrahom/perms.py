@@ -6,8 +6,10 @@ Images are written on the right throughout: ``(i)(p * q) = ((i)p)q``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd
+from typing import Iterable
 
 from .errors import GraphError
 
@@ -235,13 +237,21 @@ def group_order(n: int, gens: list[IndexPerm]) -> int:
     return order
 
 
-def generates_symmetric(n: int, gens: list[IndexPerm]) -> bool:
+def generates_symmetric(n: int, gens: Iterable[IndexPerm]) -> bool:
     """Whether gens generate all of S_n.
 
     Two O(n) screens come first: S_n is transitive and holds odd
     permutations, so a generating set has one orbit and an odd member.
-    Past them, ``group_order`` decides.
+    Past them, ``group_order`` decides.  The answer is a function of n and
+    the tuple of gens, so it is kept in a bounded cache (``_generates_symmetric``):
+    an n K_omega build asks the same question of q and of h, and one process
+    asks it again for each instance that shares both index permutations.
     """
+    return _generates_symmetric(n, tuple(gens))
+
+
+@lru_cache(maxsize=1024)
+def _generates_symmetric(n: int, gens: tuple[IndexPerm, ...]) -> bool:
     reached, frontier = {1}, [1]
     for i in frontier:
         for g in gens:

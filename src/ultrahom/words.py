@@ -10,6 +10,7 @@ distinct types; conversion is always explicit through ``evaluate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import GraphError, HypothesisError
@@ -285,12 +286,15 @@ def _cycle_places(perm: IndexPerm) -> dict[int, tuple[tuple[int, ...], int]]:
     return {c: (cyc, i) for cyc in perm.cycles(include_fixed=True) for i, c in enumerate(cyc)}
 
 
+@lru_cache(maxsize=256)
 def word_index_image(w: FreeWord, p_index: IndexPerm, f_index: IndexPerm) -> IndexPerm:
     """Image of the word in the index-permutation group (a -> p_index, b -> f_index).
 
     Each index is carried through the syllables one at a time, each
     power read off a cycle-place table: O(n * syllables), and no
-    permutation is built along the way.
+    permutation is built along the way.  All three arguments are values,
+    so answers are kept in a bounded cache: every word-condition check of
+    one covering word asks the same question.
     """
     places = {"a": _cycle_places(p_index), "b": _cycle_places(f_index)}
     sylls = [(places[letter], exp) for letter, exp in w.syllables]

@@ -7,7 +7,7 @@ from conftest import chase_pairs, gap_ids, schema_3_transcript
 from ultrahom import henson
 from ultrahom.campaigns import _random_kfree_subset, henson_trial
 from ultrahom.certs import WitnessCertificate, certify, verify
-from ultrahom.errors import GraphError, HypothesisError
+from ultrahom.errors import GraphError, HypothesisError, InternalCheckError
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
@@ -88,6 +88,18 @@ def test_chain_link_degenerate(h3):
     assert cycle_free(out)
     interior = out.support() - {x, y}
     assert len(interior) == 1
+
+
+def test_chain_link_names_the_pair_a_chain_fails_to_connect(h3, monkeypatch):
+    """chain-connects writes "x does not reach y" when it fails: forced here, since a
+    chain that chain_link builds always connects."""
+    real = henson.internal_check
+    monkeypatch.setattr(henson, "internal_check", lambda cond, clause, detail="":
+                        real(cond and clause != "chain-connects", clause, detail))
+    x, y = fresh(h3), fresh(h3)
+    with pytest.raises(InternalCheckError) as e:
+        chain_link(IsoBuilder(empty(h3)), set(), set(), [(x, y)], m=1, sigma1=set(), sigma2=set())
+    assert str(e.value) == f"internal check chain-connects failed: {x} does not reach {y}"
 
 
 def test_chain_link_hypothesis_errors(h3):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from ultrahom import certs, nkomega
 from ultrahom.campaigns import (n2_trial, nkomega_instance, nkomega_oracle, nkomega_trial,
                                 run_trial)
 from ultrahom.certs import verify
-from ultrahom.errors import GraphError, HypothesisError, InternalCheckError, IsoError
+from ultrahom.errors import (GraphError, HypothesisError, InternalCheckError, IsoError,
+                             internal_check)
 from ultrahom.graphs import GraphKind, GraphSession
 from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _base_step, _class_extend,
                               amalgamate, build_base_word, build_covering_word,
@@ -20,8 +22,8 @@ from ultrahom.nkomega import (AFSigmaContext, IndexFixingIso, _base_step, _class
 from ultrahom.oracles import NKOracle, oracle_from_description
 from ultrahom.partial_iso import FreshWindow, IsoBuilder, chain_pairs, from_pairs
 from ultrahom.perms import IndexPerm, all_perms, closure, generates_symmetric
-from ultrahom.words import (WordWalks, b_count, chase, check_word_condition, landing_orbit,
-                            parse_word)
+from ultrahom.words import (WordConditionReport, WordWalks, b_count, chase,
+                            check_word_condition, landing_orbit, parse_word)
 
 
 def simple_ctx(n=3, sf_cycles=((1, 2, 3),), sigma_comps=(1, 3)):
@@ -410,6 +412,53 @@ def test_covering_word_multi_gamma():
     assert not h.ran() & set(delta)
 
 
+def test_fills_reuse_walks_only_on_the_builder_state_they_left(monkeypatch):
+    """A fill starts from the walks the previous fill ended with, which read as new
+    walks on that state; a fill on any other state of the builder, after a pair added
+    by hand or after an inversion there and back, walks the word again."""
+    made, reused, filling = [], [], [False]
+
+    class Counting(WordWalks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(filling[0])
+
+    real_fill = nkomega.extend_word_domain
+
+    def fill(ctx, b, gamma, theta, phi, delta, w, x, window):
+        last = ctx._walks
+        if last is not None and last[0][:2] == (b, b.version):
+            assert last[1]._at == WordWalks(w, b, ctx.f, sorted(set(gamma)))._at
+            reused.append(x)
+        filling[0] = True
+        real_fill(ctx, b, gamma, theta, phi, delta, w, x, window)
+        filling[0] = False
+
+    monkeypatch.setattr(nkomega, "WordWalks", Counting)
+    monkeypatch.setattr(nkomega, "extend_word_domain", fill)
+    ctx, s, f = simple_ctx()
+    v = s.vertex
+    gamma = sorted([v(1, 5), v(2, 7), v(3, 6)])  # the order the fills take
+    delta = [v(1, 20), v(2, 20)]
+    h, w, phi = build_covering_word(ctx, simple_q(ctx, s), gamma, delta)
+    assert made.count(True) == 1 and reused == gamma[1:]
+    assert check_word_condition(h, gamma, gamma, phi, delta, w, f).holds
+
+    b = IsoBuilder(simple_q(ctx, s))
+    window = FreshWindow(f)
+    w, phi = build_base_word(ctx, b, gamma, delta, window)
+    window.widen(b_count(w))
+    made.clear()
+    nkomega.extend_word_domain(ctx, b, gamma, [], phi, delta, w, gamma[0], window)
+    b.invert()
+    b.invert()
+    nkomega.extend_word_domain(ctx, b, gamma, gamma[:1], phi, delta, w, gamma[1], window)
+    _class_extend(ctx, b, v(1, 500), v(2, 500))  # far from every walk: q sends 1 to 2
+    nkomega.extend_word_domain(ctx, b, gamma, gamma[:2], phi, delta, w, gamma[2], window)
+    assert made == [True] * 3 and reused == gamma[1:]  # none reused this time
+    assert check_word_condition(b, gamma, gamma, phi, delta, w, f).holds
+
+
 def _f_pairs_near(f, centres, radius):
     """The pairs of f on the f-orbits within radius of centres: enough of f for a
     word of b-count radius walked from centres and their a-images."""
@@ -734,9 +783,12 @@ def test_nk_iterate_and_orbit_coord_match_oracle_steps():
 
 def test_memoized_orbit_coord_matches_a_fresh_oracle():
     """Each vertex, asked in random order and asked twice, gets the coordinate a new
-    oracle with nothing memoized gives, on band, fixed-tail and spine vertices."""
+    oracle with nothing memoized gives, on band, fixed-tail and spine vertices; so
+    do its memoized one-step image and preimage, which must be the vertices at
+    s + 1 and s - 1 of its orbit on the new oracle, whichever direction asked first."""
     rng = random.Random(12)
     seen = set()
+    from_memo = 0
     for trial in range(24):
         n = 2 + trial % 4
         f = random_band_oracle(n, rng, max_rows=3)
@@ -746,12 +798,19 @@ def test_memoized_orbit_coord_matches_a_fresh_oracle():
         rng.shuffle(asks)
         first = {}
         for v in asks:
+            fresh = oracle_from_description(s, desc)
             got = f.orbit_coord(v)
-            assert got == oracle_from_description(s, desc).orbit_coord(v)
+            assert got == fresh.orbit_coord(v)
             assert first.setdefault(v, got) is got  # the second answer is the memo's
+            key, at, _ = got
+            steps = [(f.try_image, f._memo_next, 1), (f.try_preimage, f._memo_prev, -1)]
+            for step, memo, k in rng.sample(steps, 2):
+                from_memo += v in memo
+                assert step(v) == fresh.vertex_at(key, at + k) == fresh.iterate(v, k)
             seen.add("band" if s.position_of(v) < rows else
                      "fixed" if s.component_of(v) in f.fixed_tail else "spine")
     assert seen == {"band", "fixed", "spine"}
+    assert from_memo > 100  # asked twice, or filled by the step that lands on v
 
 
 def test_band_orbits_match_brute_components():
@@ -860,5 +919,45 @@ def test_product_check_walks_every_target_pair_and_stops_a_missed_one(monkeypatc
         assert verify(cert).ok
         assert asked == [pairs, pairs]
         monkeypatch.setattr(certs, "product_miss", lambda word, pairs, h, f: (0, 1, None))
-        with pytest.raises(InternalCheckError, match="product-extends-target"):
+        with pytest.raises(InternalCheckError) as e:
             run_trial(family, n, 5, 0)
+        assert str(e.value) == \
+            "internal check product-extends-target failed: (x, y, got) = (0, 1, None)"
+
+
+def test_word_condition_checks_write_the_report_only_on_failure(monkeypatch):
+    """base-word-condition and word-condition-exit name the failing report as before,
+    and a build whose checks all hold never writes a report's text."""
+    written = []
+    real_str = WordConditionReport.__str__
+    monkeypatch.setattr(WordConditionReport, "__str__",
+                        lambda rep: written.append(rep) or real_str(rep))
+    f = nkomega_oracle(3, random.Random(5))
+    instance = nkomega_instance(f, random.Random(5), pair_comps=[1, 2, 3])
+    assert verify(density_witness_nkomega(*copy.deepcopy(instance))).ok
+    assert written == []
+
+    failing = WordConditionReport(False, [5], {5: "points 1 and 2 collide at 3"})
+    text = "word condition fails -- clause 5: points 1 and 2 collide at 3"
+    real = nkomega._word_condition
+    for clause, fails in (("base-word-condition", lambda gamma, theta: not theta),
+                          ("word-condition-exit", lambda gamma, theta: set(theta) == set(gamma))):
+        def word_condition(ctx, b, gamma, theta, phi, delta, w, fails=fails):
+            return failing if fails(gamma, theta) else real(ctx, b, gamma, theta, phi, delta, w)
+
+        monkeypatch.setattr(nkomega, "_word_condition", word_condition)
+        with pytest.raises(InternalCheckError) as e:
+            density_witness_nkomega(*copy.deepcopy(instance))
+        assert str(e.value) == f"internal check {clause} failed: {text}"
+
+
+def test_internal_check_calls_a_detail_function_only_on_failure():
+    def boom():
+        raise AssertionError("detail written for a check that holds")
+
+    internal_check(True, "holds", boom)
+    for detail in ("3 does not reach 4", lambda: "3 does not reach 4"):
+        with pytest.raises(InternalCheckError) as e:
+            internal_check(False, "chain-connects", detail)
+        assert (e.value.clause, str(e.value)) == \
+            ("chain-connects", "internal check chain-connects failed: 3 does not reach 4")

@@ -383,9 +383,21 @@ def test_builder_add_matches_extend_on_lazy_graphs(h3):
         h3.mapped_neighbours(99, b._fwd)
 
 
+def _lowest_free(s, c, parity, covered):
+    """The least k with position 2k + parity of component c outside ``covered``."""
+    k = 0
+    while s.vertex(c, 2 * k + parity) in covered:
+        k += 1
+    return k
+
+
 def test_fresh_window_matches_f_closure():
     """A window widened and fenced at random points of the growth against the
-    closure of support, fence and near at the current radius."""
+    closure of support, fence and near at the current radius.  Between growth steps
+    the components are asked in interleaved bursts that repeat the step's near set:
+    some calls answer from the up ray while the down ray's cursor lags behind the
+    centres, and every later call on that component must still match the closure."""
+    up_only = lagged = after_lag = 0
     for seed in range(24):
         rng = random.Random(seed)
         n = 2 + seed % 4
@@ -397,6 +409,7 @@ def test_fresh_window_matches_f_closure():
         window = FreshWindow(f)
         window.widen(radius)
         fenced: set[int] = set()
+        lagging: set[int] = set()  # components whose down cursor was left behind
         for _ in range(25):
             if rng.random() < 0.25:
                 radius += rng.randint(0, 3)
@@ -411,6 +424,20 @@ def test_fresh_window_matches_f_closure():
             c = rng.randint(1, n)
             want = s.fresh_in_component(c, _f_closure(f, b.support() | fenced | near, radius))
             assert window.fresh(b, c, near) == want
+            comps = [rng.randint(1, n) for _ in range(3)]
+            burst = [(c2, rng.choice([near, set()])) for c2 in comps + comps[::-1]]
+            centres = _f_closure(f, b.support() | fenced, radius)
+            for c2, near2 in burst:
+                down = window._rays.get(c2, [0, 0])[1]
+                got = window.fresh(b, c2, near2)
+                assert got == s.fresh_in_component(c2, centres | _f_closure(f, near2, radius))
+                after_lag += c2 in lagging
+                pos = s.position_of(got)
+                if f.tail_line(c2) is not None and pos % 2 == 0 and pos < 2 * down + 1:
+                    up_only += 1
+                    if window._rays[c2][1] < _lowest_free(s, c2, 1, centres):
+                        lagged += 1
+                        lagging.add(c2)
             # a prefix of 2r + 1 of a cached window is its radius-r window
             v = rng.choice(sorted(b.support() | near))
             r = rng.randint(0, radius)
@@ -426,6 +453,7 @@ def test_fresh_window_matches_f_closure():
             window.widen(radius - 1)
         window.widen(radius)  # widening to the same radius does nothing
         assert window.radius == radius
+    assert up_only > lagged > 0 and after_lag > 0
 
 
 def _chains_and_cycles(rng):
@@ -612,6 +640,11 @@ def test_fresh_window_matches_f_closure_on_band_and_fixed_tail_oracles():
                 want = s.fresh_in_component(c, _f_closure(f, b.support() | fenced | near, radius))
                 got = window.fresh(b, c, near)
                 assert got == want
+                # another component in between, then the same question: the same answer
+                c2 = rng.randint(1, n)
+                assert window.fresh(b, c2, near) == s.fresh_in_component(
+                    c2, _f_closure(f, b.support() | fenced | near, radius))
+                assert window.fresh(b, c, near) == got
                 orbit_kinds.add(f.orbit_coord(got)[2])  # 1 on a fixed tail, 0 on a spine
                 for v in (got, rng.choice(sorted(b.support() | near | {got}))):
                     r = rng.randint(0, radius)

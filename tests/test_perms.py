@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 
 from ultrahom.errors import GraphError
-from ultrahom.perms import (IndexPerm, all_perms, closure, generates_symmetric, group_order,
-                            word_to)
+from ultrahom.perms import (IndexPerm, _generates_symmetric, all_perms, closure,
+                            generates_symmetric, group_order, word_to)
 
 
 def test_construction_and_parse():
@@ -114,6 +114,23 @@ def test_group_order_matches_closure_on_every_pair_up_to_n5():
                         size[gi * a * g, gi * b * g] = k
                 assert group_order(n, [a, b]) == size[a, b], (a, b)
                 assert generates_symmetric(n, [a, b]) == (size[a, b] == factorial(n))
+
+
+def test_generates_symmetric_from_cold_and_warm_cache_matches_closure_up_to_n4():
+    """Every ordered pair at n <= 4, first with the cache cleared and then again from
+    the cache: the answer is group_order's and closure's, whichever serves it."""
+    _generates_symmetric.cache_clear()
+    for n in range(1, 5):
+        pairs = [(a, b) for a in all_perms(n) for b in all_perms(n)]
+        want = [len(closure(n, [a, b])) == factorial(n) for a, b in pairs]
+        assert want == [group_order(n, [a, b]) == factorial(n) for a, b in pairs]
+        misses = _generates_symmetric.cache_info().misses
+        assert [generates_symmetric(n, [a, b]) for a, b in pairs] == want
+        assert _generates_symmetric.cache_info().misses == misses + len(pairs)
+        hits = _generates_symmetric.cache_info().hits
+        assert [generates_symmetric(n, (a, b)) for a, b in pairs] == want
+        assert _generates_symmetric.cache_info().hits == hits + len(pairs)
+        assert any(want) and (n < 3 or not all(want))
 
 
 def test_group_order_matches_closure_on_random_pairs_n6_to_n8():

@@ -184,9 +184,11 @@ def test_check_word_condition_vacuous_and_failures(nk2):
     w = parse_word("a^2")
     rep = check_word_condition(q, (), (), (), (), w, f)
     assert rep.holds and not rep.failed_clauses
+    assert str(rep) == "word condition holds (clauses 1-6)"
     # clause 2: delta overlapping ran(p)
     rep = check_word_condition(q, (), (), (), (v(2, 0),), w, f)
     assert rep.failed_clauses == [2] and 2 in rep.witnesses
+    assert str(rep) == f"word condition fails -- clause 2: ran(p) meets delta at {v(2, 0)}"
     # clause 3: a gamma point outside dom(w(p)) while theta demands it
     rep = check_word_condition(q, (v(1, 9),), (v(1, 9),), (), (), w, f)
     assert 3 in rep.failed_clauses
