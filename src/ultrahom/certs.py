@@ -246,7 +246,7 @@ def certify(claim: str, f, q, p, h, data: dict) -> WitnessCertificate:
         transcript, last = [], -1
         for U, w in s.transcript():  # ids rise, and U is sorted
             if w in kept:
-                transcript.append([w - last - 1, *(u for u in U if u in kept)])
+                transcript.append([w - last - 1, *filter(kept.__contains__, U)])
                 last = w
         oracle, schema = {"kind": "lazy_fresh", "pairs": f_lists}, SCHEMA_VERSION
     else:

@@ -353,6 +353,16 @@ class GraphSession:
             _check_fences(members, V, forbidden, adj.keys())
         elif not adj.keys() >= members:
             raise GraphError(f"unknown vertex {min(members - adj.keys())}")
+        return self._witness(members)
+
+    def _witness(self, members: set[int]) -> int:
+        """``alice_witness`` past its argument checks: the clique test on ``members``, then
+        a new w with N(w) = ``members``, a set the session keeps, and its transcript entry.
+
+        ``IsoBuilder.add_witness`` calls it on a mapped neighbourhood, whose
+        vertices were each checked realized when they joined the builder.
+        """
+        adj = self._adj
         verts = sorted(members)
         clique = self._forbidden_clique
         if clique and len(verts) >= clique and not self._clique_free(verts, members, clique):

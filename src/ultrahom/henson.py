@@ -153,27 +153,30 @@ def chain_link(b: IsoBuilder, delta: set[int], gamma_fixed: set[int],
         internal_check(b.cycle_free(), "result-cycle-free")
 
 
-def build_conjugator(q: PartialIso, p: SeparatedIso) -> tuple[PartialIso, int]:
+def build_conjugator(q: PartialIso | IsoBuilder,
+                     p: SeparatedIso) -> tuple[PartialIso | IsoBuilder, int]:
     """Extend q to h with h^{2m} extending the separated map p.
 
     q must be cycle-free and supported away from p.  One linking chain
     per point of dom(p), of 2m edges with m = max(1, ceil(L/2)) for q's
     longest component of L vertices, so every component has at most 2m
-    vertices as ``chain_link`` asks.
+    vertices as ``chain_link`` asks.  The chains grow q itself when it is
+    an ``IsoBuilder``, so a caller's builder carries on, and a new builder
+    otherwise, leaving q unchanged.  Returns (h, m), with h the builder q
+    when q is one, and the new builder's value otherwise.
     """
-    if not cycle_free(q):
+    b = q if isinstance(q, IsoBuilder) else IsoBuilder(q)
+    if not b.cycle_free():
         raise HypothesisError("cycle-free", "q has a complete component")
     piso = p.iso
-    p_support = piso.support()
-    if q.support() & p_support:
+    support = b.support()
+    if support & piso.support():
         raise HypothesisError("supports-disjoint", "q and p share vertices")
-    b = IsoBuilder(q)
     m = max(1, (b.longest_component() + 1) // 2)
-    chain_link(b, set(), b.support(), [(x, piso.apply(x)) for x in sorted(piso.dom())], m,
+    chain_link(b, set(), support, [(x, piso.apply(x)) for x in sorted(piso.dom())], m,
                sigma1=piso.dom(), sigma2=piso.ran())
-    h = b.freeze()
-    internal_check(power(h, 2 * m).extends(piso), "power-extends-target")
-    return h, m
+    internal_check(power(b, 2 * m).extends(piso), "power-extends-target")
+    return (b if b is q else b.freeze()), m
 
 
 def density_witness_henson(f: LazyOracle, q: PartialIso,
@@ -184,28 +187,26 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     chain after that; march every chain m further steps through the
     support of f, so r^m is defined on all of dom(q) and the final images
     escape under f; conjugate p by r^m f into a separated map u away from
-    r; extend r to h with h^{2l} extending u.
+    r; extend r to h with h^{2l} extending u.  One builder carries the map
+    from the absorb to h, which alone is frozen, for the certificate.
     """
     s = q.session
     if not cycle_free(q):
         raise HypothesisError("cycle-free", "q has a complete component")
-    q_in = q
     piso = p.iso
-    p_support = sorted(piso.support())
-
     b = IsoBuilder(q)
-    for v in p_support:
+    for v in sorted(piso.support()):
         if v not in b.dom():
             one_point_extend(b, v)
     m = b.longest_component()
-    q = b.freeze()
+    absorbed_dom = sorted(b.dom())
 
     # Each march step queries f, then f^-1, on what joined the builder since
     # the last one (the first step its whole support, in set order), then f
     # on buddy: misses create witnesses, so this order fixes vertex ids, and
     # it makes f and f^-1 of the support real before nxt, which then has no
     # neighbour among them outside its U.  The march grows the absorb builder.
-    tails = sorted(q.ran() - q.dom())
+    tails = sorted(b.ran() - b.dom())
     new = list(b.support())
     seen = len(b.arrivals)
     marched: list[int] = []
@@ -225,14 +226,14 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
             seen = len(b.arrivals)
             marched.append(nxt)
             cur = nxt
-    r = b.freeze()
 
-    r_support = r.dom() | r.ran()
+    # b now holds r; its support and r^m are read before the conjugator grows it
+    r_support = b.support()
     for v in marched:
         internal_check(f.image(v) not in r_support, "march-escapes-forward")
     # r^m read off each chain in one walk; the f queries go in z order, for vertex ids
-    r_m = power(r, m)
-    for z in sorted(q.dom()):
+    r_m = power(b, m)
+    for z in absorbed_dom:
         zz = r_m.apply(z)
         internal_check(zz is not None and f.image(zz) not in r_support,
                        "domain-image-escapes")
@@ -245,5 +246,5 @@ def density_witness_henson(f: LazyOracle, q: PartialIso,
     u = SeparatedIso(validate(s, u_pairs))
     internal_check(not (u.iso.dom() | u.iso.ran()) & r_support, "conjugate-avoids-r")
 
-    h, l = build_conjugator(r, u)
-    return certify(HENSON_CLAIM, f, q_in, piso, h, {"m": m, "l": l})
+    _, l = build_conjugator(b, u)
+    return certify(HENSON_CLAIM, f, q, piso, b.freeze(), {"m": m, "l": l})

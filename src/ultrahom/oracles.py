@@ -97,14 +97,15 @@ class LazyOracle(OracleBase):
         self.session = session
         self.cache = IsoBuilder(base if base is not None else empty_iso(session))
 
+    # both queries read the cache's maps directly: one frame per hit
     def try_image(self, v: int) -> int:
-        got = self.cache.apply(v)
+        got = self.cache._fwd.get(v)
         if got is not None:
             return got
         return self.cache.add_witness(v)
 
     def try_preimage(self, v: int) -> int:
-        got = self.cache.unapply(v)
+        got = self.cache._bwd.get(v)
         if got is not None:
             return got
         return self.cache.add_witness(v, forward=False)

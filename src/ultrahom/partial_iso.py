@@ -584,19 +584,31 @@ class IsoBuilder(_MapReads):
 
         Forward, w is adjacent to exactly (N(v) cap dom) mapped forward plus
         ``extra``, and (v, w) is added; backward, to (N(v) cap ran) mapped
-        back plus ``extra``, and (w, v) is added.  The mapped neighbourhood
-        is read once, for the witness and for the pair check, which asks
-        that N(w) meet ran (dom) in exactly that set.  Only a pair the
-        check refuses goes through ``add``: a v already mapped, or an
-        ``extra`` vertex of ran (dom) outside that set, raises the
-        ``IsoError`` that ``add`` raises, once w exists.
+        back plus ``extra``, and (w, v) is added.  The pair check asks that
+        N(w) meet ran (dom) in exactly the mapped set; since that set lies
+        in ran (dom), only an ``extra`` vertex of ran (dom) outside it can
+        fail the check.  Only a pair that fails it, or a v already mapped,
+        goes through ``add``, which raises its ``IsoError`` once w exists.
+
+        Without ``extra`` the mapped set, builder vertices each checked
+        realized when they joined, goes straight to ``GraphSession._witness``;
+        with it, ``alice_witness`` checks ``extra``.  The clique test runs on
+        every witness.
         """
         s = self.session
         src, dst = (self._fwd, self._bwd) if forward else (self._bwd, self._fwd)
-        mapped = s.mapped_neighbours(v, src)
-        w = s.alice_witness(mapped.union(extra) if extra else mapped)
+        nv = s._adj.get(v)
+        if nv is None:
+            raise GraphError(f"unknown vertex {v}")
+        mapped = set(map(src.__getitem__, nv & src.keys()))
+        if extra:
+            w = s.alice_witness(mapped.union(extra))
+            clash = any(u in dst and u not in mapped for u in extra)
+        else:
+            w = s._witness(mapped)
+            clash = False
         x, y = (v, w) if forward else (w, v)
-        if v in src or (s._adj[w] & dst.keys()) != mapped:
+        if clash or v in src:
             self.add(x, y)
         else:
             self._record(x, y)

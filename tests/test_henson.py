@@ -13,9 +13,9 @@ from ultrahom.henson import (SeparatedIso, build_conjugator, chain_link,
                              density_witness_henson, neigh_extend,
                              one_point_extend, pad_components)
 from ultrahom.oracles import LazyOracle
-from ultrahom.partial_iso import (IsoBuilder, chain_pairs, cycle_free, empty, from_pairs,
-                                  power)
-from perfbench.workloads import henson_wide_instance, stream
+from ultrahom.partial_iso import (IsoBuilder, PartialIso, chain_pairs, cycle_free, empty,
+                                  from_pairs, power, validate)
+from perfbench.workloads import HensonWide, henson_wide_instance, stream
 
 
 def fresh(s, U=(), V_all=True):
@@ -205,6 +205,57 @@ def test_build_conjugator_rejects_shared_support(h3):
     q = from_pairs(h3, [(a, fresh(h3))])
     with pytest.raises(HypothesisError, match="supports-disjoint"):
         build_conjugator(q, p)
+
+
+def test_build_conjugator_grows_a_builder_and_leaves_a_frozen_q_as_it_was(h3):
+    """Given a builder, the chains grow that builder, which comes back with m; given a
+    frozen q, a new builder grows and q keeps its pairs."""
+    def three_chain_and_target():
+        b = IsoBuilder(empty(h3))
+        one_point_extend(b, one_point_extend(b, fresh(h3)))  # 3 vertices, so m = 2
+        return b, _separated_pair(h3)
+
+    b, p = three_chain_and_target()
+    before = b.freeze()
+    h, m = build_conjugator(b, p)
+    assert h is b and m == 2
+    assert b.extends(before) and len(b) > len(before) and b.cycle_free()
+    assert power(b, 2 * m).extends(p.iso)
+
+    b, p = three_chain_and_target()
+    q = b.freeze()
+    fwd, bwd = dict(q._fwd), dict(q._bwd)
+    h, m = build_conjugator(q, p)
+    assert isinstance(h, PartialIso) and m == 2
+    assert q._fwd == fwd and q._bwd == bwd
+    assert h.extends(q) and len(h) > len(q) and cycle_free(h)
+    assert power(h, 2 * m).extends(p.iso)
+
+
+def test_build_conjugator_on_the_march_builder_makes_the_frozen_path_h(monkeypatch):
+    """On the seed-1 henson-wide pool the witness conjugates its march builder in place.
+    The same r and u, frozen on a twin session replayed to that point, give the same h
+    and m through a new builder, and make the same witnesses."""
+    calls = []
+
+    def both_ways(r, u):
+        s = r.session
+        twin = GraphSession.replay_sets(s.kind, [(w, U) for U, w in s.transcript()])
+        r_frozen = validate(twin, r._fwd.items())
+        r_pairs = r_frozen.pairs()
+        want_h, want_m = build_conjugator(r_frozen, SeparatedIso(validate(twin, u.iso.pairs())))
+        h, m = build_conjugator(r, u)
+        assert h is r and isinstance(want_h, PartialIso) and r_frozen.pairs() == r_pairs
+        assert (h.pairs(), m) == (want_h.pairs(), want_m)
+        assert s.transcript() == twin.transcript()
+        calls.append(m)
+        return h, m
+
+    monkeypatch.setattr(henson, "build_conjugator", both_ways)
+    pool = HensonWide().setup(1).entries
+    for f, q, p in pool:
+        assert verify(density_witness_henson(f, q, p)).ok
+    assert len(calls) == len(pool) == 16
 
 
 def test_separated_class_rejects_edges(h3):
@@ -453,6 +504,10 @@ def _case_cycle_free_witness(s):
     density_witness_henson(LazyOracle(s), _swap(s), _separated_pair(s))
 
 
+def _case_cycle_free_conjugator_builder(s):
+    build_conjugator(IsoBuilder(_swap(s)), _separated_pair(s))
+
+
 def _case_supports_disjoint(s):
     p = _separated_pair(s)
     build_conjugator(from_pairs(s, [(min(p.iso.dom()), fresh(s))]), p)
@@ -502,6 +557,7 @@ def _case_delta_neighbourhood_match(s):
     ("x-free", _case_x_free),
     ("neighbourhood-match", _case_neighbourhood_match),
     ("cycle-free", _case_cycle_free_conjugator),
+    ("cycle-free", _case_cycle_free_conjugator_builder),
     ("cycle-free", _case_cycle_free_witness),
     ("supports-disjoint", _case_supports_disjoint),
     ("delta-gamma-disjoint", _case_delta_gamma_disjoint),

@@ -18,7 +18,7 @@ from perfbench.workloads import henson_wide_instance, stream
 from ultrahom.campaigns import henson_trial
 from ultrahom.certs import verify
 from ultrahom.errors import GraphError, HypothesisError, IsoError
-from ultrahom.graphs import GraphKind, GraphSession
+from ultrahom.graphs import HENSON, GraphKind, GraphSession
 from ultrahom.henson import SeparatedIso, density_witness_henson, neigh_extend
 from ultrahom.oracles import LazyOracle
 from ultrahom.partial_iso import IsoBuilder, empty, extend, validate
@@ -291,12 +291,22 @@ def builder_fields(b):
             list(b._tail_of.items()), b.longest_component(), b.count, list(b.arrivals))
 
 
+def random_clique(s, k, rng):
+    """A k-clique (k = 2 or 3) of the session, drawn at random; None if it has none."""
+    cliques = [(u, w) for U, w in s.transcript() for u in U]
+    if k == 3:
+        cliques = [(u, w, x) for u, w in cliques for x in s._adj[u] & s._adj[w] if x > w]
+    return list(rng.choice(cliques)) if cliques else None
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.n}")
 def test_add_witness_matches_witness_then_add(kind):
     """Random growth in both directions, with and without extra, on twin sessions: the
     fused step and the two-step path make the same witness, transcript and builder.
     A v already mapped and an extra vertex of ran (dom) outside the mapped
-    neighbourhood raise add's IsoError; a forbidden clique in U raises alice_witness's."""
+    neighbourhood raise add's IsoError; a forbidden clique in extra raises
+    alice_witness's GraphError, and an unrealized v mapped_neighbours' one, both before
+    any vertex is made."""
     seen = set()
     for seed in range(16):
         rng = random.Random(500 + seed)
@@ -312,8 +322,11 @@ def test_add_witness_matches_witness_then_add(kind):
         for _ in range(25):
             forward = rng.random() < 0.5
             src, dst = (b._fwd, b._bwd) if forward else (b._bwd, b._fwd)
-            if src and rng.random() < 0.15:
+            pick = rng.random()
+            if src and pick < 0.15:
                 v = rng.choice(list(src))  # already mapped on this side
+            elif pick > 0.93:
+                v = rng.choice((s._next, s._next + 1, -1))  # not realized
             else:
                 v = rng.choice(s.realized())
             extra = []
@@ -322,13 +335,24 @@ def test_add_witness_matches_witness_then_add(kind):
                 extra = rng.sample(outside, min(len(outside), rng.randint(1, 2)))
             if dst and rng.random() < 0.15:
                 extra.append(rng.choice(list(dst)))  # hostile unless in the mapped set
+            if kind.tag == HENSON and rng.random() < 0.1:
+                extra += random_clique(s, kind.n - 1, rng) or []  # an edge, or a triangle
+            before = s._next, s.transcript()
             want = outcome(two_step_witness, ref, v, forward, extra)
             got = outcome(b.add_witness, v, forward, tuple(extra))
             assert got == want, (v, forward, extra)
             assert s.transcript() == twin.transcript()
             assert builder_fields(b) == builder_fields(ref)
-            seen.add(got[0] if got[0] == "ok" else got[:2])
-    assert {"ok", ("iso", "not-injective"), ("iso", "adjacency-mismatch")} <= seen, seen
+            if got[0] == "graph":
+                assert (s._next, s.transcript()) == (twin._next, twin.transcript()) == before
+                seen.add(("graph", got[1].rstrip("-0123456789 ")))
+            else:
+                seen.add(got[0] if got[0] == "ok" else got[:2])
+    want = {"ok", ("iso", "not-injective"), ("iso", "adjacency-mismatch"),
+            ("graph", "unknown vertex")}
+    if kind.tag == HENSON:
+        want.add(("graph", "forbidden clique in U"))
+    assert want <= seen, seen
 
 
 def test_adjacency_conflict_is_lazy_only():
